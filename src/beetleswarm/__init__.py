@@ -17,10 +17,7 @@ from .constrained import (
     PenaltyConfig,
     as_problem,
     constrained_problem,
-    himmelblau,
     penalized_fitness,
-    pressure_vessel,
-    snap_discrete,
 )
 from .core import (
     Problem,
@@ -59,18 +56,15 @@ __all__ = [
     "evaluate",
     "export_convergence",
     "get_problem",
-    "himmelblau",
     "inertia_weight",
     "list_problems",
     "penalized_fitness",
-    "pressure_vessel",
     "problem",
     "problem_ids",
     "run_bas",
     "run_bso",
     "run_pso",
     "run_trials",
-    "snap_discrete",
     "spec",
     "uniform_in_space",
 ]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Problem, RandomStream, RunRecord, clamp_to_bounds, uniform_in_space
+from .core import ConfigDict, Problem, RandomStream, RunRecord, clamp_to_bounds, uniform_in_space
 
 Array = np.ndarray
 
@@ -25,7 +25,7 @@ SCHEDULES = ("geometric", "affine")
 
 
 @dataclass(frozen=True)
-class BasConfig:
+class BasConfig(ConfigDict):
     """Tunables for a BAS run.
 
     ``delta0`` of None means 30% of the widest box side, a scale that
@@ -56,17 +56,6 @@ class BasConfig:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BasConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

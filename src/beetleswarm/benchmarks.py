@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -236,22 +237,16 @@ def _goldstein_price(X: Array, rng=None) -> Array:
     return t1 * t2
 
 
-def _hartmann(A: Array, C: Array, P: Array) -> Callable[[Array, object], Array]:
-    def f(X: Array, rng=None) -> Array:
-        inner = (A[None, :, :] * (X[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-        return -(np.exp(-inner) @ C)
+# The table-parameterized families are bound with functools.partial, not
+# closures, so every catalog problem pickles for the trial process pool.
+def _hartmann(A: Array, C: Array, P: Array, X: Array, rng=None) -> Array:
+    inner = (A[None, :, :] * (X[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
+    return -(np.exp(-inner) @ C)
 
-    return f
 
-
-def _shekel(m: int) -> Callable[[Array, object], Array]:
-    a, c = SHEKEL_A[:m], SHEKEL_C[:m]
-
-    def f(X: Array, rng=None) -> Array:
-        d = ((X[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-        return -(1.0 / (d + c)).sum(axis=1)
-
-    return f
+def _shekel(a: Array, c: Array, X: Array, rng=None) -> Array:
+    d = ((X[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
+    return -(1.0 / (d + c)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +274,11 @@ _DEFS: list[tuple[str, int, float, float, float, _BatchFn, bool]] = [
     ("F16", 2, -5, 5, -1.0316, _six_hump_camel, False),
     ("F17", 2, -5, 5, 0.398, _branin, False),
     ("F18", 2, -2, 2, 3.0, _goldstein_price, False),
-    ("F19", 3, 1, 3, -3.86, _hartmann(HARTMANN3_A, HARTMANN3_C, HARTMANN3_P), False),
-    ("F20", 6, 0, 1, -3.32, _hartmann(HARTMANN6_A, HARTMANN6_C, HARTMANN6_P), False),
-    ("F21", 4, 0, 10, -10.1532, _shekel(5), False),
-    ("F22", 4, 0, 10, -10.4028, _shekel(7), False),
-    ("F23", 4, 0, 10, -10.5363, _shekel(10), False),
+    ("F19", 3, 1, 3, -3.86, partial(_hartmann, HARTMANN3_A, HARTMANN3_C, HARTMANN3_P), False),
+    ("F20", 6, 0, 1, -3.32, partial(_hartmann, HARTMANN6_A, HARTMANN6_C, HARTMANN6_P), False),
+    ("F21", 4, 0, 10, -10.1532, partial(_shekel, SHEKEL_A[:5], SHEKEL_C[:5]), False),
+    ("F22", 4, 0, 10, -10.4028, partial(_shekel, SHEKEL_A[:7], SHEKEL_C[:7]), False),
+    ("F23", 4, 0, 10, -10.5363, partial(_shekel, SHEKEL_A[:10], SHEKEL_C[:10]), False),
 ]
 
 _SPECS: dict[str, BenchmarkSpec] = {}

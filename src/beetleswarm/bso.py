@@ -25,17 +25,17 @@ runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Problem, RandomStream, RunRecord, uniform_population
+from .core import ConfigDict, Problem, RandomStream, RunRecord, uniform_population
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class BsoConfig:
+class BsoConfig(ConfigDict):
     """Tunables for a BSO run.
 
     ``lam`` is the single most consequential knob: it weighs the particle
@@ -46,12 +46,8 @@ class BsoConfig:
     delta * velocity), contracted by ``eta`` each iteration; antenna
     spacing is ``delta / c2_ratio``. ``delta0 = 0`` disables the antenna
     machinery entirely, which together with ``lam = 1`` reduces the engine
-    to plain PSO without consuming any extra random draws.
-
-    ``componentwise_draws`` switches r1/r2 from one draw per beetle per
-    dimension (the default; scalar per-beetle draws confine each move to a
-    3-vector span and stall badly above a few dimensions) to one scalar
-    per beetle.
+    to plain PSO without consuming any extra random draws. The r1/r2
+    draws are per beetle per dimension.
 
     The numeric defaults were fixed empirically on the 30-dimensional
     benchmark suite at n=50, 1000 iterations; they balance deep unimodal
@@ -74,7 +70,6 @@ class BsoConfig:
     v_max: float | None = None
     v_min: float | None = None
     v_frac: float = 0.08
-    componentwise_draws: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -99,17 +94,6 @@ class BsoConfig:
         if not self.v_frac > 0:
             raise ValueError("v_frac must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BsoConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        return cls(**data)
-
 
 @dataclass
 class SwarmState:
@@ -121,8 +105,7 @@ class SwarmState:
     Pf: Array  # (n,) personal-best fitnesses
     G: Array  # (dim,) global-best position
     Gf: float  # global-best fitness
-    delta: float  # antenna step multiplier
-    d: float  # antenna spacing
+    delta: float  # antenna step multiplier; antenna spacing is delta / c2_ratio
     k: int  # completed iterations
 
 
@@ -135,54 +118,36 @@ def inertia_weight(k: int, K: int, omega_min: float = 0.4, omega_max: float = 0.
     return omega_max - (omega_max - omega_min) * (k / K)
 
 
-def update_velocity(
-    V_i: Array,
-    X_i: Array,
-    P_i: Array,
-    G: Array,
-    omega: float,
-    a1: float,
-    a2: float,
-    rng: RandomStream,
-    v_min: float | Array | None = None,
-    v_max: float | Array | None = None,
-) -> Array:
-    """One beetle's velocity update with fresh scalar r1, r2 draws."""
-    r1 = rng.uniform()
-    r2 = rng.uniform()
-    V_new = omega * V_i + a1 * r1 * (P_i - X_i) + a2 * r2 * (G - X_i)
-    if v_min is not None or v_max is not None:
-        V_new = np.clip(V_new, v_min, v_max)
-    return V_new
+def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: float, rng) -> Array:
+    """Signed antenna move per beetle, always parallel to its velocity.
 
-
-def beetle_increment(
-    X_i: Array, V_i: Array, delta: float, d: float, problem: Problem, rng: RandomStream | None = None
-) -> Array:
-    """Signed antenna move for one beetle.
-
-    The velocity vector plays the antenna-direction role: probes sit at
-    X +/- V*d/2, and the increment is -delta * V * sign(f(right) - f(left)),
-    i.e. toward the lower-fitness probe. Always parallel to V.
+    The probes sit at X +/- V*d/2 (clamped into the box if the problem asks
+    for it), right then left; the increment is -delta * V * sign(f(right) -
+    f(left)), i.e. toward the lower-fitness probe.
     """
-    if not (delta > 0 and d > 0):
-        raise ValueError("delta and d must be positive")
-    offset = V_i * (d / 2.0)
-    x_right = X_i + offset
-    x_left = X_i - offset
+    offset = V * (d / 2.0)
+    X_right = X + offset
+    X_left = X - offset
     if problem.clamp_probes:
-        x_right = np.clip(x_right, problem.space.lower, problem.space.upper)
-        x_left = np.clip(x_left, problem.space.lower, problem.space.upper)
-    f_right = problem.evaluate(x_right, rng)
-    f_left = problem.evaluate(x_left, rng)
-    return -delta * V_i * np.sign(f_right - f_left)
+        X_right = np.clip(X_right, problem.space.lower, problem.space.upper)
+        X_left = np.clip(X_left, problem.space.lower, problem.space.upper)
+    f_right = problem.evaluate_many(X_right, rng)
+    f_left = problem.evaluate_many(X_left, rng)
+    return -delta * V * np.sign(f_right - f_left)[:, None]
 
 
-def update_position(X_i: Array, V_new: Array, xi_i: Array, lam: float, space) -> Array:
+def swarm_velocity(
+    V: Array, X: Array, P: Array, G: Array, omega: float, a1: float, a2: float, rng, v_lo, v_hi
+) -> Array:
+    """Clamped velocity update; draws r1 then r2, one per beetle per dimension."""
+    r1 = rng.uniform(V.shape)
+    r2 = rng.uniform(V.shape)
+    return np.clip(omega * V + a1 * r1 * (P - X) + a2 * r2 * (G - X), v_lo, v_hi)
+
+
+def blend_position(X: Array, V: Array, xi: Array, lam: float, lower, upper) -> Array:
     """Blend the swarm move and the antenna move, then project into the box."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    return np.clip(X_i + lam * V_new + (1.0 - lam) * xi_i, space.lower, space.upper)
+    return np.clip(X + lam * V + (1.0 - lam) * xi, lower, upper)
 
 
 class BsoEngine:
@@ -233,7 +198,6 @@ class BsoEngine:
             G=X[gi].copy(),
             Gf=float(F[gi]),
             delta=float(config.delta0),
-            d=float(config.delta0) / config.c2_ratio,
             k=0,
         )
         self.curve = [self.state.Gf]
@@ -242,7 +206,6 @@ class BsoEngine:
         """One full swarm iteration."""
         st, cfg = self.state, self.config
         omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
-        st.d = st.delta / cfg.c2_ratio
 
         # Antenna probes use the pre-update velocities. When the antenna
         # term cannot influence the move (lam == 1 or a zero step) the
@@ -250,30 +213,12 @@ class BsoEngine:
         # nor noise draws; this keeps the lam=1/delta0=0 configuration
         # draw-for-draw identical to plain PSO.
         if cfg.lam < 1.0 and st.delta > 0.0:
-            offset = st.V * (st.d / 2.0)
-            X_right = st.X + offset
-            X_left = st.X - offset
-            if self.problem.clamp_probes:
-                X_right = np.clip(X_right, self.space.lower, self.space.upper)
-                X_left = np.clip(X_left, self.space.lower, self.space.upper)
-            f_right = self.problem.evaluate_many(X_right, self.rng)
-            f_left = self.problem.evaluate_many(X_left, self.rng)
-            xi = -st.delta * st.V * np.sign(f_right - f_left)[:, None]
+            xi = antenna_increment(self.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, self.rng)
         else:
             xi = np.zeros_like(st.V)
 
-        if cfg.componentwise_draws:
-            r1 = self.rng.uniform((cfg.n, self.space.dim))
-            r2 = self.rng.uniform((cfg.n, self.space.dim))
-        else:
-            r1 = self.rng.uniform(cfg.n)[:, None]
-            r2 = self.rng.uniform(cfg.n)[:, None]
-        st.V = np.clip(
-            omega * st.V + cfg.a1 * r1 * (st.P - st.X) + cfg.a2 * r2 * (st.G - st.X),
-            self.v_lo,
-            self.v_hi,
-        )
-        st.X = np.clip(st.X + cfg.lam * st.V + (1.0 - cfg.lam) * xi, self.space.lower, self.space.upper)
+        st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, self.rng, self.v_lo, self.v_hi)
+        st.X = blend_position(st.X, st.V, xi, cfg.lam, self.space.lower, self.space.upper)
 
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf

@@ -23,13 +23,13 @@ from . import catalog
 from .constrained import CONSTRAINED_IDS, constrained_problem
 from .harness import (
     ALGORITHMS,
-    CONFIG_TYPES,
     compare_report,
     export_convergence,
     run_matrix,
     run_one,
     run_trial_records,
     summarize,
+    worker_count,
 )
 
 RUN_SCHEMA = "beetleswarm-run-v1"
@@ -112,7 +112,7 @@ def _expand_problems(spec_str) -> list[str]:
 
 def _build_config(algo: str, file_cfg: dict, args, *, seed_key: str = "seed"):
     """Resolve one algorithm's config: defaults < config file < flags."""
-    cfg_type = CONFIG_TYPES[algo]
+    cfg_type = ALGORITHMS[algo][0]
     tunables = {k: v for k, v in file_cfg.items() if k not in RUN_LEVEL_KEYS}
     if getattr(args, "iters", None) is not None:
         tunables["max_iters"] = args.iters
@@ -126,6 +126,13 @@ def _build_config(algo: str, file_cfg: dict, args, *, seed_key: str = "seed"):
         return cfg_type.from_dict(tunables)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad {algo} config: {exc}")
+
+
+def _check_workers() -> None:
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _resolve_out(args, file_cfg: dict, default: str) -> Path:
@@ -179,6 +186,7 @@ def cmd_bench(args) -> int:
     for algo in algos:
         ns = argparse.Namespace(iters=args.iters, pop=args.pop, seed=base_seed)
         configs[algo] = _build_config(algo, file_cfg, ns, seed_key="base_seed")
+    _check_workers()
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
 
@@ -203,6 +211,7 @@ def cmd_constrained(args) -> int:
     base_seed = args.seed if args.seed is not None else _int_setting(file_cfg, "base_seed", 0)
     ns = argparse.Namespace(iters=args.iters, pop=args.pop, seed=base_seed)
     config = _build_config(algo, file_cfg, ns, seed_key="base_seed")
+    _check_workers()
 
     cp = constrained_problem(problem_id)
     problem = catalog.get_problem(problem_id)
@@ -241,15 +250,12 @@ def cmd_constrained(args) -> int:
     gs = "  ".join(f"g{i + 1}={v:.6f}" for i, v in enumerate(best["g"]))
     if feasible:
         print(f"{problem_id} best feasible solution over {n_trials} trials ({len(feasible)} feasible):")
-        print(f"  {xs}")
-        print(f"  {gs}")
-        print(f"  objective={best['raw_objective']:.6f}  penalized={best['penalized']:.6f}")
-        return 0
-    print(f"{problem_id}: no feasible solution found in {n_trials} trials; best infeasible point:")
+    else:
+        print(f"{problem_id}: no feasible solution found in {n_trials} trials; best infeasible point:")
     print(f"  {xs}")
     print(f"  {gs}")
     print(f"  objective={best['raw_objective']:.6f}  penalized={best['penalized']:.6f}")
-    return 3
+    return 0 if feasible else 3
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -125,22 +126,15 @@ class ConstrainedProblem:
         }
 
 
-def snap_discrete(x, grids: tuple[DiscreteGrid | None, ...]) -> Array:
-    """Round discrete components to their nearest admissible grid value."""
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    for j, grid in enumerate(grids):
-        if grid is not None:
-            out[j] = grid.snap(np.asarray([x[j]]))[0]
-    return out
+def _penalized_many(problem: ConstrainedProblem, X: Array, config: PenaltyConfig) -> Array:
+    """Raw objective plus the exterior penalty for each row of X, unsnapped."""
+    viol = problem.violations_many(X)
+    return problem.raw_batch(X) + config.weight * (viol**config.exponent).sum(axis=1)
 
 
 def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> float:
     """Raw objective plus the exterior penalty at a single point."""
-    X = np.asarray(x, dtype=float)[None, :]
-    raw = float(problem.raw_batch(X)[0])
-    viol = problem.violations_many(X)[0]
-    return raw + config.weight * float((viol**config.exponent).sum())
+    return float(_penalized_many(problem, np.asarray(x, dtype=float)[None, :], config)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +154,6 @@ def _pv_constraints(X: Array) -> Array:
     g3 = -math.pi * x3**2 * x4 - (4.0 / 3.0) * math.pi * x3**3 + 1296000.0
     g4 = x4 - 240.0
     return np.stack([g1, g2, g3, g4], axis=1)
-
-
-def pressure_vessel(x) -> tuple[float, Array]:
-    """Cost and the four constraint values at a (snapped) 4-vector.
-
-    Feasible iff every component of g is <= 0.
-    """
-    X = np.asarray(x, dtype=float)[None, :]
-    return float(_pv_cost(X)[0]), _pv_constraints(X)[0]
 
 
 _PV_GRID = DiscreteGrid(step=0.0625, k_min=1, k_max=99)
@@ -205,15 +190,6 @@ def _hb_constraints(X: Array) -> Array:
     return np.stack([g1, g2, g3], axis=1)
 
 
-def himmelblau(x) -> tuple[float, Array]:
-    """Objective and the three constraint values at a 5-vector.
-
-    Feasible iff 0 <= g1 <= 92, 90 <= g2 <= 110 and 20 <= g3 <= 25.
-    """
-    X = np.asarray(x, dtype=float)[None, :]
-    return float(_hb_objective(X)[0]), _hb_constraints(X)[0]
-
-
 HIMMELBLAU = ConstrainedProblem(
     id="HB",
     space=SearchSpace(
@@ -245,17 +221,16 @@ def as_problem(cp: ConstrainedProblem, penalty: PenaltyConfig | None = None) -> 
     The optimizers stay purely continuous; discrete variables are snapped
     to their grid inside the wrapper, and infeasibility is priced in via
     the exterior penalty. Probe points are clamped to the box because the
-    raw objectives are only physically meaningful there.
+    raw objectives are only physically meaningful there. The objective is a
+    functools.partial, not a closure, so the problem pickles for the trial
+    process pool.
     """
     pen = penalty if penalty is not None else PenaltyConfig()
+    return Problem(id=cp.id, space=cp.space, batch=partial(_snapped_penalized, cp, pen), clamp_probes=True)
 
-    def batch(X: Array, rng=None) -> Array:
-        Xs = cp.snap_many(X)
-        raw = cp.raw_batch(Xs)
-        viol = cp.violations_many(Xs)
-        return raw + pen.weight * (viol**pen.exponent).sum(axis=1)
 
-    return Problem(id=cp.id, space=cp.space, batch=batch, clamp_probes=True)
+def _snapped_penalized(cp: ConstrainedProblem, pen: PenaltyConfig, X: Array, rng=None) -> Array:
+    return _penalized_many(cp, cp.snap_many(X), pen)
 
 
 def catalog() -> list[dict]:

@@ -7,7 +7,7 @@ random stream, and the record type a single optimizer run produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,20 @@ class RandomStream:
     def uniform(self, size: int | tuple[int, ...] | None = None):
         """Uniform draws in [0, 1); a float if size is None, else an array."""
         return self._gen.random(size)
+
+
+class ConfigDict:
+    """Plain-dict round trip for the frozen optimizer config dataclasses."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ A "trial" is one full optimizer run; ``run_trials`` repeats a run
 ``n_trials`` times with seeds ``base_seed + i`` and reduces the final best
 fitnesses to mean / sample standard deviation / best, plus the mean
 wall-clock time. Trials are independent, so with ``BSO_THREADS`` set above
-1 they execute in a process pool; because every trial owns its seed, the
-parallel and serial paths produce identical statistics (timings aside).
+1 they execute in a process pool that receives the caller's own problem
+and config objects (so both must pickle); because every trial owns its
+seed, the parallel and serial paths produce identical records (timings
+aside).
 
 Exports: per-run convergence curves as two-column CSV at full double
 precision, and cross-algorithm comparison reports as JSON plus an aligned
@@ -29,8 +31,8 @@ from .bso import BsoConfig, run_bso
 from .core import Problem, RunRecord
 from .pso import PsoConfig, run_pso
 
-ALGORITHMS = ("bso", "bas", "pso")
-CONFIG_TYPES = {"bso": BsoConfig, "bas": BasConfig, "pso": PsoConfig}
+# name -> (config type, runner(problem, config, seed=...))
+ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}
 
 REPORT_SCHEMA = "beetleswarm-compare-v1"
 
@@ -79,50 +81,47 @@ class TrialSummary:
 
 def run_one(algorithm: str, problem: Problem, config, seed: int) -> RunRecord:
     """Dispatch a single seeded run to the named optimizer."""
-    if algorithm == "bso":
-        return run_bso(problem, config, seed=seed)
-    if algorithm == "pso":
-        return run_pso(problem, config, seed=seed)
-    if algorithm == "bas":
-        return run_bas(problem, config, seed=seed)
-    raise KeyError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise KeyError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm][1](problem, config, seed=seed)
 
 
-def _run_by_id(algorithm: str, problem_id: str, config_data: dict, seed: int) -> RunRecord:
-    # Worker-side entry point: rebuilds problem and config from plain data
-    # so arguments stay picklable for the process pool.
-    config = CONFIG_TYPES[algorithm].from_dict(config_data)
-    return run_one(algorithm, catalog.get_problem(problem_id), config, seed)
-
-
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Pool size from BSO_THREADS (default 1); anything but a positive integer is an error."""
     raw = os.environ.get("BSO_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"BSO_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
+def _seeds(n_trials: int, base_seed: int) -> list[int]:
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    return [int(base_seed) + i for i in range(int(n_trials))]
+
+
+def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
+    """Run (algorithm, problem, config, seed) jobs, in a pool if BSO_THREADS > 1.
+
+    Records come back in job order either way.
+    """
+    workers = worker_count()
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            futures = [pool.submit(run_one, *job) for job in jobs]
+            return [f.result() for f in futures]
+    return [run_one(*job) for job in jobs]
 
 
 def run_trial_records(
     algorithm: str, problem: Problem, config, n_trials: int, base_seed: int
 ) -> list[RunRecord]:
     """All trial records for one cell, seeds base_seed..base_seed+n-1."""
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    seeds = [int(base_seed) + i for i in range(int(n_trials))]
-
-    workers = _worker_count()
-    known_ids = set(catalog.problem_ids())
-    if workers > 1 and n_trials > 1 and problem.id in known_ids:
-        config_data = config.to_dict()
-        with ProcessPoolExecutor(max_workers=min(workers, n_trials)) as pool:
-            futures = [
-                pool.submit(_run_by_id, algorithm, problem.id, config_data, s) for s in seeds
-            ]
-            return [f.result() for f in futures]
-    return [run_one(algorithm, problem, config, s) for s in seeds]
+    return _run_jobs([(algorithm, problem, config, s) for s in _seeds(n_trials, base_seed)])
 
 
 def summarize(records: list[RunRecord]) -> TrialSummary:
@@ -160,37 +159,15 @@ def run_matrix(
 ) -> list[TrialSummary]:
     """Full algorithms x problems matrix, one summary per cell.
 
-    All (algorithm, problem, trial) triples are independent, so with
-    BSO_THREADS > 1 they share one process pool; aggregation happens here,
-    in submission order, which keeps the summaries identical to a serial
-    run.
+    Each problem id is looked up once, here. All (algorithm, problem,
+    trial) jobs are independent, so with BSO_THREADS > 1 they share one
+    process pool; aggregation happens here, in submission order, which
+    keeps the summaries identical to a serial run.
     """
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise KeyError(f"unknown algorithm {algo!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    seeds = [int(base_seed) + i for i in range(int(n_trials))]
-    triples = [(algo, pid, s) for algo in algorithms for pid in problem_ids for s in seeds]
-
-    workers = _worker_count()
-    if workers > 1 and len(triples) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(triples))) as pool:
-            futures = [
-                pool.submit(_run_by_id, algo, pid, configs[algo].to_dict(), s)
-                for algo, pid, s in triples
-            ]
-            records = [f.result() for f in futures]
-    else:
-        records = [
-            _run_by_id(algo, pid, configs[algo].to_dict(), s) for algo, pid, s in triples
-        ]
-
-    summaries = []
-    per_cell = len(seeds)
-    for i in range(0, len(records), per_cell):
-        summaries.append(summarize(records[i : i + per_cell]))
-    return summaries
+    seeds = _seeds(n_trials, base_seed)
+    problems = [catalog.get_problem(pid) for pid in problem_ids]
+    records = _run_jobs([(algo, p, configs[algo], s) for algo in algorithms for p in problems for s in seeds])
+    return [summarize(records[i : i + len(seeds)]) for i in range(0, len(records), len(seeds))]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ that the two optimizers differ only in the antenna term.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from .bso import BsoConfig, run_bso
-from .core import Problem, RunRecord
+from .core import ConfigDict, Problem, RunRecord
 
 
 @dataclass(frozen=True)
-class PsoConfig:
+class PsoConfig(ConfigDict):
     """Tunables for a PSO run; a strict subset of the BSO knobs."""
 
     n: int = 50
@@ -33,7 +33,6 @@ class PsoConfig:
     v_max: float | None = None
     v_min: float | None = None
     v_frac: float = 0.2
-    componentwise_draws: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -55,20 +54,8 @@ class PsoConfig:
             v_max=self.v_max,
             v_min=self.v_min,
             v_frac=self.v_frac,
-            componentwise_draws=self.componentwise_draws,
             seed=self.seed,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PsoConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        return cls(**data)
 
 
 def run_pso(

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from beetleswarm import (
     run_bso,
     run_pso,
 )
-from beetleswarm.bso import beetle_increment, update_position, update_velocity
+from beetleswarm.bso import antenna_increment, blend_position, swarm_velocity
 
 from .conftest import FixedStream, constant_problem, sphere_problem
 
@@ -46,89 +48,101 @@ class TestInertiaWeight:
             inertia_weight(-1, 10)
 
 
+NO_CLAMP = (-np.inf, np.inf)
+
+
 class TestUpdateVelocity:
     def test_pure_inertia_when_attractors_coincide(self):
-        x = np.array([1.0, 2.0])
-        v = np.array([0.5, -0.25])
-        out = update_velocity(v, x, x, x, 0.7, 2.0, 2.0, FixedStream(0.3, 0.8))
+        x = np.array([[1.0, 2.0]])
+        v = np.array([[0.5, -0.25]])
+        out = swarm_velocity(v, x, x, x[0], 0.7, 2.0, 2.0, FixedStream(0.3, 0.3, 0.8, 0.8), *NO_CLAMP)
         assert np.allclose(out, 0.7 * v)
 
     def test_unit_draw_arithmetic(self):
-        v = np.zeros(2)
-        x = np.zeros(2)
-        p = np.array([1.0, 0.0])
+        v = np.zeros((1, 2))
+        x = np.zeros((1, 2))
+        p = np.array([[1.0, 0.0]])
         g = np.array([0.0, 1.0])
-        out = update_velocity(v, x, p, g, 0.4, 1.0, 1.0, FixedStream(1.0, 1.0))
-        assert np.array_equal(out, [1.0, 1.0])
+        out = swarm_velocity(v, x, p, g, 0.4, 1.0, 1.0, FixedStream(1.0, 1.0, 1.0, 1.0), *NO_CLAMP)
+        assert np.array_equal(out, [[1.0, 1.0]])
+        # r1 fills the whole (n, dim) block first, then r2
+        ones = np.ones((1, 2))
+        out = swarm_velocity(v, x, ones, ones[0], 0.4, 1.0, 10.0, FixedStream(0.25, 0.5, 0.125, 0.75), *NO_CLAMP)
+        assert np.array_equal(out, [[0.25 + 1.25, 0.5 + 7.5]])
 
     def test_clamp_contract(self):
         rng = RandomStream(6)
-        for _ in range(100):
-            v = 4 * (rng.uniform(3) - 0.5)
-            x = 10 * (rng.uniform(3) - 0.5)
-            p = 10 * (rng.uniform(3) - 0.5)
-            g = 10 * (rng.uniform(3) - 0.5)
-            out = update_velocity(v, x, p, g, 0.9, 2.0, 2.0, rng, v_min=-1.5, v_max=2.0)
-            assert np.all(out <= 2.0) and np.all(out >= -1.5)
-            assert np.all(np.abs(out) <= max(abs(-1.5), abs(2.0)))
+        v = 4 * (rng.uniform((100, 3)) - 0.5)
+        x = 10 * (rng.uniform((100, 3)) - 0.5)
+        p = 10 * (rng.uniform((100, 3)) - 0.5)
+        g = 10 * (rng.uniform(3) - 0.5)
+        out = swarm_velocity(v, x, p, g, 0.9, 2.0, 2.0, rng, -1.5, 2.0)
+        assert np.all(out <= 2.0) and np.all(out >= -1.5)
+        assert np.any(out == 2.0) and np.any(out == -1.5)
 
 
 class TestBeetleIncrement:
     def test_zero_on_constant_fitness(self):
-        xi = beetle_increment(
-            np.array([1.0, 1.0]), np.array([2.0, 0.0]), 0.5, 0.1, constant_problem(2), None
-        )
-        assert np.array_equal(xi, [0.0, 0.0])
+        xi = antenna_increment(constant_problem(2), np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), 0.5, 0.1, None)
+        assert np.array_equal(xi, [[0.0, 0.0]])
 
     def test_one_dimensional_oracle(self):
         # f(x) = x^2 at X=1 with V=+2: right probe 1.1 is worse than left
-        # probe 0.9, so the increment is -delta * V
-        xi = beetle_increment(np.array([1.0]), np.array([2.0]), 0.7, 0.1, sphere_problem(1), None)
-        assert np.allclose(xi, [-1.4])
+        # probe 0.9, so the increment is -delta * V; at X=-1 it is +delta * V
+        xi = antenna_increment(sphere_problem(1), np.array([[1.0], [-1.0]]), np.array([[2.0], [2.0]]), 0.7, 0.1, None)
+        assert np.allclose(xi, [[-1.4], [1.4]])
 
     def test_parallel_to_velocity(self):
-        p = sphere_problem(4)
         rng = RandomStream(21)
-        for _ in range(50):
-            x = 8 * (rng.uniform(4) - 0.5)
-            v = 2 * (rng.uniform(4) - 0.5)
-            delta = 0.1 + rng.uniform()
-            xi = beetle_increment(x, v, delta, 0.2, p, None)
-            norm_xi = np.linalg.norm(xi)
-            assert norm_xi == pytest.approx(0.0, abs=0) or norm_xi == pytest.approx(
-                delta * np.linalg.norm(v), rel=1e-12
-            )
+        x = 8 * (rng.uniform((50, 4)) - 0.5)
+        v = 2 * (rng.uniform((50, 4)) - 0.5)
+        delta = 0.1 + rng.uniform()
+        xi = antenna_increment(sphere_problem(4), x, v, delta, 0.2, None)
+        norm_xi = np.linalg.norm(xi, axis=1)
+        assert np.all((norm_xi == 0.0) | np.isclose(norm_xi, delta * np.linalg.norm(v, axis=1), rtol=1e-12))
 
     def test_requires_positive_scales(self):
+        # the engine only calls the kernel with delta > 0 and d = delta /
+        # c2_ratio > 0: the config rejects negative steps and nonpositive
+        # ratios, and a zero step skips the probes (no evaluations at all)
         with pytest.raises(ValueError):
-            beetle_increment(np.zeros(2), np.ones(2), 0.0, 0.1, sphere_problem(2), None)
+            BsoConfig(delta0=-0.1)
         with pytest.raises(ValueError):
-            beetle_increment(np.zeros(2), np.ones(2), 0.1, -1.0, sphere_problem(2), None)
+            BsoConfig(c2_ratio=0.0)
+        calls = []
+        base = sphere_problem(2)
+        counting = Problem(base.id, base.space, lambda X, rng=None: calls.append(len(X)) or base.batch(X))
+        engine = BsoEngine(counting, BsoConfig(n=4, max_iters=3, lam=0.5, delta0=0.0, seed=1))
+        engine.run()
+        assert calls == [4] * 4  # initial population plus one move per step
 
 
 class TestUpdatePosition:
     def setup_method(self):
-        self.space = SearchSpace.box(2, -10.0, 10.0)
+        space = SearchSpace.box(2, -10.0, 10.0)
+        self.bounds = (space.lower, space.upper)
 
     def test_pure_swarm_move(self):
-        out = update_position(np.array([1.0, 1.0]), np.array([0.5, -0.5]), np.array([9.0, 9.0]), 1.0, self.space)
-        assert np.array_equal(out, [1.5, 0.5])
+        out = blend_position(np.array([[1.0, 1.0]]), np.array([[0.5, -0.5]]), np.array([[9.0, 9.0]]), 1.0, *self.bounds)
+        assert np.array_equal(out, [[1.5, 0.5]])
 
     def test_pure_antenna_move(self):
-        out = update_position(np.array([1.0, 1.0]), np.array([9.0, 9.0]), np.array([0.5, -0.5]), 0.0, self.space)
-        assert np.array_equal(out, [1.5, 0.5])
+        out = blend_position(np.array([[1.0, 1.0]]), np.array([[9.0, 9.0]]), np.array([[0.5, -0.5]]), 0.0, *self.bounds)
+        assert np.array_equal(out, [[1.5, 0.5]])
 
     def test_even_blend(self):
-        out = update_position(np.zeros(2), np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5, self.space)
-        assert np.array_equal(out, [1.0, 1.0])
+        out = blend_position(np.zeros((1, 2)), np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, *self.bounds)
+        assert np.array_equal(out, [[1.0, 1.0]])
 
     def test_clamps_to_box(self):
-        out = update_position(np.array([9.0, -9.0]), np.array([5.0, -5.0]), np.zeros(2), 1.0, self.space)
-        assert np.array_equal(out, [10.0, -10.0])
+        out = blend_position(np.array([[9.0, -9.0]]), np.array([[5.0, -5.0]]), np.zeros((1, 2)), 1.0, *self.bounds)
+        assert np.array_equal(out, [[10.0, -10.0]])
 
     def test_rejects_bad_blend(self):
-        with pytest.raises(ValueError):
-            update_position(np.zeros(2), np.zeros(2), np.zeros(2), 1.5, self.space)
+        # the blend weight reaches the kernel only through a validated config
+        for lam in (1.5, -0.1):
+            with pytest.raises(ValueError, match="lam"):
+                BsoConfig(lam=lam)
 
 
 class TestBsoConfig:
@@ -183,13 +197,28 @@ class TestEngine:
             st = engine.state
             assert st.k == k
             assert st.delta == pytest.approx(2.5 * 0.93**k, rel=1e-12)
-            assert st.d == pytest.approx(st.delta / 0.93 / cfg.c2_ratio, rel=1e-12)
             assert np.all(st.X >= -10.0) and np.all(st.X <= 10.0)
             assert st.Gf == st.Pf.min()
             assert np.all(st.Pf <= prev_pf)  # personal bests never worsen
             assert np.all(st.Pf <= engine.problem.evaluate_many(st.P) + 1e-12)
             prev_pf = st.Pf.copy()
         assert len(engine.curve) == cfg.max_iters + 1
+
+    @pytest.mark.parametrize("pid", ["F7", "PV"])
+    def test_step_is_the_three_kernels(self, pid):
+        # replaying the kernels on a copy of the stream reproduces step() bit
+        # for bit, noise draws (F7) and probe clamping (PV) included
+        cfg = BsoConfig(n=6, max_iters=5, seed=11)
+        engine = BsoEngine(get_problem(pid), cfg)
+        for _ in range(3):
+            st, rng = engine.state, copy.deepcopy(engine.rng)
+            omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
+            xi = antenna_increment(engine.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, rng)
+            V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, rng, engine.v_lo, engine.v_hi)
+            X = blend_position(st.X, V, xi, cfg.lam, engine.space.lower, engine.space.upper)
+            engine.step()
+            assert np.array_equal(engine.state.V, V)
+            assert np.array_equal(engine.state.X, X)
 
     def test_curve_monotone_nonincreasing(self):
         for pid in ("F9", "F16", "F21"):

@@ -174,6 +174,16 @@ class TestBench:
         doc = json.loads((out / "report.json").read_text())
         assert abs(doc["cells"]["F16"]["bso"]["ave"] - (-1.0316)) <= 1e-3
 
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BSO_THREADS", "lots")
+        code = run_cli(
+            "bench", "--algos", "bso", "--problems", "F1", "--trials", "2",
+            "--iters", "5", "--pop", "5", "--out", str(tmp_path / "rep"),
+        )
+        assert code == 2
+        assert "BSO_THREADS must be a positive integer, got 'lots'" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_list_catalog(self, capsys):
         assert run_cli("bench", "--list") == 0
         entries = json.loads(capsys.readouterr().out)
@@ -207,6 +217,12 @@ class TestConstrained:
         code = run_cli("constrained", "--problem", "hb", "--iters", "120", "--pop", "20", "--trials", "2", "--seed", "0")
         assert code in (0, 3)
         assert "HB" in capsys.readouterr().out
+
+    def test_bad_thread_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("BSO_THREADS", "-3")
+        code = run_cli("constrained", "--problem", "pv", "--iters", "5", "--pop", "5", "--trials", "2")
+        assert code == 2
+        assert "BSO_THREADS must be a positive integer, got '-3'" in capsys.readouterr().err
 
     def test_unknown_problem(self, capsys):
         assert run_cli("constrained", "--problem", "F1") == 2

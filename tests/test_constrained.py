@@ -17,11 +17,8 @@ from beetleswarm import (
     PenaltyConfig,
     constrained_problem,
     get_problem,
-    himmelblau,
     list_problems,
     penalized_fitness,
-    pressure_vessel,
-    snap_discrete,
 )
 from beetleswarm.constrained import HIMMELBLAU, PRESSURE_VESSEL, as_problem
 
@@ -31,7 +28,8 @@ from beetleswarm import RandomStream
 class TestPressureVesselTranscription:
     def test_reference_row(self):
         # widely cited near-optimal design; published cost 6059.7258
-        cost, g = pressure_vessel([0.8125, 0.4375, 42.0984, 176.6378])
+        x = [0.8125, 0.4375, 42.0984, 176.6378]
+        cost, g = PRESSURE_VESSEL.raw(x), PRESSURE_VESSEL.constraints(x)
         assert cost == pytest.approx(6059.734830888689, rel=1e-12)
         assert cost == pytest.approx(6059.7258, rel=1e-3)
         assert g[0] == pytest.approx(-8.8e-7, abs=0.01)
@@ -41,7 +39,8 @@ class TestPressureVesselTranscription:
 
     def test_best_reported_row(self):
         # published row: cost 6059.7000, g = (0.0000, -0.0359, 0.0000, -63.3634)
-        cost, g = pressure_vessel([0.8125, 0.4375, 42.0984, 176.6366])
+        x = [0.8125, 0.4375, 42.0984, 176.6366]
+        cost, g = PRESSURE_VESSEL.raw(x), PRESSURE_VESSEL.constraints(x)
         assert cost == pytest.approx(6059.706775750789, rel=1e-12)
         assert cost == pytest.approx(6059.7000, rel=1e-3)
         assert g[0] == pytest.approx(0.0, abs=0.01)
@@ -54,14 +53,15 @@ class TestPressureVesselTranscription:
         assert g[2] == pytest.approx(3.1226749981287867, rel=1e-12)
 
     def test_boundary_length_constraint(self):
-        _, g = pressure_vessel([1.0, 1.0, 50.0, 240.0])
+        g = PRESSURE_VESSEL.constraints([1.0, 1.0, 50.0, 240.0])
         assert g[3] == 0.0
 
 
 class TestHimmelblauTranscription:
     def test_best_reported_row(self):
         # published row: f = -31025.5563, g = (92.00, 100.4048, 20.0000)
-        f, g = himmelblau([78.0, 33.0, 27.0710, 45.0, 44.9692])
+        x = [78.0, 33.0, 27.0710, 45.0, 44.9692]
+        f, g = HIMMELBLAU.raw(x), HIMMELBLAU.constraints(x)
         assert f == pytest.approx(-31025.5581983285, rel=1e-12)
         assert f == pytest.approx(-31025.5563, rel=1e-3)
         assert g[0] == pytest.approx(92.00, abs=0.01)
@@ -70,7 +70,8 @@ class TestHimmelblauTranscription:
 
     def test_reference_row(self):
         # classic benchmark solution; published f = -30665.539
-        f, g = himmelblau([78.0, 33.0, 29.995256, 45.0, 36.775813])
+        x = [78.0, 33.0, 29.995256, 45.0, 36.775813]
+        f, g = HIMMELBLAU.raw(x), HIMMELBLAU.constraints(x)
         assert f == pytest.approx(-30665.53469589683, rel=1e-12)
         assert f == pytest.approx(-30665.539, rel=1e-3)
         assert g[1] == pytest.approx(98.8405, abs=0.01)
@@ -86,38 +87,38 @@ class TestHimmelblauTranscription:
         space = HIMMELBLAU.space
         for _ in range(20):
             x = space.lower + rng.uniform(5) * space.widths
-            _, g0 = himmelblau(x)
+            g0 = HIMMELBLAU.constraints(x)
             for i in range(5):
                 bumped = x.copy()
                 bumped[i] += 1e-9
-                _, g1 = himmelblau(bumped)
+                g1 = HIMMELBLAU.constraints(bumped)
                 assert np.all(np.abs(g1 - g0) <= 1e-6)
 
 
 class TestSnapDiscrete:
     def test_rounds_to_nearest_multiple(self):
-        out = snap_discrete([0.80, 0.30, 42.0, 176.0], PRESSURE_VESSEL.grids)
+        out = PRESSURE_VESSEL.snap([0.80, 0.30, 42.0, 176.0])
         assert out[0] == pytest.approx(0.8125)
         assert out[2] == 42.0 and out[3] == 176.0
 
     def test_fixed_point(self):
-        out = snap_discrete([0.8125, 0.4375, 42.0, 176.0], PRESSURE_VESSEL.grids)
+        out = PRESSURE_VESSEL.snap([0.8125, 0.4375, 42.0, 176.0])
         assert out[0] == 0.8125 and out[1] == 0.4375
 
     def test_clamps_to_smallest_multiple(self):
-        out = snap_discrete([0.01, 0.0, 42.0, 176.0], PRESSURE_VESSEL.grids)
+        out = PRESSURE_VESSEL.snap([0.01, 0.0, 42.0, 176.0])
         assert out[0] == 0.0625 and out[1] == 0.0625
 
     def test_clamps_to_largest_multiple(self):
-        out = snap_discrete([7.5, 99.0, 42.0, 176.0], PRESSURE_VESSEL.grids)
+        out = PRESSURE_VESSEL.snap([7.5, 99.0, 42.0, 176.0])
         assert out[0] == pytest.approx(99 * 0.0625)
 
     def test_idempotent_and_bounded_movement(self):
         rng = RandomStream(9)
         for _ in range(200):
             x = np.array([7 * rng.uniform(), 7 * rng.uniform(), 100.0, 100.0])
-            snapped = snap_discrete(x, PRESSURE_VESSEL.grids)
-            again = snap_discrete(snapped, PRESSURE_VESSEL.grids)
+            snapped = PRESSURE_VESSEL.snap(x)
+            again = PRESSURE_VESSEL.snap(snapped)
             assert np.array_equal(snapped, again)
             for j in (0, 1):
                 inside_grid = 0.0625 <= x[j] <= 99 * 0.0625
@@ -126,7 +127,7 @@ class TestSnapDiscrete:
 
     def test_continuous_components_untouched(self):
         x = [0.8, 0.4, 123.456789, 10.0001]
-        out = snap_discrete(x, PRESSURE_VESSEL.grids)
+        out = PRESSURE_VESSEL.snap(x)
         assert out[2] == 123.456789 and out[3] == 10.0001
 
 

@@ -1,19 +1,25 @@
 import csv
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from beetleswarm import (
     BsoConfig,
+    PenaltyConfig,
     PsoConfig,
+    RandomStream,
     RunRecord,
     TrialSummary,
+    as_problem,
     compare_report,
     export_convergence,
     get_problem,
+    problem_ids,
 )
 from beetleswarm.bas import BasConfig
+from beetleswarm.constrained import PRESSURE_VESSEL
 from beetleswarm.harness import run_matrix, run_one, run_trial_records, run_trials, summarize
 
 from .conftest import sphere_problem
@@ -118,6 +124,45 @@ class TestRunTrials:
         for s, p in zip(serial, parallel):
             assert (s.problem_id, s.algorithm, s.seeds) == (p.problem_id, p.algorithm, p.seeds)
             assert (s.ave, s.std, s.best) == (p.ave, p.std, p.best)  # timings may differ
+
+    def test_pool_runs_the_callers_problem(self, monkeypatch):
+        # a custom penalty is not in the catalog; the pool must run this very
+        # problem, not the catalog's default-penalty PV of the same id
+        problem = as_problem(PRESSURE_VESSEL, PenaltyConfig(weight=1.0))
+        cfg = BsoConfig(n=10, max_iters=20)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BSO_THREADS", threads)
+            runs[threads] = (run_trial_records("bso", problem, cfg, 3, 0), run_trials("bso", problem, cfg, 3, 0))
+        (serial, serial_summary), (pooled, pooled_summary) = runs["1"], runs["2"]
+        for a, b in zip(serial, pooled):
+            assert (a.seed, a.best_f) == (b.seed, b.best_f)
+            assert np.array_equal(a.curve, b.curve) and np.array_equal(a.best_x, b.best_x)
+        assert (serial_summary.ave, serial_summary.std, serial_summary.best) == (
+            pooled_summary.ave, pooled_summary.std, pooled_summary.best,
+        )
+
+    def test_unpicklable_problem_fails_loudly_in_pool(self, monkeypatch):
+        monkeypatch.setenv("BSO_THREADS", "2")
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-3", "1.5", ""])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("BSO_THREADS", value)
+        with pytest.raises(ValueError, match=f"BSO_THREADS must be a positive integer, got {value!r}"):
+            run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
+
+
+@pytest.mark.parametrize("pid", problem_ids())
+def test_catalog_problem_pickles(pid):
+    problem = get_problem(pid)
+    clone = pickle.loads(pickle.dumps(problem))
+    assert (clone.id, clone.known_fmin, clone.stochastic, clone.clamp_probes) == (
+        problem.id, problem.known_fmin, problem.stochastic, problem.clamp_probes,
+    )
+    X = problem.space.lower + RandomStream(4).uniform((20, problem.space.dim)) * problem.space.widths
+    assert np.array_equal(clone.evaluate_many(X, RandomStream(1)), problem.evaluate_many(X, RandomStream(1)))
 
 
 class TestExportConvergence:
