@@ -9,9 +9,10 @@ shrink over the run, geometrically by default.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class BasState:
 
 def _normalize(v: Array) -> Array:
     """Scale a nonzero vector to unit Euclidean length."""
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real 1-D array
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / norm
@@ -88,44 +89,59 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
         raise ValueError("dim must be at least 1")
     while True:
         raw = 2.0 * rng.uniform(dim) - 1.0
-        if np.any(raw != 0.0):
+        if raw.any():
             return _normalize(raw)
 
 
-def antennae(x: Array, b: Array, d: float) -> tuple[Array, Array]:
-    """Left/right probe points half the antenna spacing from the body."""
+def antennae(x: Array, b: Array, d: float) -> Array:
+    """Right/left probe points half the antenna spacing from the body.
+
+    Returns one fresh (2, dim) array, right probe in row 0, left in row 1.
+    """
     if not d > 0:
         raise ValueError("antenna spacing d must be positive")
-    offset = (d / 2.0) * b
-    return x + offset, x - offset
+    probes = np.empty((2, x.shape[-1]))
+    np.multiply(b, d / 2.0, out=probes[0])
+    np.subtract(x, probes[0], out=probes[1])
+    probes[0] += x
+    return probes
+
+
+def _bas_move(state: BasState, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
+    """New position and best-so-far after one iteration; see ``bas_step``."""
+    b = sample_direction(rng, problem.space.dim)
+    probes = antennae(state.x, b, state.d)
+    if problem.clamp_probes:
+        probes.clip(problem.space.lower, problem.space.upper, out=probes)
+    # One call per probe, right first: a two-row batch can round differently
+    # from two one-row calls (numpy's matmul takes a dot path for one row and
+    # BLAS gemv for more, as in F19/F20), and that would change seeded runs.
+    f_right = problem.evaluate(probes[0], rng)
+    f_left = problem.evaluate(probes[1], rng)
+
+    b *= state.delta * np.sign(f_right - f_left)
+    x_new = clamp_to_bounds(state.x - b, problem.space)
+    f_new = problem.evaluate(x_new, rng)
+
+    best_x, best_f = state.best_x, state.best_f
+    for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left), (x_new, f_new)):
+        if cand_f < best_f:
+            best_x, best_f = cand_x, cand_f
+    return x_new, best_x, best_f
 
 
 def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
     """Advance the beetle one iteration.
 
-    Probes both antennae, steps toward the lower-fitness side
-    (x' = x - delta * b * sign(f(right) - f(left))), clamps the new
-    position to the box and folds all three evaluations into the
-    best-so-far. Probe points are deliberately evaluated unclamped unless
-    the problem asks otherwise; they are sensors, not candidate positions.
+    Probes both antennae, right then left, one point per call, steps
+    toward the lower-fitness side (x' = x - delta * b * sign(f(right) -
+    f(left))), clamps the new position to the box and folds all three
+    evaluations into the best-so-far. Probe points are deliberately
+    evaluated unclamped unless the problem asks otherwise; they are
+    sensors, not candidate positions. The schedules are left unchanged.
     """
-    b = sample_direction(rng, problem.space.dim)
-    x_right, x_left = antennae(state.x, b, state.d)
-    if problem.clamp_probes:
-        x_right = clamp_to_bounds(x_right, problem.space)
-        x_left = clamp_to_bounds(x_left, problem.space)
-    f_right = problem.evaluate(x_right, rng)
-    f_left = problem.evaluate(x_left, rng)
-
-    x_new = state.x - state.delta * b * np.sign(f_right - f_left)
-    x_new = clamp_to_bounds(x_new, problem.space)
-    f_new = problem.evaluate(x_new, rng)
-
-    best_x, best_f = state.best_x, state.best_f
-    for cand_x, cand_f in ((x_right, f_right), (x_left, f_left), (x_new, f_new)):
-        if cand_f < best_f:
-            best_x, best_f = cand_x, cand_f
-    return BasState(x=x_new, delta=state.delta, d=state.d, t=state.t + 1, best_x=best_x, best_f=best_f)
+    x_new, best_x, best_f = _bas_move(state, problem, rng)
+    return BasState(x_new, state.delta, state.d, state.t + 1, best_x, best_f)
 
 
 def update_schedules(delta: float, config: BasConfig) -> tuple[float, float]:
@@ -156,10 +172,10 @@ def run_bas(problem: Problem, config: BasConfig, seed: int | None = None) -> Run
     state = BasState(x=x0, delta=delta0, d=delta0 / config.c2_ratio, t=0, best_x=x0, best_f=f0)
     curve = [state.best_f]
     for _ in range(config.max_iters):
-        state = bas_step(state, problem, rng)
+        x_new, best_x, best_f = _bas_move(state, problem, rng)
         new_delta, new_d = update_schedules(state.delta, config)
-        state = replace(state, delta=new_delta, d=new_d)
-        curve.append(state.best_f)
+        state = BasState(x_new, new_delta, new_d, state.t + 1, best_x, best_f)
+        curve.append(best_f)
     elapsed = time.perf_counter() - start
 
     snapshot = config.to_dict()

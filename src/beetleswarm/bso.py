@@ -20,6 +20,12 @@ clamps positions, evaluates the moved swarm, refreshes personal and global
 bests, and finally contracts the step. Random draws happen in a fixed order
 (one r1 batch then one r2 batch per iteration, in beetle index order), so
 runs are reproducible from the seed alone.
+
+Objective batches: an iteration makes two objective calls. The first gets
+both probe sets as one fresh (2n, dim) array, right probes in rows [:n]
+and left probes in rows [n:]; the second gets the moved swarm, (n, dim).
+A stochastic objective draws its noise in row order (as F7 does), so the
+right probes consume their draws before the left ones.
 """
 
 from __future__ import annotations
@@ -122,32 +128,63 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     """Signed antenna move per beetle, always parallel to its velocity.
 
     The probes sit at X +/- V*d/2 (clamped into the box if the problem asks
-    for it), right then left; the increment is -delta * V * sign(f(right) -
-    f(left)), i.e. toward the lower-fitness probe.
+    for it) and go to the objective as one fresh (2n, dim) batch, right
+    probes in rows [:n], left probes in rows [n:]; the increment is
+    -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
+    probe.
     """
-    offset = V * (d / 2.0)
-    X_right = X + offset
-    X_left = X - offset
+    n = X.shape[0]
+    probes = np.empty((2 * n, X.shape[1]))
+    right, left = probes[:n], probes[n:]
+    np.multiply(V, d / 2.0, out=right)
+    np.subtract(X, right, out=left)
+    right += X
     if problem.clamp_probes:
-        X_right = np.clip(X_right, problem.space.lower, problem.space.upper)
-        X_left = np.clip(X_left, problem.space.lower, problem.space.upper)
-    f_right = problem.evaluate_many(X_right, rng)
-    f_left = problem.evaluate_many(X_left, rng)
-    return -delta * V * np.sign(f_right - f_left)[:, None]
+        probes.clip(problem.space.lower, problem.space.upper, out=probes)
+    f = problem.evaluate_many(probes, rng)
+    sign = np.subtract(f[:n], f[n:])
+    np.sign(sign, out=sign)
+    xi = np.multiply(V, -delta)
+    xi *= sign[:, None]
+    return xi
 
 
 def swarm_velocity(
     V: Array, X: Array, P: Array, G: Array, omega: float, a1: float, a2: float, rng, v_lo, v_hi
 ) -> Array:
-    """Clamped velocity update; draws r1 then r2, one per beetle per dimension."""
-    r1 = rng.uniform(V.shape)
-    r2 = rng.uniform(V.shape)
-    return np.clip(omega * V + a1 * r1 * (P - X) + a2 * r2 * (G - X), v_lo, v_hi)
+    """Clamped velocity update; draws r1 then r2, one per beetle per dimension.
+
+    Computes clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)) in that
+    order, with r1 and r2 taken from one (2, n, dim) draw.
+    """
+    r = rng.uniform((2,) + V.shape)
+    pull_p, pull_g = r[0], r[1]
+    pull_p *= a1
+    pull_g *= a2
+    out = np.subtract(P, X)
+    pull_p *= out
+    np.subtract(G, X, out=out)
+    pull_g *= out
+    np.multiply(V, omega, out=out)
+    out += pull_p
+    out += pull_g
+    return out.clip(v_lo, v_hi, out=out)
 
 
-def blend_position(X: Array, V: Array, xi: Array, lam: float, lower, upper) -> Array:
-    """Blend the swarm move and the antenna move, then project into the box."""
-    return np.clip(X + lam * V + (1.0 - lam) * xi, lower, upper)
+def blend_position(X: Array, V: Array, xi: Array | None, lam: float, lower, upper) -> Array:
+    """Blend the swarm move and the antenna move, then project into the box.
+
+    Computes clip((X + lam*V) + (1-lam)*xi). ``xi`` of None stands for a
+    zero antenna move; ``+ 0.0`` is still added, so a ``-0.0`` coordinate
+    becomes ``+0.0`` exactly as with an explicit zero array.
+    """
+    out = np.multiply(V, lam)
+    out += X
+    if xi is None:
+        out += 0.0
+    else:
+        out += np.multiply(xi, 1.0 - lam)
+    return out.clip(lower, upper, out=out)
 
 
 class BsoEngine:
@@ -212,18 +249,17 @@ class BsoEngine:
         # probes are skipped outright so they consume neither evaluations
         # nor noise draws; this keeps the lam=1/delta0=0 configuration
         # draw-for-draw identical to plain PSO.
+        xi = None
         if cfg.lam < 1.0 and st.delta > 0.0:
             xi = antenna_increment(self.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, self.rng)
-        else:
-            xi = np.zeros_like(st.V)
 
         st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, self.rng, self.v_lo, self.v_hi)
         st.X = blend_position(st.X, st.V, xi, cfg.lam, self.space.lower, self.space.upper)
 
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf
-        st.P[improved] = st.X[improved]
-        st.Pf[improved] = F[improved]
+        np.copyto(st.P, st.X, where=improved[:, None])
+        np.copyto(st.Pf, F, where=improved)
         gi = int(np.argmin(st.Pf))
         st.G = st.P[gi].copy()
         st.Gf = float(st.Pf[gi])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -59,10 +59,6 @@ class DiscreteGrid:
     k_min: int
     k_max: int
 
-    def snap(self, values: Array) -> Array:
-        k = np.clip(np.round(np.asarray(values, dtype=float) / self.step), self.k_min, self.k_max)
-        return k * self.step
-
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
@@ -82,11 +78,28 @@ class ConstrainedProblem:
     g_upper: Array
     grids: tuple[DiscreteGrid | None, ...]
 
+    @cached_property
+    def _grid_table(self) -> tuple[Array, Array, Array, Array]:
+        """Gridded column indices with their steps and k bounds, built once."""
+        gridded = [(j, g) for j, g in enumerate(self.grids) if g is not None]
+        return (
+            np.array([j for j, _ in gridded], dtype=np.intp),
+            np.array([g.step for _, g in gridded], dtype=float),
+            np.array([g.k_min for _, g in gridded], dtype=float),
+            np.array([g.k_max for _, g in gridded], dtype=float),
+        )
+
     def snap_many(self, X: Array) -> Array:
+        """Fresh copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
         X = np.array(X, dtype=float, copy=True)
-        for j, grid in enumerate(self.grids):
-            if grid is not None:
-                X[:, j] = grid.snap(X[:, j])
+        cols, step, k_min, k_max = self._grid_table
+        if cols.size:
+            k = X[:, cols]
+            k /= step
+            np.rint(k, out=k)
+            k.clip(k_min, k_max, out=k)
+            k *= step
+            X[:, cols] = k
         return X
 
     def snap(self, x) -> Array:
@@ -99,9 +112,16 @@ class ConstrainedProblem:
         return self.constraint_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def violations_many(self, X: Array) -> Array:
-        """(m, n_constraints) array of interval violations, zero when satisfied."""
+        """(m, n_constraints) array of interval violations, zero when satisfied.
+
+        Computed in place on the array ``constraint_batch`` returns, which
+        must therefore be fresh for each call.
+        """
         g = self.constraint_batch(np.asarray(X, dtype=float))
-        return np.maximum(0.0, np.maximum(self.g_lower - g, g - self.g_upper))
+        below = np.subtract(self.g_lower, g)
+        g -= self.g_upper
+        np.maximum(below, g, out=g)
+        return np.maximum(0.0, g, out=g)
 
     def feasible(self, x, tol: float = 1e-6) -> bool:
         """Whether every constraint holds, within ``tol`` absolute slack.
@@ -129,7 +149,10 @@ class ConstrainedProblem:
 def _penalized_many(problem: ConstrainedProblem, X: Array, config: PenaltyConfig) -> Array:
     """Raw objective plus the exterior penalty for each row of X, unsnapped."""
     viol = problem.violations_many(X)
-    return problem.raw_batch(X) + config.weight * (viol**config.exponent).sum(axis=1)
+    viol **= config.exponent
+    penalty = viol.sum(axis=1)
+    penalty *= config.weight
+    return np.add(problem.raw_batch(X), penalty, out=penalty)
 
 
 def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> float:
@@ -144,16 +167,18 @@ def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> 
 
 def _pv_cost(X: Array) -> Array:
     x1, x2, x3, x4 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    return 0.6224 * x1 * x3 * x4 + 1.7781 * x2 * x3**2 + 3.1661 * x1**2 * x4 + 19.84 * x1**2 * x3
+    x1_sq = x1**2
+    return 0.6224 * x1 * x3 * x4 + 1.7781 * x2 * x3**2 + 3.1661 * x1_sq * x4 + 19.84 * x1_sq * x3
 
 
 def _pv_constraints(X: Array) -> Array:
     x1, x2, x3, x4 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    g1 = -x1 + 0.0193 * x3
-    g2 = -x2 + 0.00954 * x3
-    g3 = -math.pi * x3**2 * x4 - (4.0 / 3.0) * math.pi * x3**3 + 1296000.0
-    g4 = x4 - 240.0
-    return np.stack([g1, g2, g3, g4], axis=1)
+    G = np.empty((X.shape[0], 4))
+    G[:, 0] = -x1 + 0.0193 * x3
+    G[:, 1] = -x2 + 0.00954 * x3
+    G[:, 2] = -math.pi * x3**2 * x4 - (4.0 / 3.0) * math.pi * x3**3 + 1296000.0
+    G[:, 3] = x4 - 240.0
+    return G
 
 
 _PV_GRID = DiscreteGrid(step=0.0625, k_min=1, k_max=99)
@@ -184,10 +209,11 @@ def _hb_objective(X: Array) -> Array:
 
 def _hb_constraints(X: Array) -> Array:
     x1, x2, x3, x4, x5 = (X[:, i] for i in range(5))
-    g1 = 85.334407 + 0.0056858 * x2 * x5 + 0.00026 * x1 * x4 - 0.0022053 * x3 * x5
-    g2 = 80.51249 + 0.0071317 * x2 * x5 + 0.0029955 * x1 * x2 + 0.0021813 * x3**2
-    g3 = 9.300961 + 0.0047026 * x3 * x5 + 0.0012547 * x1 * x3 + 0.0019085 * x3 * x4
-    return np.stack([g1, g2, g3], axis=1)
+    G = np.empty((X.shape[0], 3))
+    G[:, 0] = 85.334407 + 0.0056858 * x2 * x5 + 0.00026 * x1 * x4 - 0.0022053 * x3 * x5
+    G[:, 1] = 80.51249 + 0.0071317 * x2 * x5 + 0.0029955 * x1 * x2 + 0.0021813 * x3**2
+    G[:, 2] = 9.300961 + 0.0047026 * x3 * x5 + 0.0012547 * x1 * x3 + 0.0019085 * x3 * x4
+    return G
 
 
 HIMMELBLAU = ConstrainedProblem(

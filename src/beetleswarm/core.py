@@ -88,9 +88,13 @@ class Problem:
     """A minimization problem over a box.
 
     ``batch`` maps an (m, dim) array of points to an (m,) array of fitness
-    values. Evaluation must be deterministic unless ``stochastic`` is set,
-    in which case each point evaluation consumes draws from the stream the
-    caller passes in (this is how noisy objectives stay reproducible).
+    values; any other output shape is an error. Evaluation must be
+    deterministic unless ``stochastic`` is set, in which case each point
+    evaluation consumes draws from the stream the caller passes in, in row
+    order (this is how noisy objectives stay reproducible). The optimizers
+    hand ``batch`` a fresh array on every call and never modify it
+    afterwards. BSO sends both antenna probe sets as one (2n, dim) batch,
+    right probes first; BAS sends each probe and each move as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -123,7 +127,13 @@ class Problem:
             )
         if self.stochastic and rng is None:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
-        return np.asarray(self.batch(X, rng), dtype=float)
+        F = np.asarray(self.batch(X, rng), dtype=float)
+        if F.shape != (X.shape[0],):
+            raise ValueError(
+                f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
+                f"got shape {F.shape}"
+            )
+        return F
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ def clamp_to_bounds(x, space: SearchSpace) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.dim:
         raise ValueError(f"expected trailing dimension {space.dim}, got shape {x.shape}")
-    return np.clip(x, space.lower, space.upper)
+    return x.clip(space.lower, space.upper)
 
 
 def uniform_in_space(rng: RandomStream, space: SearchSpace) -> Array:

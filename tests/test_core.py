@@ -11,6 +11,7 @@ from beetleswarm import (
     uniform_in_space,
 )
 from beetleswarm.core import uniform_population
+from beetleswarm.harness import ALGORITHMS
 
 from .conftest import FixedStream, sphere_problem
 
@@ -149,3 +150,17 @@ class TestProblem:
         with pytest.raises(ValueError):
             p.evaluate([0.0])
         assert 0.0 <= p.evaluate([0.0], RandomStream(0)) < 1.0
+
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    def test_wrong_output_shape_rejected(self, algo):
+        # a scalar or an (m, 1) column fails at the evaluator, naming the
+        # problem and both shapes, not later inside the runner's indexing
+        cfg_type, runner = ALGORITHMS[algo]
+        cfg = cfg_type(max_iters=3) if algo == "bas" else cfg_type(n=4, max_iters=3)
+        for batch, got in (
+            (lambda X, rng=None: float((X * X).sum()), r"\(\)"),
+            (lambda X, rng=None: (X * X).sum(axis=1, keepdims=True), r"\(\d+, 1\)"),
+        ):
+            p = Problem(id="misshapen", space=SearchSpace.box(2, -1.0, 1.0), batch=batch)
+            with pytest.raises(ValueError, match=rf"misshapen: objective must return shape \(\d+,\) .*got shape {got}"):
+                runner(p, cfg, seed=0)
