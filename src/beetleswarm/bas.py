@@ -93,38 +93,33 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
             return _normalize(raw)
 
 
-def antennae(x: Array, b: Array, d: float) -> Array:
-    """Right/left probe points half the antenna spacing from the body.
-
-    Returns one fresh (2, dim) array, right probe in row 0, left in row 1.
-    """
+def antennae(x: Array, b: Array, d: float) -> tuple[Array, Array]:
+    """Left/right probe points half the antenna spacing from the body."""
     if not d > 0:
         raise ValueError("antenna spacing d must be positive")
-    probes = np.empty((2, x.shape[-1]))
-    np.multiply(b, d / 2.0, out=probes[0])
-    np.subtract(x, probes[0], out=probes[1])
-    probes[0] += x
-    return probes
+    offset = (d / 2.0) * b
+    return x + offset, x - offset
 
 
 def _bas_move(state: BasState, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
     """New position and best-so-far after one iteration; see ``bas_step``."""
     b = sample_direction(rng, problem.space.dim)
-    probes = antennae(state.x, b, state.d)
+    x_right, x_left = antennae(state.x, b, state.d)
     if problem.clamp_probes:
-        probes.clip(problem.space.lower, problem.space.upper, out=probes)
+        x_right = clamp_to_bounds(x_right, problem.space)
+        x_left = clamp_to_bounds(x_left, problem.space)
     # One call per probe, right first: a two-row batch can round differently
     # from two one-row calls (numpy's matmul takes a dot path for one row and
     # BLAS gemv for more, as in F19/F20), and that would change seeded runs.
-    f_right = problem.evaluate(probes[0], rng)
-    f_left = problem.evaluate(probes[1], rng)
+    f_right = problem.evaluate(x_right, rng)
+    f_left = problem.evaluate(x_left, rng)
 
-    b *= state.delta * np.sign(f_right - f_left)
-    x_new = clamp_to_bounds(state.x - b, problem.space)
+    x_new = state.x - state.delta * b * np.sign(f_right - f_left)
+    x_new = clamp_to_bounds(x_new, problem.space)
     f_new = problem.evaluate(x_new, rng)
 
     best_x, best_f = state.best_x, state.best_f
-    for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left), (x_new, f_new)):
+    for cand_x, cand_f in ((x_right, f_right), (x_left, f_left), (x_new, f_new)):
         if cand_f < best_f:
             best_x, best_f = cand_x, cand_f
     return x_new, best_x, best_f

@@ -21,11 +21,9 @@ bests, and finally contracts the step. Random draws happen in a fixed order
 (one r1 batch then one r2 batch per iteration, in beetle index order), so
 runs are reproducible from the seed alone.
 
-Objective batches: an iteration makes two objective calls. The first gets
-both probe sets as one fresh (2n, dim) array, right probes in rows [:n]
-and left probes in rows [n:]; the second gets the moved swarm, (n, dim).
-A stochastic objective draws its noise in row order (as F7 does), so the
-right probes consume their draws before the left ones.
+Objective batches: an iteration makes three objective calls, each with a
+fresh (n, dim) array: the right probes, the left probes, then the moved
+swarm. A stochastic objective draws its noise in row order (as F7 does).
 """
 
 from __future__ import annotations
@@ -128,21 +126,19 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     """Signed antenna move per beetle, always parallel to its velocity.
 
     The probes sit at X +/- V*d/2 (clamped into the box if the problem asks
-    for it) and go to the objective as one fresh (2n, dim) batch, right
-    probes in rows [:n], left probes in rows [n:]; the increment is
+    for it), right then left, one (n, dim) batch each; the increment is
     -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
     probe.
     """
-    n = X.shape[0]
-    probes = np.empty((2 * n, X.shape[1]))
-    right, left = probes[:n], probes[n:]
-    np.multiply(V, d / 2.0, out=right)
-    np.subtract(X, right, out=left)
-    right += X
+    offset = V * (d / 2.0)
+    X_right = X + offset
+    X_left = X - offset
     if problem.clamp_probes:
-        probes.clip(problem.space.lower, problem.space.upper, out=probes)
-    f = problem.evaluate_many(probes, rng)
-    sign = np.subtract(f[:n], f[n:])
+        X_right.clip(problem.space.lower, problem.space.upper, out=X_right)
+        X_left.clip(problem.space.lower, problem.space.upper, out=X_left)
+    f_right = problem.evaluate_many(X_right, rng)
+    f_left = problem.evaluate_many(X_left, rng)
+    sign = np.subtract(f_right, f_left)
     np.sign(sign, out=sign)
     xi = np.multiply(V, -delta)
     xi *= sign[:, None]

@@ -112,16 +112,11 @@ class ConstrainedProblem:
         return self.constraint_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def violations_many(self, X: Array) -> Array:
-        """(m, n_constraints) array of interval violations, zero when satisfied.
-
-        Computed in place on the array ``constraint_batch`` returns, which
-        must therefore be fresh for each call.
-        """
+        """(m, n_constraints) array of interval violations, zero when satisfied."""
         g = self.constraint_batch(np.asarray(X, dtype=float))
         below = np.subtract(self.g_lower, g)
-        g -= self.g_upper
-        np.maximum(below, g, out=g)
-        return np.maximum(0.0, g, out=g)
+        np.maximum(below, np.subtract(g, self.g_upper), out=below)
+        return np.maximum(0.0, below, out=below)
 
     def feasible(self, x, tol: float = 1e-6) -> bool:
         """Whether every constraint holds, within ``tol`` absolute slack.

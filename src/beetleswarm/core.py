@@ -93,8 +93,8 @@ class Problem:
     evaluation consumes draws from the stream the caller passes in, in row
     order (this is how noisy objectives stay reproducible). The optimizers
     hand ``batch`` a fresh array on every call and never modify it
-    afterwards. BSO sends both antenna probe sets as one (2n, dim) batch,
-    right probes first; BAS sends each probe and each move as one row.
+    afterwards. BSO sends its right probes, left probes and moved swarm as
+    three (n, dim) batches; BAS sends each probe and each move as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective

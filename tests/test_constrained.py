@@ -10,11 +10,15 @@ evaluation of the stated formulas (detailed inline); for those the
 directly computed value is pinned instead.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from beetleswarm import (
+    ConstrainedProblem,
     PenaltyConfig,
+    SearchSpace,
     constrained_problem,
     get_problem,
     list_problems,
@@ -184,6 +188,28 @@ class TestPenalty:
         assert g[0] > 0 and g[0] < 1e-6
         assert PRESSURE_VESSEL.feasible(x)
         assert not PRESSURE_VESSEL.feasible(x, tol=0.0)
+
+    def test_constraints_returning_a_view_of_x(self):
+        # a user constraint_batch may return a view of its input, or integers;
+        # the caller's points must come back unchanged and the values right
+        cp = ConstrainedProblem(
+            id="view",
+            space=SearchSpace.box(3, -5.0, 5.0),
+            raw_batch=lambda X: X.sum(axis=1),
+            constraint_batch=lambda X: X[:, :2],
+            g_lower=np.array([-1.0, -1.0]),
+            g_upper=np.array([1.0, 1.0]),
+            grids=(None, None, None),
+        )
+        x = np.array([3.0, -2.0, 0.5])
+        assert penalized_fitness(cp, x, PenaltyConfig(weight=10.0, exponent=2.0)) == 1.5 + 10.0 * (2.0**2 + 1.0**2)
+        assert np.array_equal(x, [3.0, -2.0, 0.5])
+        X = np.array([[3.0, -2.0, 0.5], [0.0, 0.5, 1.0]])
+        kept = X.copy()
+        assert np.array_equal(cp.violations_many(X), [[2.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(X, kept)
+        integer = replace(cp, constraint_batch=lambda X: np.rint(X[:, :2]).astype(int))
+        assert np.array_equal(integer.violations_many(X), [[2.0, 1.0], [0.0, 0.0]])
 
     def test_penalty_config_validation(self):
         with pytest.raises(ValueError):

@@ -88,8 +88,8 @@ def test_objective_call_counts(algo):
     cfg = cfg_type(max_iters=K) if algo == "bas" else cfg_type(n=n, max_iters=K)
     run_one(algo, counting(sphere_problem(3), rows), cfg, 0)
     expected = {
-        # initial swarm, then per iteration both probe sets in one batch and the moved swarm
-        "bso": [n] + [2 * n, n] * K,
+        # initial swarm, then per iteration right probes, left probes and the moved swarm
+        "bso": [n] + [n, n, n] * K,
         "pso": [n] * (1 + K),
         # initial point, then per iteration right probe, left probe and move, one row each
         "bas": [1] * (1 + 3 * K),
