@@ -120,6 +120,11 @@ for _tbl in (
 
 # ---------------------------------------------------------------------------
 # evaluators, each (m, dim) -> (m,)
+#
+# Integer powers above 2 are chains of *, never **: numpy sends such powers
+# to its SIMD/libm pow, which is several times slower and not correctly
+# rounded. Every evaluator also treats each row on its own, so a point's
+# value does not depend on the batch it comes in.
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +158,10 @@ def quartic_without_noise(X: Array) -> Array:
     """Deterministic part of F7: sum_i i * x_i^4 over each row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     idx = np.arange(1, X.shape[1] + 1, dtype=float)
-    return (idx * X**4).sum(axis=1)
+    X4 = X * X
+    X4 *= X4
+    X4 *= idx
+    return X4.sum(axis=1)
 
 
 def _quartic_noisy(X: Array, rng: RandomStream) -> Array:
@@ -181,10 +189,12 @@ def _griewank(X: Array, rng=None) -> Array:
     return (X * X).sum(axis=1) / 4000.0 - np.cos(X / idx).prod(axis=1) + 1.0
 
 
-def _boundary_penalty(X: Array, a: float, k: float, m: float) -> Array:
-    # k * (|x| - a)^m outside [-a, a], zero inside
+def _boundary_penalty(X: Array, a: float, k: float) -> Array:
+    # k * (|x| - a)^4 outside [-a, a], zero inside
     over = np.maximum(0.0, np.abs(X) - a)
-    return k * (over**m).sum(axis=1)
+    over *= over
+    over *= over
+    return k * over.sum(axis=1)
 
 
 def _penalized_quartic_sine(X: Array, rng=None) -> Array:
@@ -193,20 +203,23 @@ def _penalized_quartic_sine(X: Array, rng=None) -> Array:
     head = 10.0 * np.sin(np.pi * y[:, 0]) ** 2
     body = ((y[:, :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[:, 1:]) ** 2)).sum(axis=1)
     tail = (y[:, -1] - 1.0) ** 2
-    return np.pi / n * (head + body + tail) + _boundary_penalty(X, 10.0, 100.0, 4.0)
+    return np.pi / n * (head + body + tail) + _boundary_penalty(X, 10.0, 100.0)
 
 
 def _penalized_level_sine(X: Array, rng=None) -> Array:
     head = np.sin(3.0 * np.pi * X[:, 0]) ** 2
     body = ((X[:, :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * X[:, 1:]) ** 2)).sum(axis=1)
     tail = (X[:, -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * X[:, -1]) ** 2)
-    return 0.1 * (head + body + tail) + _boundary_penalty(X, 5.0, 100.0, 4.0)
+    return 0.1 * (head + body + tail) + _boundary_penalty(X, 5.0, 100.0)
 
 
 def _foxholes(X: Array, rng=None) -> Array:
-    # diff: (m, 2, 25)
-    diff = X[:, :, None] - FOXHOLES_A[None, :, :]
-    denom = np.arange(1, 26, dtype=float) + (diff**6).sum(axis=1)
+    # sq: (m, 2, 25) squared offsets from each hole
+    sq = X[:, :, None] - FOXHOLES_A[None, :, :]
+    sq *= sq
+    pow6 = sq * sq
+    pow6 *= sq
+    denom = np.arange(1, 26, dtype=float) + pow6.sum(axis=1)
     return 1.0 / (1.0 / 500.0 + (1.0 / denom).sum(axis=1))
 
 
@@ -219,7 +232,9 @@ def _kowalik(X: Array, rng=None) -> Array:
 
 def _six_hump_camel(X: Array, rng=None) -> Array:
     x1, x2 = X[:, 0], X[:, 1]
-    return 4 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4 * x2**2 + 4 * x2**4
+    x1_sq, x2_sq = x1 * x1, x2 * x2
+    x1_4 = x1_sq * x1_sq
+    return 4 * x1_sq - 2.1 * x1_4 + x1_4 * x1_sq / 3.0 + x1 * x2 - 4 * x2_sq + 4 * (x2_sq * x2_sq)
 
 
 def _branin(X: Array, rng=None) -> Array:
@@ -241,7 +256,7 @@ def _goldstein_price(X: Array, rng=None) -> Array:
 # closures, so every catalog problem pickles for the trial process pool.
 def _hartmann(A: Array, C: Array, P: Array, X: Array, rng=None) -> Array:
     inner = (A[None, :, :] * (X[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-    return -(np.exp(-inner) @ C)
+    return -(np.exp(-inner) * C).sum(axis=1)
 
 
 def _shekel(a: Array, c: Array, X: Array, rng=None) -> Array:

@@ -221,13 +221,16 @@ class BsoEngine:
 
         X = uniform_population(self.rng, self.space, config.n)
         V = v_lo + self.rng.uniform((config.n, self.space.dim)) * (v_hi - v_lo)
+        # A NaN start would win argmin and never be replaced (F < Pf is
+        # False against NaN), so it ranks as +inf; later NaNs never enter Pf.
         F = problem.evaluate_many(X, self.rng)
+        F = np.where(np.isnan(F), np.inf, F)
         gi = int(np.argmin(F))
         self.state = SwarmState(
             X=X,
             V=V,
             P=X.copy(),
-            Pf=F.copy(),
+            Pf=F,
             G=X[gi].copy(),
             Gf=float(F[gi]),
             delta=float(config.delta0),

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from beetleswarm import RandomStream, evaluate, problem, spec
+from beetleswarm import RandomStream, evaluate, get_problem, problem, problem_ids, spec
 from beetleswarm.benchmarks import BENCHMARK_IDS, catalog, quartic_without_noise
 
 # id -> (dim, lower, upper, fmin) as catalogued
@@ -312,13 +312,19 @@ class TestEvaluate:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_batch_matches_scalar_rows(self):
-        for fid in ("F3", "F12", "F14", "F21"):
-            p = problem(fid)
+        # a point's value must not depend on the batch it is evaluated in,
+        # or batching calls differently would change seeded runs
+        deterministic = [pid for pid in problem_ids() if not get_problem(pid).stochastic]
+        assert len(deterministic) == 24
+        for pid in deterministic:
+            p = get_problem(pid)
             rng = RandomStream(11)
-            X = p.space.lower + rng.uniform((8, p.space.dim)) * p.space.widths
+            X = p.space.lower + rng.uniform((200, p.space.dim)) * p.space.widths
             batch = p.evaluate_many(X)
             singles = np.array([p.evaluate(row) for row in X])
-            assert np.array_equal(batch, singles)
+            pairs = np.concatenate([p.evaluate_many(X[i : i + 2]) for i in range(0, len(X), 2)])
+            assert np.array_equal(batch, singles), pid
+            assert np.array_equal(pairs, singles), pid
 
 
 class TestProperties:

@@ -240,6 +240,21 @@ class TestEngine:
         b = run_bso(get_problem("F7"), cfg)
         assert np.array_equal(a.curve, b.curve)
 
+    @pytest.mark.parametrize("runner,cfg_type", [(run_bso, BsoConfig), (run_pso, PsoConfig)])
+    def test_nan_in_initial_swarm_never_becomes_best(self, runner, cfg_type):
+        # a NaN start used to win argmin and stay the global best for good
+        base = sphere_problem(2)
+        p = Problem(
+            "nan_half_sphere",
+            base.space,
+            lambda X, rng=None: np.where(X[:, 0] < 0.0, np.nan, (X * X).sum(axis=1)),
+        )
+        rec = runner(p, cfg_type(n=10, max_iters=50), seed=0)
+        assert not np.isnan(rec.curve).any()
+        assert np.isfinite(rec.best_f)
+        assert rec.best_x[0] >= 0.0
+        assert np.all(np.diff(rec.curve) <= 0.0)
+
     def test_global_best_tie_breaks_to_lowest_index(self):
         p = constant_problem(2, value=3.0)
         engine = BsoEngine(p, BsoConfig(n=5, max_iters=3, seed=1))

@@ -2,10 +2,11 @@
 
 The digests pin ``curve``, ``best_x`` and ``best_f`` bit for bit, so any
 change to the engine arithmetic, the draw order or the batching of
-objective calls shows up here. F1, F18 and HB use only +, -, * and
-squares (no libm calls), so their values do not depend on the SIMD math
-routines of a numpy build; the digests are still only as portable as
-IEEE double arithmetic on numpy's elementwise loops.
+objective calls shows up here. F1, F7, F16, F18 and HB use only +, -,
+*, / and integer powers written as multiplications (no libm calls; F7's
+noise comes from the PCG64 stream), so their values do not depend on the
+SIMD math routines of a numpy build; the digests are still only as
+portable as IEEE double arithmetic on numpy's elementwise loops.
 """
 
 import hashlib
@@ -30,6 +31,12 @@ GOLDEN = {
     ("bso", "HB", 0): "d72d75f7620afca58df405940e9ec78f261592ebfac590014288c44d74673cf5",
     ("bso", "HB", 1): "956ce59a315265b7a4176ae286fca348774d27f59895d17049a90c8299535327",
     ("bso", "HB", 2): "405dc2aa0d8835ba6a23982ca30299b7ca57ae8d6b7874b7d89320ca6f148e01",
+    ("bso", "F7", 0): "543f67560795ac17f26bc3fd958955200a38624c594e548cb576bced530e688d",
+    ("bso", "F7", 1): "950a2f38b0bf19e044015e865ea4246fe02ef803607b9e8753059c73ba2d6e2a",
+    ("bso", "F7", 2): "7932754d7a7e9d85fdcd4b08a93aafd369a36d2492bbfe6420f510bbb61473af",
+    ("bso", "F16", 0): "4512f6f09bfd5c265eef1f392f3f52464b489c19a48e00cafe21ce1d4a73d6a6",
+    ("bso", "F16", 1): "dc2df32a6e4d469752774f0e709895ef1a3dc5978a0e2b90bb7a8e9bd6ec3a09",
+    ("bso", "F16", 2): "f004222ff61ca95b963f34e71cefb8248308b35b0572f047ff5852dac9417b78",
     ("pso", "F1", 0): "047c0c91b0289270b079a4dd607c39074b49430abd90feff67cf549ce5d43ad2",
     ("pso", "F1", 1): "137990a53938ea8cde6075dd47ddf28004585049996064b8242e1f07b4aa2604",
     ("pso", "F1", 2): "d19b063579fa91cf240b650e8694ba594087f176e75e2a98e8398d5dd4467a7d",
@@ -39,6 +46,12 @@ GOLDEN = {
     ("pso", "HB", 0): "65290480c16871be0779b519601b595ca3e3eaaf21d5f50494dad832057c9933",
     ("pso", "HB", 1): "ff3d98c9a4d2d31c6236a66432c47794b5a50ba7ed476cf5032dde806fd11c7a",
     ("pso", "HB", 2): "b8d73fed1dcd97b1f7f230f077d355530b4d0db8de070d038821641023381cf9",
+    ("pso", "F7", 0): "d867d1fcdd18183af67f246a50f4812df47de548ddc6d4086b546035db8bc8ad",
+    ("pso", "F7", 1): "0dd70554f25f82704ed1c557a4bb1abee8cf73b4a3d042d2aba900f9bdc58fd0",
+    ("pso", "F7", 2): "92f46efba5afe568a7e41c012f2a39a67f8cfc7cf741bbb0eb84b2e137a7bd00",
+    ("pso", "F16", 0): "24318704e17c0485e726de1e33c451229c1fe522639e5361be2bc1f8fa58c688",
+    ("pso", "F16", 1): "41e052ed0681613bfbbfa6368120f9343e34e987827ca1c0e9cc84f38235a9c2",
+    ("pso", "F16", 2): "abe401c28f1274ac816777987d9ecb2d20e107143cd88ba1d0bf796aee75278d",
     ("bas", "F1", 0): "7b2334fc8aab94d385cbefaae9e2dfc16cd2637fc956f9ea37e403696c5e17cd",
     ("bas", "F1", 1): "6d4e482a2356a71234a50f3cab9877bfa66b4954669f37a2f9580557e23802d1",
     ("bas", "F1", 2): "a24610500754aa911f4652161a50705662db29808e738854643ec487f7dbafcb",
@@ -48,6 +61,12 @@ GOLDEN = {
     ("bas", "HB", 0): "9c07a44c010516a0b302ac84b98445abc13c394d69d1bfc6f762d53316549783",
     ("bas", "HB", 1): "acaf0c9142f7261094fbe618e2b0377111c7cc707699260bcf853518d4daa95f",
     ("bas", "HB", 2): "c2bd3b1977fc84d43e129682a928b367ff25aa2838ce937c82c189f4f0501c65",
+    ("bas", "F7", 0): "20e5452bf64a3744a29b67a8ac10113c0151a93d6fcaf2e74037632eae177fc8",
+    ("bas", "F7", 1): "4a3c939f7855bce43cc3e118ff76ed854d825645dcdd76d16914fa8d8d4282ef",
+    ("bas", "F7", 2): "272d330f0742201814948ff0ab41662f31326d17583187907b4dc63612dffacc",
+    ("bas", "F16", 0): "c75100c2830d1045f123b10b84028f9668297947bced4e2de5cea5c865c1571c",
+    ("bas", "F16", 1): "3e80d69f5e8eef1473dd9afccae99386d8e444e2ebb32e734ac0bd7521ecbb76",
+    ("bas", "F16", 2): "b3f7d1e45736aeee58953a08be4519881c2c6110a169a929512c74bed225833f",
 }
 
 
