@@ -4,7 +4,7 @@ One simulated beetle probes the fitness at two antenna points placed
 symmetrically around its position along a random direction, then steps a
 distance delta toward the antenna that smelled better (lower fitness,
 everything here minimizes). Both the step length and the antenna spacing
-shrink over the run, geometrically by default.
+shrink geometrically over the run.
 """
 
 from __future__ import annotations
@@ -22,27 +22,20 @@ Array = np.ndarray
 
 MIN_STEP = 1e-12
 
-SCHEDULES = ("geometric", "affine")
-
 
 @dataclass(frozen=True)
 class BasConfig(ConfigDict):
     """Tunables for a BAS run.
 
     ``delta0`` of None means 30% of the widest box side, a scale that
-    grows with the problem like the antenna metaphor suggests. The
-    geometric schedule multiplies the step by ``eta`` each iteration; the
-    affine one applies ``c1 * delta + delta_floor`` instead and is mainly
-    exposed for experimentation (it diverges when c1 >= 1 with a positive
-    floor). Antenna spacing is always ``delta / c2_ratio``.
+    grows with the problem like the antenna metaphor suggests. The step
+    is multiplied by ``eta`` each iteration, and the antenna spacing is
+    always ``delta / c2_ratio``.
     """
 
     delta0: float | None = None
     eta: float = 0.95
     c2_ratio: float = 5.0
-    schedule: str = "geometric"
-    c1: float = 0.0
-    delta_floor: float = 0.0
     max_iters: int = 200
     seed: int = 0
 
@@ -53,8 +46,6 @@ class BasConfig(ConfigDict):
             raise ValueError("eta must lie in (0, 1]")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -108,13 +99,11 @@ def _bas_move(state: BasState, problem: Problem, rng: RandomStream) -> tuple[Arr
     if problem.clamp_probes:
         x_right = clamp_to_bounds(x_right, problem.space)
         x_left = clamp_to_bounds(x_left, problem.space)
-    # One call per probe, right first: a two-row batch can round differently
-    # from two one-row calls (numpy's matmul takes a dot path for one row and
-    # BLAS gemv for more, as in F19/F20), and that would change seeded runs.
     f_right = problem.evaluate(x_right, rng)
     f_left = problem.evaluate(x_left, rng)
 
-    x_new = state.x - state.delta * b * np.sign(f_right - f_left)
+    # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
+    x_new = state.x - state.delta * b * ((f_right > f_left) - (f_right < f_left))
     x_new = clamp_to_bounds(x_new, problem.space)
     f_new = problem.evaluate(x_new, rng)
 
@@ -142,13 +131,11 @@ def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
 def update_schedules(delta: float, config: BasConfig) -> tuple[float, float]:
     """Next step length and antenna spacing.
 
-    A schedule that drives the step nonpositive has stalled; the step is
-    pinned at a tiny positive value and a RuntimeWarning flags it.
+    The step is multiplied by ``eta``. A step that underflows to zero on a
+    long run has stalled; it is pinned at a tiny positive value and a
+    RuntimeWarning flags it.
     """
-    if config.schedule == "geometric":
-        new_delta = config.eta * delta
-    else:
-        new_delta = config.c1 * delta + config.delta_floor
+    new_delta = config.eta * delta
     if new_delta <= 0:
         warnings.warn("step schedule produced a nonpositive step; search has stalled", RuntimeWarning)
         new_delta = MIN_STEP

@@ -44,8 +44,8 @@ class BsoConfig(ConfigDict):
 
     ``lam`` is the single most consequential knob: it weighs the particle
     swarm move against the antenna move. ``a1``/``a2`` are the usual
-    cognitive/social acceleration coefficients. Velocity clamps of None
-    default to +/-``v_frac`` of each box side. ``delta0`` is a
+    cognitive/social acceleration coefficients. Velocities are clamped to
+    +/-``v_frac`` of each box side. ``delta0`` is a
     dimensionless multiplier on the velocity (the antenna increment is
     delta * velocity), contracted by ``eta`` each iteration; antenna
     spacing is ``delta / c2_ratio``. ``delta0 = 0`` disables the antenna
@@ -61,7 +61,6 @@ class BsoConfig(ConfigDict):
     """
 
     n: int = 50
-    dim: int | None = None
     max_iters: int = 1000
     lam: float = 0.35
     a1: float = 2.0
@@ -71,8 +70,6 @@ class BsoConfig(ConfigDict):
     eta: float = 0.997
     delta0: float = 6.0
     c2_ratio: float = 5.0
-    v_max: float | None = None
-    v_min: float | None = None
     v_frac: float = 0.08
     seed: int = 0
 
@@ -93,8 +90,6 @@ class BsoConfig(ConfigDict):
             raise ValueError("delta0 must be nonnegative")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
-        if self.v_max is not None and self.v_min is not None and not self.v_min < self.v_max:
-            raise ValueError("v_min must be strictly below v_max")
         if not self.v_frac > 0:
             raise ValueError("v_frac must be positive")
 
@@ -138,8 +133,8 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
         X_left.clip(problem.space.lower, problem.space.upper, out=X_left)
     f_right = problem.evaluate_many(X_right, rng)
     f_left = problem.evaluate_many(X_left, rng)
-    sign = np.subtract(f_right, f_left)
-    np.sign(sign, out=sign)
+    # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
+    sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
     xi = np.multiply(V, -delta)
     xi *= sign[:, None]
     return xi
@@ -199,10 +194,6 @@ class BsoEngine:
         seed: int | None = None,
         debug_checks: bool = False,
     ):
-        if config.dim is not None and config.dim != problem.space.dim:
-            raise ValueError(
-                f"config.dim={config.dim} does not match problem dimension {problem.space.dim}"
-            )
         self.problem = problem
         self.config = config
         self.space = problem.space
@@ -210,21 +201,12 @@ class BsoEngine:
         self.rng = RandomStream(self.seed)
         self.debug_checks = debug_checks
 
-        widths = self.space.widths
-        v_hi = (
-            np.full(self.space.dim, config.v_max, dtype=float)
-            if config.v_max is not None
-            else config.v_frac * widths
-        )
-        v_lo = np.full(self.space.dim, config.v_min, dtype=float) if config.v_min is not None else -v_hi
-        self.v_lo, self.v_hi = v_lo, v_hi
+        self.v_hi = config.v_frac * self.space.widths
+        self.v_lo = -self.v_hi
 
         X = uniform_population(self.rng, self.space, config.n)
-        V = v_lo + self.rng.uniform((config.n, self.space.dim)) * (v_hi - v_lo)
-        # A NaN start would win argmin and never be replaced (F < Pf is
-        # False against NaN), so it ranks as +inf; later NaNs never enter Pf.
+        V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
         F = problem.evaluate_many(X, self.rng)
-        F = np.where(np.isnan(F), np.inf, F)
         gi = int(np.argmin(F))
         self.state = SwarmState(
             X=X,
@@ -286,8 +268,6 @@ def run_bso(
     config: BsoConfig | None = None,
     seed: int | None = None,
     debug_checks: bool = False,
-    algorithm_label: str = "bso",
-    config_snapshot: dict | None = None,
 ) -> RunRecord:
     """Run the swarm to its iteration budget and package the result."""
     cfg = config if config is not None else BsoConfig()
@@ -296,13 +276,11 @@ def run_bso(
     engine.run()
     elapsed = time.perf_counter() - start
 
-    snapshot = dict(config_snapshot) if config_snapshot is not None else cfg.to_dict()
-    snapshot["seed"] = engine.seed
     return RunRecord(
         problem_id=problem.id,
-        algorithm=algorithm_label,
+        algorithm="bso",
         seed=engine.seed,
-        config=snapshot,
+        config={**cfg.to_dict(), "seed": engine.seed},
         curve=np.asarray(engine.curve),
         best_x=engine.state.G.copy(),
         best_f=engine.state.Gf,

@@ -110,22 +110,28 @@ def _expand_problems(spec_str) -> list[str]:
     return out
 
 
-def _build_config(algo: str, file_cfg: dict, args, *, seed_key: str = "seed"):
+def _build_config(algo: str, file_cfg: dict, iters: int | None, pop: int | None, seed: int):
     """Resolve one algorithm's config: defaults < config file < flags."""
     cfg_type = ALGORITHMS[algo][0]
     tunables = {k: v for k, v in file_cfg.items() if k not in RUN_LEVEL_KEYS}
-    if getattr(args, "iters", None) is not None:
-        tunables["max_iters"] = args.iters
-    if getattr(args, "pop", None) is not None and algo != "bas":
-        tunables["n"] = args.pop
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _int_setting(file_cfg, seed_key, 0)
+    if iters is not None:
+        tunables["max_iters"] = iters
+    if pop is not None and algo != "bas":
+        tunables["n"] = pop
     tunables["seed"] = int(seed)
     try:
         return cfg_type.from_dict(tunables)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad {algo} config: {exc}")
+
+
+def _trial_settings(args, file_cfg: dict) -> tuple[int, int]:
+    """Trials per cell and base seed: defaults < config file < flags."""
+    n_trials = args.trials if args.trials is not None else _int_setting(file_cfg, "n_trials", 30)
+    if n_trials < 1:
+        raise UsageError("--trials must be at least 1")
+    base_seed = args.seed if args.seed is not None else _int_setting(file_cfg, "base_seed", 0)
+    return n_trials, base_seed
 
 
 def _check_workers() -> None:
@@ -152,7 +158,8 @@ def cmd_run(args) -> int:
     if problem_id is None:
         raise UsageError("no problem given (use --problem or a config file)")
     problem_id = _check_problem(problem_id)
-    config = _build_config(algo, file_cfg, args)
+    seed = args.seed if args.seed is not None else _int_setting(file_cfg, "seed", 0)
+    config = _build_config(algo, file_cfg, args.iters, args.pop, seed)
 
     problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
@@ -177,15 +184,8 @@ def cmd_bench(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     algos = _algo_list(args.algos if args.algos else file_cfg.get("algorithms", "bso"))
     problems = _expand_problems(args.problems if args.problems else file_cfg.get("problems", ""))
-    n_trials = args.trials if args.trials is not None else _int_setting(file_cfg, "n_trials", 30)
-    if n_trials < 1:
-        raise UsageError("--trials must be at least 1")
-    base_seed = args.seed if args.seed is not None else _int_setting(file_cfg, "base_seed", 0)
-
-    configs = {}
-    for algo in algos:
-        ns = argparse.Namespace(iters=args.iters, pop=args.pop, seed=base_seed)
-        configs[algo] = _build_config(algo, file_cfg, ns, seed_key="base_seed")
+    n_trials, base_seed = _trial_settings(args, file_cfg)
+    configs = {algo: _build_config(algo, file_cfg, args.iters, args.pop, base_seed) for algo in algos}
     _check_workers()
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
@@ -205,12 +205,8 @@ def cmd_constrained(args) -> int:
             f"unknown constrained problem {args.problem!r} (choose from {', '.join(CONSTRAINED_IDS).lower()})"
         )
     algo = _check_algorithm(args.algo or file_cfg.get("algorithm", "bso"))
-    n_trials = args.trials if args.trials is not None else _int_setting(file_cfg, "n_trials", 30)
-    if n_trials < 1:
-        raise UsageError("--trials must be at least 1")
-    base_seed = args.seed if args.seed is not None else _int_setting(file_cfg, "base_seed", 0)
-    ns = argparse.Namespace(iters=args.iters, pop=args.pop, seed=base_seed)
-    config = _build_config(algo, file_cfg, ns, seed_key="base_seed")
+    n_trials, base_seed = _trial_settings(args, file_cfg)
+    config = _build_config(algo, file_cfg, args.iters, args.pop, base_seed)
     _check_workers()
 
     cp = constrained_problem(problem_id)

@@ -87,8 +87,9 @@ class SearchSpace:
 class Problem:
     """A minimization problem over a box.
 
-    ``batch`` maps an (m, dim) array of points to an (m,) array of fitness
-    values; any other output shape is an error. Evaluation must be
+    ``batch`` maps an (m, dim) array of points to an (m,) array of real
+    fitness values; any other output shape, or a complex or non-numeric
+    output, is an error. A NaN value is read as +inf. Evaluation must be
     deterministic unless ``stochastic`` is set, in which case each point
     evaluation consumes draws from the stream the caller passes in, in row
     order (this is how noisy objectives stay reproducible). The optimizers
@@ -127,13 +128,16 @@ class Problem:
             )
         if self.stochastic and rng is None:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
-        F = np.asarray(self.batch(X, rng), dtype=float)
+        F = np.asarray(self.batch(X, rng))
+        if F.dtype.kind not in "fiu":
+            raise ValueError(f"{self.id}: objective must return real numbers, got dtype {F.dtype}")
         if F.shape != (X.shape[0],):
             raise ValueError(
                 f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
                 f"got shape {F.shape}"
             )
-        return F
+        # NaN ranks as +inf, so it never wins a comparison; other values keep their bits.
+        return np.fmin(F, np.inf, dtype=float)
 
 
 @dataclass(frozen=True)

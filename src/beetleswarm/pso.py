@@ -13,7 +13,7 @@ that the two optimizers differ only in the antenna term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bso import BsoConfig, run_bso
 from .core import ConfigDict, Problem, RunRecord
@@ -24,14 +24,11 @@ class PsoConfig(ConfigDict):
     """Tunables for a PSO run; a strict subset of the BSO knobs."""
 
     n: int = 50
-    dim: int | None = None
     max_iters: int = 1000
     a1: float = 1.49445
     a2: float = 1.49445
     omega_max: float = 0.9
     omega_min: float = 0.4
-    v_max: float | None = None
-    v_min: float | None = None
     v_frac: float = 0.2
     seed: int = 0
 
@@ -43,7 +40,6 @@ class PsoConfig(ConfigDict):
         """Equivalent engine configuration (pure swarm move, antennae off)."""
         return BsoConfig(
             n=self.n,
-            dim=self.dim,
             max_iters=self.max_iters,
             lam=1.0,
             a1=self.a1,
@@ -51,8 +47,6 @@ class PsoConfig(ConfigDict):
             omega_max=self.omega_max,
             omega_min=self.omega_min,
             delta0=0.0,
-            v_max=self.v_max,
-            v_min=self.v_min,
             v_frac=self.v_frac,
             seed=self.seed,
         )
@@ -66,11 +60,5 @@ def run_pso(
 ) -> RunRecord:
     """Run plain global-best PSO and package the result."""
     cfg = config if config is not None else PsoConfig()
-    return run_bso(
-        problem,
-        cfg.to_bso(),
-        seed=seed,
-        debug_checks=debug_checks,
-        algorithm_label="pso",
-        config_snapshot=cfg.to_dict(),
-    )
+    record = run_bso(problem, cfg.to_bso(), seed=seed, debug_checks=debug_checks)
+    return replace(record, algorithm="pso", config={**cfg.to_dict(), "seed": record.seed})

@@ -94,6 +94,12 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_removed_velocity_clamp_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "F1", "v_max": 1.0}))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert "unknown config keys: ['v_max']" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -1,17 +1,23 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beetleswarm import (
+    BsoConfig,
+    BsoEngine,
     Problem,
+    PsoConfig,
     RandomStream,
     SearchSpace,
     clamp_to_bounds,
     uniform_in_space,
 )
+from beetleswarm.bas import BasConfig, run_bas
 from beetleswarm.core import uniform_population
-from beetleswarm.harness import ALGORITHMS
+from beetleswarm.harness import ALGORITHMS, run_trial_records
 
 from .conftest import FixedStream, sphere_problem
 
@@ -164,3 +170,90 @@ class TestProblem:
             p = Problem(id="misshapen", space=SearchSpace.box(2, -1.0, 1.0), batch=batch)
             with pytest.raises(ValueError, match=rf"misshapen: objective must return shape \(\d+,\) .*got shape {got}"):
                 runner(p, cfg, seed=0)
+
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    def test_complex_output_rejected(self, algo):
+        # a complex value used to be cast to its real part with only a warning
+        cfg_type, runner = ALGORITHMS[algo]
+        cfg = cfg_type(max_iters=3) if algo == "bas" else cfg_type(n=4, max_iters=3)
+        p = Problem(id="complexed", space=SearchSpace.box(2, -1.0, 1.0), batch=lambda X, rng=None: X[:, 0] + 1j)
+        with pytest.raises(ValueError, match="complexed: objective must return real numbers, got dtype complex128"):
+            runner(p, cfg, seed=0)
+
+    def test_nan_reads_as_inf_and_other_values_keep_their_bits(self):
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.5, -1e308])
+        p = Problem(id="table", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: values)
+        F = p.evaluate_many(np.zeros((values.size, 1)))
+        assert F.dtype == np.float64
+        assert np.all(F[:2] == np.inf)
+        assert F[2:].tobytes() == values[2:].tobytes()
+
+    def test_integer_output_becomes_float(self):
+        p = Problem(id="ints", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: np.arange(X.shape[0]))
+        F = p.evaluate_many(np.zeros((3, 1)))
+        assert F.dtype == np.float64 and F.tolist() == [0.0, 1.0, 2.0]
+
+
+def _holed_sphere(X, rng=None, cut=0.0, bad=np.nan):
+    """Sphere that reads ``bad`` (NaN or +inf) wherever x0 < cut."""
+    return np.where(X[:, 0] < cut, bad, (X * X).sum(axis=1))
+
+
+def _holed_problem(cut: float, bad: float) -> Problem:
+    return Problem(id="holed", space=SearchSpace.box(2, -10.0, 10.0), batch=partial(_holed_sphere, cut=cut, bad=bad))
+
+
+class TestNonFiniteObjective:
+    """NaN and +inf regions never disable an agent or become a NaN best."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cut=st.floats(-10.0, 10.0),
+        bad=st.sampled_from([np.nan, np.inf]),
+        seed=st.integers(0, 2**16),
+        algo=st.sampled_from(["bso", "pso"]),
+    )
+    def test_swarm_best_is_the_least_value_visited(self, cut, bad, seed, algo):
+        # the box check in debug_checks fails on any NaN position
+        cfg = BsoConfig(n=6, max_iters=25) if algo == "bso" else PsoConfig(n=6, max_iters=25).to_bso()
+        p = _holed_problem(cut, bad)
+        engine = BsoEngine(p, cfg, seed=seed, debug_checks=True)
+        least = p.evaluate_many(engine.state.X).min()
+        for _ in range(cfg.max_iters):
+            engine.step()
+            assert not np.isnan(engine.state.V).any()
+            least = min(least, p.evaluate_many(engine.state.X).min())
+        assert not np.isnan(engine.curve).any()
+        assert engine.state.Gf == least  # finite once any visited position was
+
+    @settings(max_examples=20, deadline=None)
+    @given(cut=st.floats(-10.0, 10.0), bad=st.sampled_from([np.nan, np.inf]), seed=st.integers(0, 2**16))
+    def test_bas_best_is_the_least_value_evaluated(self, cut, bad, seed):
+        seen = []
+
+        def recorded(X, rng=None):
+            assert not np.isnan(X).any()  # no probe or move lands on NaN
+            F = _holed_sphere(X, cut=cut, bad=bad)
+            seen.extend(F)
+            return F
+
+        p = Problem(id="holed", space=SearchSpace.box(2, -10.0, 10.0), batch=recorded)
+        rec = run_bas(p, BasConfig(max_iters=30), seed=seed)
+        assert not np.isnan(rec.curve).any() and not np.isnan(rec.best_x).any()
+        assert rec.best_f == np.fmin(seen, np.inf).min()  # every probe and move feeds the best
+
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pooled_records_match_serial(self, algo, bad, monkeypatch):
+        cfg_type = ALGORITHMS[algo][0]
+        cfg = cfg_type(max_iters=30) if algo == "bas" else cfg_type(n=8, max_iters=30)
+        p = _holed_problem(0.0, bad)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BSO_THREADS", threads)
+            runs[threads] = run_trial_records(algo, p, cfg, n_trials=4, base_seed=0)
+        for a, b in zip(runs["1"], runs["2"]):
+            assert not np.isnan(a.curve).any()
+            assert np.array_equal(a.curve, b.curve)
+            assert np.array_equal(a.best_x, b.best_x)
+            assert a.best_f == b.best_f
