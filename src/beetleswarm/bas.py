@@ -5,6 +5,10 @@ symmetrically around its position along a random direction, then steps a
 distance delta toward the antenna that smelled better (lower fitness,
 everything here minimizes). Both the step length and the antenna spacing
 shrink geometrically over the run.
+
+Objective batches: an iteration makes two calls, each with a fresh array:
+the (2, dim) antenna probes, right row then left, then the new position as
+one row; a stochastic objective draws its noise right, left, move.
 """
 
 from __future__ import annotations
@@ -92,23 +96,20 @@ def antennae(x: Array, b: Array, d: float) -> tuple[Array, Array]:
     return x + offset, x - offset
 
 
-def _bas_move(state: BasState, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
+def _bas_move(x, delta, d, best_x, best_f, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
     """New position and best-so-far after one iteration; see ``bas_step``."""
     b = sample_direction(rng, problem.space.dim)
-    x_right, x_left = antennae(state.x, b, state.d)
+    probes = np.array(antennae(x, b, d))  # right row, then left
     if problem.clamp_probes:
-        x_right = clamp_to_bounds(x_right, problem.space)
-        x_left = clamp_to_bounds(x_left, problem.space)
-    f_right = problem.evaluate(x_right, rng)
-    f_left = problem.evaluate(x_left, rng)
+        probes.clip(problem.space.lower, problem.space.upper, out=probes)
+    f_right, f_left = problem.evaluate_many(probes, rng).tolist()
 
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
-    x_new = state.x - state.delta * b * ((f_right > f_left) - (f_right < f_left))
+    x_new = x - delta * b * ((f_right > f_left) - (f_right < f_left))
     x_new = clamp_to_bounds(x_new, problem.space)
     f_new = problem.evaluate(x_new, rng)
 
-    best_x, best_f = state.best_x, state.best_f
-    for cand_x, cand_f in ((x_right, f_right), (x_left, f_left), (x_new, f_new)):
+    for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left), (x_new, f_new)):
         if cand_f < best_f:
             best_x, best_f = cand_x, cand_f
     return x_new, best_x, best_f
@@ -117,14 +118,15 @@ def _bas_move(state: BasState, problem: Problem, rng: RandomStream) -> tuple[Arr
 def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
     """Advance the beetle one iteration.
 
-    Probes both antennae, right then left, one point per call, steps
-    toward the lower-fitness side (x' = x - delta * b * sign(f(right) -
-    f(left))), clamps the new position to the box and folds all three
-    evaluations into the best-so-far. Probe points are deliberately
+    Probes both antennae in one (2, dim) objective call, right row then
+    left row, steps toward the lower-fitness side (x' = x - delta * b *
+    sign(f(right) - f(left))), clamps the new position to the box,
+    evaluates it as one row and folds all three evaluations into the
+    best-so-far, right, left, then new. Probe points are deliberately
     evaluated unclamped unless the problem asks otherwise; they are
     sensors, not candidate positions. The schedules are left unchanged.
     """
-    x_new, best_x, best_f = _bas_move(state, problem, rng)
+    x_new, best_x, best_f = _bas_move(state.x, state.delta, state.d, state.best_x, state.best_f, problem, rng)
     return BasState(x_new, state.delta, state.d, state.t + 1, best_x, best_f)
 
 
@@ -151,12 +153,12 @@ def run_bas(problem: Problem, config: BasConfig, seed: int | None = None) -> Run
     start = time.perf_counter()
     x0 = uniform_in_space(rng, problem.space)
     f0 = problem.evaluate(x0, rng)
-    state = BasState(x=x0, delta=delta0, d=delta0 / config.c2_ratio, t=0, best_x=x0, best_f=f0)
-    curve = [state.best_f]
+    x, best_x, best_f = x0, x0, f0
+    delta, d = delta0, delta0 / config.c2_ratio
+    curve = [best_f]
     for _ in range(config.max_iters):
-        x_new, best_x, best_f = _bas_move(state, problem, rng)
-        new_delta, new_d = update_schedules(state.delta, config)
-        state = BasState(x_new, new_delta, new_d, state.t + 1, best_x, best_f)
+        x, best_x, best_f = _bas_move(x, delta, d, best_x, best_f, problem, rng)
+        delta, d = update_schedules(delta, config)
         curve.append(best_f)
     elapsed = time.perf_counter() - start
 
@@ -168,7 +170,7 @@ def run_bas(problem: Problem, config: BasConfig, seed: int | None = None) -> Run
         seed=effective_seed,
         config=snapshot,
         curve=np.asarray(curve),
-        best_x=state.best_x,
-        best_f=state.best_f,
+        best_x=best_x,
+        best_f=best_f,
         wall_time_s=elapsed,
     )

@@ -234,7 +234,7 @@ def _six_hump_camel(X: Array, rng=None) -> Array:
     x1, x2 = X[:, 0], X[:, 1]
     x1_sq, x2_sq = x1 * x1, x2 * x2
     x1_4 = x1_sq * x1_sq
-    return 4 * x1_sq - 2.1 * x1_4 + x1_4 * x1_sq / 3.0 + x1 * x2 - 4 * x2_sq + 4 * (x2_sq * x2_sq)
+    return 4.0 * x1_sq - 2.1 * x1_4 + x1_4 * x1_sq / 3.0 + x1 * x2 - 4.0 * x2_sq + 4.0 * (x2_sq * x2_sq)
 
 
 def _branin(X: Array, rng=None) -> Array:
@@ -245,9 +245,10 @@ def _branin(X: Array, rng=None) -> Array:
 
 def _goldstein_price(X: Array, rng=None) -> Array:
     x1, x2 = X[:, 0], X[:, 1]
-    t1 = 1 + (x1 + x2 + 1) ** 2 * (19 - 14 * x1 + 3 * x1**2 - 14 * x2 + 6 * x1 * x2 + 3 * x2**2)
-    t2 = 30 + (2 * x1 - 3 * x2) ** 2 * (
-        18 - 32 * x1 + 12 * x1**2 + 48 * x2 - 36 * x1 * x2 + 27 * x2**2
+    x1_sq, x2_sq = x1 * x1, x2 * x2
+    t1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (19.0 - 14.0 * x1 + 3.0 * x1_sq - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2_sq)
+    t2 = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
+        18.0 - 32.0 * x1 + 12.0 * x1_sq + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2_sq
     )
     return t1 * t2
 

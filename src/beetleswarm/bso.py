@@ -117,10 +117,10 @@ def inertia_weight(k: int, K: int, omega_min: float = 0.4, omega_max: float = 0.
     return omega_max - (omega_max - omega_min) * (k / K)
 
 
-def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: float, rng) -> Array:
+def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: float, rng, lo, hi) -> Array:
     """Signed antenna move per beetle, always parallel to its velocity.
 
-    The probes sit at X +/- V*d/2 (clamped into the box if the problem asks
+    The probes sit at X +/- V*d/2 (clamped to [lo, hi] if the problem asks
     for it), right then left, one (n, dim) batch each; the increment is
     -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
     probe.
@@ -129,8 +129,8 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     X_right = X + offset
     X_left = X - offset
     if problem.clamp_probes:
-        X_right.clip(problem.space.lower, problem.space.upper, out=X_right)
-        X_left.clip(problem.space.lower, problem.space.upper, out=X_left)
+        X_right.clip(lo, hi, out=X_right)
+        X_left.clip(lo, hi, out=X_left)
     f_right = problem.evaluate_many(X_right, rng)
     f_left = problem.evaluate_many(X_left, rng)
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
@@ -184,7 +184,8 @@ class BsoEngine:
     ``run_bso`` drives it to completion; tests can step it manually and
     inspect the swarm between iterations. ``debug_checks`` re-validates the
     core invariants (bounds containment, best-fitness bookkeeping) after
-    every step.
+    every step. The box and velocity bounds are stored at the swarm's
+    (n, dim) shape, so no clip pays for broadcasting (dim,) bounds.
     """
 
     def __init__(
@@ -201,13 +202,15 @@ class BsoEngine:
         self.rng = RandomStream(self.seed)
         self.debug_checks = debug_checks
 
-        self.v_hi = config.v_frac * self.space.widths
+        self.lower = np.tile(self.space.lower, (config.n, 1))
+        self.upper = np.tile(self.space.upper, (config.n, 1))
+        self.v_hi = np.tile(config.v_frac * self.space.widths, (config.n, 1))
         self.v_lo = -self.v_hi
 
         X = uniform_population(self.rng, self.space, config.n)
         V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
         F = problem.evaluate_many(X, self.rng)
-        gi = int(np.argmin(F))
+        gi = int(F.argmin())
         self.state = SwarmState(
             X=X,
             V=V,
@@ -232,16 +235,17 @@ class BsoEngine:
         # draw-for-draw identical to plain PSO.
         xi = None
         if cfg.lam < 1.0 and st.delta > 0.0:
-            xi = antenna_increment(self.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, self.rng)
+            d = st.delta / cfg.c2_ratio
+            xi = antenna_increment(self.problem, st.X, st.V, st.delta, d, self.rng, self.lower, self.upper)
 
         st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, self.rng, self.v_lo, self.v_hi)
-        st.X = blend_position(st.X, st.V, xi, cfg.lam, self.space.lower, self.space.upper)
+        st.X = blend_position(st.X, st.V, xi, cfg.lam, self.lower, self.upper)
 
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf
         np.copyto(st.P, st.X, where=improved[:, None])
         np.copyto(st.Pf, F, where=improved)
-        gi = int(np.argmin(st.Pf))
+        gi = int(st.Pf.argmin())
         st.G = st.P[gi].copy()
         st.Gf = float(st.Pf[gi])
 

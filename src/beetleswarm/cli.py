@@ -69,10 +69,10 @@ def _algo_list(value) -> list[str]:
 
 
 def _int_setting(file_cfg: dict, key: str, default: int) -> int:
-    try:
-        return int(file_cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise UsageError(f"config key {key!r} must be an integer")
+    value = file_cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _check_problem(problem_id: str) -> str:

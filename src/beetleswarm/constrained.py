@@ -89,11 +89,28 @@ class ConstrainedProblem:
             np.array([g.k_max for _, g in gridded], dtype=float),
         )
 
+    @cached_property
+    def _by_rows(self) -> dict[int, tuple[Array, ...]]:
+        return {}
+
+    def __getstate__(self):  # the per-batch-size bounds are rebuilt where needed, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_by_rows"}
+
+    def _bounds(self, m: int) -> tuple[Array, ...]:
+        """Grid steps, k bounds and g bounds tiled to m rows, so no snap or violation ufunc broadcasts."""
+        if m not in self._by_rows:
+            if len(self._by_rows) >= 8:  # a few batch sizes recur; keep the cache small
+                self._by_rows.clear()
+            rows = self._grid_table[1:] + (self.g_lower, self.g_upper)
+            self._by_rows[m] = tuple(np.tile(r, (m, 1)) for r in rows)
+        return self._by_rows[m]
+
     def snap_many(self, X: Array) -> Array:
         """Fresh copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
         X = np.array(X, dtype=float, copy=True)
-        cols, step, k_min, k_max = self._grid_table
+        cols = self._grid_table[0]
         if cols.size:
+            step, k_min, k_max = self._bounds(X.shape[0])[:3]
             k = X[:, cols]
             k /= step
             np.rint(k, out=k)
@@ -114,8 +131,9 @@ class ConstrainedProblem:
     def violations_many(self, X: Array) -> Array:
         """(m, n_constraints) array of interval violations, zero when satisfied."""
         g = self.constraint_batch(np.asarray(X, dtype=float))
-        below = np.subtract(self.g_lower, g)
-        np.maximum(below, np.subtract(g, self.g_upper), out=below)
+        g_lower, g_upper = self._bounds(g.shape[0])[3:]
+        below = np.subtract(g_lower, g)
+        np.maximum(below, np.subtract(g, g_upper), out=below)
         return np.maximum(0.0, below, out=below)
 
     def feasible(self, x, tol: float = 1e-6) -> bool:

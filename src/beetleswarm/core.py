@@ -7,12 +7,15 @@ random stream, and the record type a single optimizer run produces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
+
+_INF = np.array(np.inf)  # float64 0-d, so fmin needs no scalar conversion or dtype resolution
 
 
 class RandomStream:
@@ -42,9 +45,17 @@ class ConfigDict:
 
     @classmethod
     def from_dict(cls, data: dict):
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        """Config from a dict; an int field takes an integer, a float field any real, neither a bool."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        for key, value in data.items():
+            if value is None and "None" in types[key]:
+                continue
+            kind = numbers.Integral if types[key] == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
         return cls(**data)
 
 
@@ -95,7 +106,8 @@ class Problem:
     order (this is how noisy objectives stay reproducible). The optimizers
     hand ``batch`` a fresh array on every call and never modify it
     afterwards. BSO sends its right probes, left probes and moved swarm as
-    three (n, dim) batches; BAS sends each probe and each move as one row.
+    three (n, dim) batches; BAS sends its right and left probes as one
+    (2, dim) batch, right row first, then its new position as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -136,8 +148,9 @@ class Problem:
                 f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
                 f"got shape {F.shape}"
             )
+        F = F.astype(float, copy=False)
         # NaN ranks as +inf, so it never wins a comparison; other values keep their bits.
-        return np.fmin(F, np.inf, dtype=float)
+        return np.fmin(F, _INF)
 
 
 @dataclass(frozen=True)

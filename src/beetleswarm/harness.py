@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +110,7 @@ def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
     """
     workers = worker_count()
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never load multiprocessing
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(run_one, *job) for job in jobs]
             return [f.result() for f in futures]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, run_bas
+from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, get_problem, run_bas, uniform_in_space
 from beetleswarm.bas import _normalize, antennae, bas_step, sample_direction, update_schedules
 
 from .conftest import FixedStream, constant_problem, sphere_problem
@@ -213,3 +215,28 @@ class TestRunBas:
         rec = run_bas(sphere_problem(2, -50, 50), BasConfig(max_iters=1), seed=0)
         assert rec.config["delta0"] is None  # config echoes the automatic setting
         assert rec.algorithm == "bas"
+
+
+class TestStepMatchesRun:
+    @pytest.mark.parametrize("pid", ["F7", "F18", "HB"])
+    def test_repeated_steps_reproduce_run_bas(self, pid):
+        # the public one-step view and run_bas's loop make the same moves bit
+        # for bit: F7 draws noise, HB clamps its probes into the box
+        problem, cfg, seed = get_problem(pid), BasConfig(max_iters=150), 4
+        rec = run_bas(problem, cfg, seed=seed)
+
+        rng = RandomStream(seed)
+        x0 = uniform_in_space(rng, problem.space)
+        delta0 = 0.3 * float(problem.space.widths.max())
+        state = BasState(x0, delta0, delta0 / cfg.c2_ratio, 0, x0, problem.evaluate(x0, rng))
+        curve = [state.best_f]
+        for _ in range(cfg.max_iters):
+            state = bas_step(state, problem, rng)
+            delta, d = update_schedules(state.delta, cfg)
+            state = dataclasses.replace(state, delta=delta, d=d)
+            curve.append(state.best_f)
+
+        assert rec.curve.tobytes() == np.array(curve).tobytes()
+        assert rec.best_x.tobytes() == np.asarray(state.best_x).tobytes()
+        assert np.float64(rec.best_f).tobytes() == np.float64(state.best_f).tobytes()
+        assert state.t == cfg.max_iters

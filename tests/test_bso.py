@@ -83,13 +83,13 @@ class TestUpdateVelocity:
 
 class TestBeetleIncrement:
     def test_zero_on_constant_fitness(self):
-        xi = antenna_increment(constant_problem(2), np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), 0.5, 0.1, None)
+        xi = antenna_increment(constant_problem(2), np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), 0.5, 0.1, None, *NO_CLAMP)
         assert np.array_equal(xi, [[0.0, 0.0]])
 
     def test_one_dimensional_oracle(self):
         # f(x) = x^2 at X=1 with V=+2: right probe 1.1 is worse than left
         # probe 0.9, so the increment is -delta * V; at X=-1 it is +delta * V
-        xi = antenna_increment(sphere_problem(1), np.array([[1.0], [-1.0]]), np.array([[2.0], [2.0]]), 0.7, 0.1, None)
+        xi = antenna_increment(sphere_problem(1), np.array([[1.0], [-1.0]]), np.array([[2.0], [2.0]]), 0.7, 0.1, None, *NO_CLAMP)
         assert np.allclose(xi, [[-1.4], [1.4]])
 
     def test_parallel_to_velocity(self):
@@ -97,7 +97,7 @@ class TestBeetleIncrement:
         x = 8 * (rng.uniform((50, 4)) - 0.5)
         v = 2 * (rng.uniform((50, 4)) - 0.5)
         delta = 0.1 + rng.uniform()
-        xi = antenna_increment(sphere_problem(4), x, v, delta, 0.2, None)
+        xi = antenna_increment(sphere_problem(4), x, v, delta, 0.2, None, *NO_CLAMP)
         norm_xi = np.linalg.norm(xi, axis=1)
         assert np.all((norm_xi == 0.0) | np.isclose(norm_xi, delta * np.linalg.norm(v, axis=1), rtol=1e-12))
 
@@ -209,15 +209,17 @@ class TestEngine:
     @pytest.mark.parametrize("pid", ["F7", "PV"])
     def test_step_is_the_three_kernels(self, pid):
         # replaying the kernels on a copy of the stream reproduces step() bit
-        # for bit, noise draws (F7) and probe clamping (PV) included
+        # for bit, noise draws (F7) and probe clamping (PV) included, and the
+        # box given as (dim,) bounds matches the engine's (n, dim) copies
         cfg = BsoConfig(n=6, max_iters=5, seed=11)
         engine = BsoEngine(get_problem(pid), cfg)
+        bounds = (engine.space.lower, engine.space.upper)
         for _ in range(3):
             st, rng = engine.state, copy.deepcopy(engine.rng)
             omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
-            xi = antenna_increment(engine.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, rng)
+            xi = antenna_increment(engine.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, rng, *bounds)
             V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, rng, engine.v_lo, engine.v_hi)
-            X = blend_position(st.X, V, xi, cfg.lam, engine.space.lower, engine.space.upper)
+            X = blend_position(st.X, V, xi, cfg.lam, *bounds)
             engine.step()
             assert np.array_equal(engine.state.V, V)
             assert np.array_equal(engine.state.X, X)

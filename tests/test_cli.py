@@ -100,6 +100,17 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg)) == 2
         assert "unknown config keys: ['v_max']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,expected",
+        [("n", 10.5, "must be int"), ("max_iters", 2.5, "must be int"), ("lam", "0.3", "must be float")],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "F1", "max_iters": 3, key: value}))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"config key {key!r} {expected}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -167,6 +178,17 @@ class TestBench:
         cfg.write_text(json.dumps({"problems": "F16", "n_trials": "many"}))
         assert run_cli("bench", "--algos", "bso", "--config", str(cfg)) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("n_trials", 2.7), ("base_seed", True)])
+    def test_non_integer_trial_setting_rejected(self, tmp_path, capsys, key, value):
+        # these used to become 2 trials and seed 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problems": "F16", "n_trials": 2, key: value}))
+        code = run_cli("bench", "--algos", "bso", "--iters", "3", "--pop", "4", "--config", str(cfg),
+                       "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert f"config key {key!r} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_camel_valley_report_value(self, tmp_path):
         # protocol-length runs reproduce the known optimum in the ave column

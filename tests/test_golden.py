@@ -110,7 +110,7 @@ def test_objective_call_counts(algo):
         # initial swarm, then per iteration right probes, left probes and the moved swarm
         "bso": [n] + [n, n, n] * K,
         "pso": [n] * (1 + K),
-        # initial point, then per iteration right probe, left probe and move, one row each
-        "bas": [1] * (1 + 3 * K),
+        # initial point, then per iteration the (right, left) probe pair and the move
+        "bas": [1] + [2, 1] * K,
     }[algo]
     assert rows == expected

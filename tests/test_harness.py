@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beetleswarm
 from beetleswarm import (
     BsoConfig,
     PenaltyConfig,
@@ -152,6 +157,31 @@ class TestRunTrials:
         monkeypatch.setenv("BSO_THREADS", value)
         with pytest.raises(ValueError, match=f"BSO_THREADS must be a positive integer, got {value!r}"):
             run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a fresh process that imports the package (or its CLI) does not load
+        # multiprocessing; a BSO_THREADS=2 run loads it and matches the serial run
+        script = """
+import os, sys
+import beetleswarm, beetleswarm.cli
+from beetleswarm.harness import run_trial_records
+pool_modules = ("concurrent.futures.process", "multiprocessing")
+assert not [m for m in pool_modules if m in sys.modules], "pool loaded on import"
+problem, cfg = beetleswarm.get_problem("F16"), beetleswarm.BsoConfig(n=5, max_iters=8)
+serial = run_trial_records("bso", problem, cfg, 3, 0)
+assert not [m for m in pool_modules if m in sys.modules], "pool loaded by a serial run"
+os.environ["BSO_THREADS"] = "2"
+pooled = run_trial_records("bso", problem, cfg, 3, 0)
+assert all(m in sys.modules for m in pool_modules)
+assert [(r.seed, r.curve.tobytes(), r.best_x.tobytes()) for r in serial] == [
+    (r.seed, r.curve.tobytes(), r.best_x.tobytes()) for r in pooled
+]
+"""
+        src = str(Path(beetleswarm.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "BSO_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("pid", problem_ids())
