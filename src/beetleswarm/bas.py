@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigDict, Problem, RandomStream, RunRecord, clamp_to_bounds, uniform_in_space
+from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, clamp_to_bounds, uniform_in_space
 
 Array = np.ndarray
 
@@ -44,14 +44,13 @@ class BasConfig(ConfigDict):
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.delta0 is not None and not self.delta0 > 0:
             raise ValueError("delta0 must be positive (or None for automatic scaling)")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True)

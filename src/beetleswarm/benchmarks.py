@@ -13,7 +13,7 @@ draw from the caller's stream on top of the weighted quartic sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -33,9 +33,6 @@ class BenchmarkSpec:
     lower: float
     upper: float
     fmin: float
-
-    def space(self) -> SearchSpace:
-        return SearchSpace.box(self.dim, self.lower, self.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -297,35 +294,29 @@ _DEFS: list[tuple[str, int, float, float, float, _BatchFn, bool]] = [
     ("F23", 4, 0, 10, -10.5363, partial(_shekel, SHEKEL_A[:10], SHEKEL_C[:10]), False),
 ]
 
-_SPECS: dict[str, BenchmarkSpec] = {}
-_BATCH: dict[str, _BatchFn] = {}
-_STOCHASTIC: dict[str, bool] = {}
-for _id, _dim, _lo, _hi, _fmin, _fn, _noisy in _DEFS:
-    _SPECS[_id] = BenchmarkSpec(_id, _dim, float(_lo), float(_hi), float(_fmin))
-    _BATCH[_id] = _fn
-    _STOCHASTIC[_id] = _noisy
+# id -> (catalog entry, Problem), built once; every caller shares the immutable Problem.
+_TABLE: dict[str, tuple[BenchmarkSpec, Problem]] = {
+    _id: (
+        BenchmarkSpec(_id, _dim, float(_lo), float(_hi), float(_fmin)),
+        Problem(_id, SearchSpace.box(_dim, _lo, _hi), _fn, known_fmin=float(_fmin), stochastic=_noisy),
+    )
+    for _id, _dim, _lo, _hi, _fmin, _fn, _noisy in _DEFS
+}
 
-BENCHMARK_IDS: tuple[str, ...] = tuple(_SPECS)
+BENCHMARK_IDS: tuple[str, ...] = tuple(_TABLE)
 
 
 def spec(benchmark_id: str) -> BenchmarkSpec:
     """Catalog entry for one function id (F1..F23)."""
     key = str(benchmark_id).upper()
-    if key not in _SPECS:
+    if key not in _TABLE:
         raise KeyError(f"unknown benchmark {benchmark_id!r}")
-    return _SPECS[key]
+    return _TABLE[key][0]
 
 
 def problem(benchmark_id: str) -> Problem:
-    """Wrap a catalog function as a minimization Problem."""
-    s = spec(benchmark_id)
-    return Problem(
-        id=s.id,
-        space=s.space(),
-        batch=_BATCH[s.id],
-        known_fmin=s.fmin,
-        stochastic=_STOCHASTIC[s.id],
-    )
+    """The catalog function as a minimization Problem (one shared instance per id)."""
+    return _TABLE[spec(benchmark_id).id][1]
 
 
 def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
@@ -339,14 +330,4 @@ def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
 
 def catalog() -> list[dict]:
     """Machine-readable listing of the whole catalog."""
-    return [
-        {
-            "id": s.id,
-            "dim": s.dim,
-            "lower": s.lower,
-            "upper": s.upper,
-            "fmin": s.fmin,
-            "stochastic": _STOCHASTIC[s.id],
-        }
-        for s in _SPECS.values()
-    ]
+    return [{**asdict(s), "stochastic": p.stochastic} for s, p in _TABLE.values()]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigDict, Problem, RandomStream, RunRecord, uniform_population
+from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, uniform_population
 
 Array = np.ndarray
 
@@ -74,10 +74,9 @@ class BsoConfig(ConfigDict):
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n < 2:
             raise ValueError("population size n must be at least 2")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if self.a1 < 0 or self.a2 < 0:

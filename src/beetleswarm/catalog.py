@@ -5,13 +5,18 @@ from __future__ import annotations
 from . import benchmarks, constrained
 from .core import Problem
 
+# Every catalog Problem, built once at import; PV and HB carry the default penalty.
+_PROBLEMS: dict[str, Problem] = {pid: benchmarks.problem(pid) for pid in benchmarks.BENCHMARK_IDS}
+for _pid in constrained.CONSTRAINED_IDS:
+    _PROBLEMS[_pid] = constrained.as_problem(constrained.constrained_problem(_pid))
+
 
 def get_problem(problem_id: str) -> Problem:
-    """Problem instance for any catalogued id (case-insensitive)."""
+    """The shared, immutable Problem for any catalogued id (case-insensitive)."""
     key = str(problem_id).upper()
-    if key in constrained.CONSTRAINED_IDS:
-        return constrained.as_problem(constrained.constrained_problem(key))
-    return benchmarks.problem(key)
+    if key not in _PROBLEMS:
+        raise KeyError(f"unknown problem {problem_id!r}")
+    return _PROBLEMS[key]
 
 
 def list_problems() -> list[dict]:
@@ -20,4 +25,4 @@ def list_problems() -> list[dict]:
 
 
 def problem_ids() -> tuple[str, ...]:
-    return benchmarks.BENCHMARK_IDS + constrained.CONSTRAINED_IDS
+    return tuple(_PROBLEMS)

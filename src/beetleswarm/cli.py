@@ -37,22 +37,39 @@ CONSTRAINED_SCHEMA = "beetleswarm-constrained-v1"
 
 # Keys a --config file may carry besides optimizer tunables.
 RUN_LEVEL_KEYS = {"algorithm", "problem", "problems", "algorithms", "n_trials", "base_seed", "seed", "out"}
+# Parsed arguments that are not config keys; every other flag's dest is the key it overrides.
+_NOT_KEYS = {"command", "handler", "config", "list", "pop"}
 
 
 class UsageError(Exception):
     """Bad invocation; reported on stderr with exit code 2."""
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return data
+def _settings(args) -> dict:
+    """The --config file's values with every given flag laid over them (--pop aside, as bas ignores it)."""
+    settings = {}
+    if args.config:
+        try:
+            settings = json.loads(Path(args.config).read_text())
+        except FileNotFoundError:
+            raise UsageError(f"config file not found: {args.config}")
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
+        if not isinstance(settings, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+    settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_KEYS)
+    return settings
+
+
+def _setting(settings: dict, key: str, kind: type, default=None):
+    """One run-level value, checked against its JSON type; no default means the key is required."""
+    if key not in settings and default is None:
+        raise UsageError(f"no {key} given (use a flag or a config file)")
+    value = settings.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "an integer" if kind is int else "a string"
+        raise UsageError(f"config key {key!r} must be {name}, got {value!r}")
+    return value
 
 
 def _check_algorithm(algo: str) -> str:
@@ -63,16 +80,11 @@ def _check_algorithm(algo: str) -> str:
 
 
 def _algo_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return [_check_algorithm(a) for a in value]
-    return [_check_algorithm(a) for a in str(value).split(",") if a.strip()]
-
-
-def _int_setting(file_cfg: dict, key: str, default: int) -> int:
-    value = file_cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+    """Checked algorithm names, repeats dropped, first occurrences kept in order."""
+    names = value if isinstance(value, (list, tuple)) else [a for a in str(value).split(",") if a.strip()]
+    if not names:
+        raise UsageError("no algorithms given")
+    return list(dict.fromkeys(_check_algorithm(a) for a in names))
 
 
 def _check_problem(problem_id: str) -> str:
@@ -83,7 +95,7 @@ def _check_problem(problem_id: str) -> str:
 
 
 def _expand_problems(spec_str) -> list[str]:
-    """Comma list with F-range support: "F1..F4,F16" -> F1 F2 F3 F4 F16."""
+    """Comma list with F-range support: "F1..F4,F16" -> F1 F2 F3 F4 F16; repeats dropped."""
     if isinstance(spec_str, (list, tuple)):
         spec_str = ",".join(str(v) for v in spec_str)
     out: list[str] = []
@@ -107,31 +119,27 @@ def _expand_problems(spec_str) -> list[str]:
             out.append(_check_problem(part))
     if not out:
         raise UsageError("no problems given")
-    return out
+    return list(dict.fromkeys(out))
 
 
-def _build_config(algo: str, file_cfg: dict, iters: int | None, pop: int | None, seed: int):
-    """Resolve one algorithm's config: defaults < config file < flags."""
+def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
+    """One algorithm's config from the merged settings, with --pop for the swarm optimizers."""
     cfg_type = ALGORITHMS[algo][0]
-    tunables = {k: v for k, v in file_cfg.items() if k not in RUN_LEVEL_KEYS}
-    if iters is not None:
-        tunables["max_iters"] = iters
+    tunables = {k: v for k, v in settings.items() if k not in RUN_LEVEL_KEYS}
     if pop is not None and algo != "bas":
         tunables["n"] = pop
-    tunables["seed"] = int(seed)
+    tunables["seed"] = seed
     try:
         return cfg_type.from_dict(tunables)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad {algo} config: {exc}")
 
 
-def _trial_settings(args, file_cfg: dict) -> tuple[int, int]:
-    """Trials per cell and base seed: defaults < config file < flags."""
-    n_trials = args.trials if args.trials is not None else _int_setting(file_cfg, "n_trials", 30)
+def _trial_settings(settings: dict) -> tuple[int, int]:
+    n_trials = _setting(settings, "n_trials", int, 30)
     if n_trials < 1:
-        raise UsageError("--trials must be at least 1")
-    base_seed = args.seed if args.seed is not None else _int_setting(file_cfg, "base_seed", 0)
-    return n_trials, base_seed
+        raise UsageError(f"n_trials (--trials) must be at least 1, got {n_trials}")
+    return n_trials, _setting(settings, "base_seed", int, 0)
 
 
 def _check_workers() -> None:
@@ -141,30 +149,21 @@ def _check_workers() -> None:
         raise UsageError(str(exc))
 
 
-def _resolve_out(args, file_cfg: dict, default: str) -> Path:
-    out = args.out if args.out is not None else file_cfg.get("out", default)
-    return Path(out)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    algo = _check_algorithm(args.algo or file_cfg.get("algorithm", "bso"))
-    problem_id = args.problem or file_cfg.get("problem")
-    if problem_id is None:
-        raise UsageError("no problem given (use --problem or a config file)")
-    problem_id = _check_problem(problem_id)
-    seed = args.seed if args.seed is not None else _int_setting(file_cfg, "seed", 0)
-    config = _build_config(algo, file_cfg, args.iters, args.pop, seed)
+    settings = _settings(args)
+    algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
+    problem_id = _check_problem(_setting(settings, "problem", str))
+    config = _build_config(algo, settings, args.pop, _setting(settings, "seed", int, 0))
+    out_dir = Path(_setting(settings, "out", str, "."))
 
     problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
 
-    out_dir = _resolve_out(args, file_cfg, ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     export_convergence(record, out_dir / "curve.csv")
     doc = {"schema": RUN_SCHEMA, **record.to_dict()}
@@ -181,16 +180,15 @@ def cmd_bench(args) -> int:
     if args.list:
         print(json.dumps(catalog.list_problems(), indent=2))
         return 0
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    algos = _algo_list(args.algos if args.algos else file_cfg.get("algorithms", "bso"))
-    problems = _expand_problems(args.problems if args.problems else file_cfg.get("problems", ""))
-    n_trials, base_seed = _trial_settings(args, file_cfg)
-    configs = {algo: _build_config(algo, file_cfg, args.iters, args.pop, base_seed) for algo in algos}
+    settings = _settings(args)
+    algos = _algo_list(settings.get("algorithms", "bso"))
+    problems = _expand_problems(settings.get("problems", ""))
+    n_trials, base_seed = _trial_settings(settings)
+    configs = {algo: _build_config(algo, settings, args.pop, base_seed) for algo in algos}
+    out_dir = Path(_setting(settings, "out", str, "bench-out"))
     _check_workers()
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
-
-    out_dir = _resolve_out(args, file_cfg, "bench-out")
     json_path, text_path = compare_report(summaries, out_dir)
     sys.stdout.write(text_path.read_text())
     print(f"report written to {json_path} and {text_path}")
@@ -198,15 +196,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_constrained(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    problem_id = (args.problem or file_cfg.get("problem", "")).upper()
+    settings = _settings(args)
+    problem_id = _setting(settings, "problem", str).upper()
     if problem_id not in CONSTRAINED_IDS:
         raise UsageError(
-            f"unknown constrained problem {args.problem!r} (choose from {', '.join(CONSTRAINED_IDS).lower()})"
+            f"unknown constrained problem {problem_id!r} (choose from {', '.join(CONSTRAINED_IDS).lower()})"
         )
-    algo = _check_algorithm(args.algo or file_cfg.get("algorithm", "bso"))
-    n_trials, base_seed = _trial_settings(args, file_cfg)
-    config = _build_config(algo, file_cfg, args.iters, args.pop, base_seed)
+    algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
+    n_trials, base_seed = _trial_settings(settings)
+    config = _build_config(algo, settings, args.pop, base_seed)
+    out_dir = Path(_setting(settings, "out", str)) if "out" in settings else None
     _check_workers()
 
     cp = constrained_problem(problem_id)
@@ -237,8 +236,7 @@ def cmd_constrained(args) -> int:
         "summary": summary.to_dict(),
         "config": {**config.to_dict(), "base_seed": base_seed},
     }
-    if args.out is not None or "out" in file_cfg:
-        out_dir = _resolve_out(args, file_cfg, ".")
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "constrained.json").write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -269,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="one seeded optimizer run")
-    run_p.add_argument("--algo", help="bso, bas or pso")
+    run_p.add_argument("--algo", dest="algorithm", metavar="ALGO", help="bso, bas or pso")
     run_p.add_argument("--problem", help="problem id (F1..F23, PV, HB)")
-    run_p.add_argument("--iters", type=int, help="iteration budget")
+    run_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget")
     run_p.add_argument("--pop", type=int, help="population size (ignored by bas)")
     run_p.add_argument("--seed", type=int, help="random seed")
     run_p.add_argument("--out", help="output directory (default: current directory)")
@@ -279,11 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=cmd_run)
 
     bench_p = sub.add_parser("bench", help="trial matrix over problems and algorithms")
-    bench_p.add_argument("--algos", help="comma list, e.g. bso,pso")
+    bench_p.add_argument("--algos", dest="algorithms", metavar="ALGOS", help="comma list, e.g. bso,pso")
     bench_p.add_argument("--problems", help="comma list with ranges, e.g. F1..F13,F16")
-    bench_p.add_argument("--trials", type=int, help="trials per cell (default 30)")
-    bench_p.add_argument("--seed", type=int, help="base seed; trial i uses seed base+i")
-    bench_p.add_argument("--iters", type=int, help="iteration budget per run")
+    bench_p.add_argument(
+        "--trials", dest="n_trials", metavar="TRIALS", type=int, help="trials per cell (default 30)"
+    )
+    bench_p.add_argument(
+        "--seed", dest="base_seed", metavar="SEED", type=int, help="base seed; trial i uses seed base+i"
+    )
+    bench_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget per run")
     bench_p.add_argument("--pop", type=int, help="population size per run")
     bench_p.add_argument("--out", help="report directory (default: bench-out)")
     bench_p.add_argument("--config", help="JSON config file; flags override its values")
@@ -292,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     con_p = sub.add_parser("constrained", help="penalty-handled engineering problems")
     con_p.add_argument("--problem", help="pv or hb")
-    con_p.add_argument("--algo", help="bso (default), bas or pso")
-    con_p.add_argument("--iters", type=int, help="iteration budget per run")
+    con_p.add_argument("--algo", dest="algorithm", metavar="ALGO", help="bso (default), bas or pso")
+    con_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget per run")
     con_p.add_argument("--pop", type=int, help="population size per run")
-    con_p.add_argument("--trials", type=int, help="trials (default 30)")
-    con_p.add_argument("--seed", type=int, help="base seed")
+    con_p.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int, help="trials (default 30)")
+    con_p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base seed")
     con_p.add_argument("--out", help="write constrained.json here")
     con_p.add_argument("--config", help="JSON config file; flags override its values")
     con_p.set_defaults(handler=cmd_constrained)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Problem, SearchSpace
+from .core import Problem, SearchSpace, check_fields
 
 Array = np.ndarray
 
@@ -45,6 +45,7 @@ class PenaltyConfig:
     exponent: float = 2.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.weight < 0:
             raise ValueError("penalty weight must be nonnegative")
         if self.exponent < 1:

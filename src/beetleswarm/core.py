@@ -7,6 +7,7 @@ random stream, and the record type a single optimizer run produces.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -57,6 +58,16 @@ class ConfigDict:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
         return cls(**data)
+
+
+def check_fields(config) -> None:
+    """Checks every config dataclass shares: each number finite, each integer nonnegative."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, numbers.Integral) and value < 0:
+            raise ValueError(f"{f.name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,15 @@ class TestSpecs:
         with pytest.raises(KeyError):
             spec("F99")
 
+    def test_catalog_lookup_returns_one_shared_instance(self):
+        assert get_problem("f1") is get_problem("F1")
+        for pid in problem_ids():
+            assert get_problem(pid.lower()) is get_problem(pid)
+        assert problem("F7") is get_problem("F7")
+        assert not get_problem("PV").space.lower.flags.writeable
+        with pytest.raises(KeyError):
+            get_problem("F99")
+
     def test_catalog_listing(self):
         entries = {e["id"]: e for e in catalog()}
         assert len(entries) == 23

@@ -50,6 +50,12 @@ class TestRun:
         code = run_cli("run", "--algo", "bso", "--problem", "F1", "--iters", "ten")
         assert code == 2
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = run_cli("run", "--problem", "F1", "--iters", "3", "--seed", "-1", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_problem(self, capsys):
         assert run_cli("run", "--algo", "bso") == 2
         assert "no problem" in capsys.readouterr().err
@@ -102,7 +108,13 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "key,value,expected",
-        [("n", 10.5, "must be int"), ("max_iters", 2.5, "must be int"), ("lam", "0.3", "must be float")],
+        [
+            ("n", 10.5, "must be int"),
+            ("max_iters", 2.5, "must be int"),
+            ("lam", "0.3", "must be float"),
+            ("problem", 5, "must be a string"),
+            ("algorithm", 5, "must be a string"),
+        ],
     )
     def test_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, expected):
         cfg = tmp_path / "cfg.json"
@@ -110,6 +122,21 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert f"config key {key!r} {expected}, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [("a1", "NaN"), ("delta0", "Infinity"), ("v_frac", "-Infinity")])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        # Python's json reads these literals; they used to run with a flat curve
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"problem": "F1", "max_iters": 3, "{key}": {value}}}')
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"bad bso config: {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_string_out_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "F1", "max_iters": 3, "out": 5}))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert "config key 'out' must be a string, got 5" in capsys.readouterr().err
 
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -158,6 +185,12 @@ class TestBench:
         assert run_cli("bench", "--algos", "ga", "--problems", "F1", "--trials", "1") == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algos", ["", ","])
+    def test_no_algorithms_rejected(self, tmp_path, capsys, algos):
+        code = run_cli("bench", "--algos", algos, "--problems", "F1", "--trials", "1", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "no algorithms given" in capsys.readouterr().err
+
     def test_bad_range(self, capsys):
         assert run_cli("bench", "--algos", "bso", "--problems", "F5..F2", "--trials", "1") == 2
 
@@ -189,6 +222,24 @@ class TestBench:
         assert code == 2
         assert f"config key {key!r} must be an integer, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    def test_negative_base_seed_rejected(self, tmp_path, capsys):
+        code = run_cli("bench", "--problems", "F1", "--trials", "2", "--iters", "3", "--pop", "4",
+                       "--seed", "-1", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_repeated_ids_run_once(self, tmp_path):
+        out = tmp_path / "rep"
+        code = run_cli(
+            "bench", "--algos", "bso,pso,bso", "--problems", "F16..F18,F17", "--trials", "1",
+            "--iters", "5", "--pop", "4", "--out", str(out),
+        )
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["algorithms"] == ["bso", "pso"]
+        assert doc["problems"] == ["F16", "F17", "F18"]
 
     def test_camel_valley_report_value(self, tmp_path):
         # protocol-length runs reproduce the known optimum in the ave column
@@ -255,6 +306,16 @@ class TestConstrained:
     def test_unknown_problem(self, capsys):
         assert run_cli("constrained", "--problem", "F1") == 2
         assert "unknown constrained problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(5, "config key 'problem' must be a string, got 5"), ("xx", "unknown constrained problem 'XX'")],
+    )
+    def test_bad_problem_in_config(self, tmp_path, capsys, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": value}))
+        assert run_cli("constrained", "--config", str(cfg), "--iters", "3", "--pop", "4", "--trials", "1") == 2
+        assert expected in capsys.readouterr().err
 
 
 class TestTopLevel:

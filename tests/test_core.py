@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from beetleswarm import (
     BsoConfig,
     BsoEngine,
+    PenaltyConfig,
     Problem,
     PsoConfig,
     RandomStream,
@@ -201,6 +202,35 @@ def _holed_sphere(X, rng=None, cut=0.0, bad=np.nan):
 
 def _holed_problem(cut: float, bad: float) -> Problem:
     return Problem(id="holed", space=SearchSpace.box(2, -10.0, 10.0), batch=partial(_holed_sphere, cut=cut, bad=bad))
+
+
+class TestConfigFields:
+    """Every config dataclass rejects non-finite numbers and negative integers when built."""
+
+    @pytest.mark.parametrize(
+        "cfg_type,key,value",
+        [
+            (BsoConfig, "a1", np.nan),
+            (BsoConfig, "delta0", np.inf),
+            (BsoConfig, "omega_max", np.inf),
+            (BsoConfig, "v_frac", np.inf),
+            (BsoConfig, "a2", -np.inf),
+            (PsoConfig, "omega_min", -np.inf),
+            (BasConfig, "c2_ratio", np.inf),
+            (BasConfig, "delta0", np.nan),
+            (PenaltyConfig, "weight", np.nan),
+            (PenaltyConfig, "exponent", np.inf),
+        ],
+    )
+    def test_non_finite_value_rejected(self, cfg_type, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+            cfg_type(**{key: value})
+
+    @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig])
+    def test_negative_seed_rejected(self, cfg_type):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            cfg_type(seed=-1)
+        assert cfg_type(seed=0).seed == 0
 
 
 class TestNonFiniteObjective:
