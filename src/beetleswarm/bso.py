@@ -21,9 +21,10 @@ bests, and finally contracts the step. Random draws happen in a fixed order
 (one r1 batch then one r2 batch per iteration, in beetle index order), so
 runs are reproducible from the seed alone.
 
-Objective batches: an iteration makes three objective calls, each with a
-fresh (n, dim) array: the right probes, the left probes, then the moved
-swarm. A stochastic objective draws its noise in row order (as F7 does).
+Objective batches: an iteration makes three (n, dim) objective calls: the
+right and the left probes, the two halves of one fresh (2, n, dim) array,
+then the moved swarm, a fresh array. A stochastic objective draws its
+noise in row order (as F7 does).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, uniform_population
+from .core import _ZERO, ConfigDict, Problem, RandomStream, RunRecord, check_fields, clip_in_place, uniform_population
 
 Array = np.ndarray
 
@@ -119,24 +120,26 @@ def inertia_weight(k: int, K: int, omega_min: float = 0.4, omega_max: float = 0.
 def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: float, rng, lo, hi) -> Array:
     """Signed antenna move per beetle, always parallel to its velocity.
 
-    The probes sit at X +/- V*d/2 (clamped to [lo, hi] if the problem asks
-    for it), right then left, one (n, dim) batch each; the increment is
+    The probes sit at X +/- V*d/2, right then left, as the two halves of
+    one fresh (2, n, dim) array (clamped to [lo, hi] if the problem asks
+    for it); each half is one objective call. The increment is
     -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
     probe.
     """
-    offset = V * (d / 2.0)
-    X_right = X + offset
-    X_left = X - offset
+    offset = np.multiply(V, np.array(d / 2.0))
+    probes = np.empty((2,) + X.shape)
+    right, left = probes[0], probes[1]
+    np.add(X, offset, out=right)
+    np.subtract(X, offset, out=left)
     if problem.clamp_probes:
-        X_right.clip(lo, hi, out=X_right)
-        X_left.clip(lo, hi, out=X_left)
-    f_right = problem.evaluate_many(X_right, rng)
-    f_left = problem.evaluate_many(X_left, rng)
-    # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
+        clip_in_place(probes, lo, hi)
+    f_right = problem.evaluate_many(right, rng)
+    f_left = problem.evaluate_many(left, rng)
+    # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
+    # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
     sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
-    xi = np.multiply(V, -delta)
-    xi *= sign[:, None]
-    return xi
+    sign *= np.array(-delta)
+    return np.multiply(V, sign[:, None])
 
 
 def swarm_velocity(
@@ -158,23 +161,24 @@ def swarm_velocity(
     np.multiply(V, omega, out=out)
     out += pull_p
     out += pull_g
-    return out.clip(v_lo, v_hi, out=out)
+    return clip_in_place(out, v_lo, v_hi)
 
 
-def blend_position(X: Array, V: Array, xi: Array | None, lam: float, lower, upper) -> Array:
+def blend_position(X: Array, V: Array, xi: Array | None, lam: float, rest: float, lower, upper) -> Array:
     """Blend the swarm move and the antenna move, then project into the box.
 
-    Computes clip((X + lam*V) + (1-lam)*xi). ``xi`` of None stands for a
-    zero antenna move; ``+ 0.0`` is still added, so a ``-0.0`` coordinate
-    becomes ``+0.0`` exactly as with an explicit zero array.
+    Computes clip((X + lam*V) + rest*xi), where the engine passes
+    rest = 1 - lam. ``xi`` of None stands for a zero antenna move;
+    ``+ 0.0`` is still added, so a ``-0.0`` coordinate becomes ``+0.0``
+    exactly as with an explicit zero array.
     """
     out = np.multiply(V, lam)
     out += X
     if xi is None:
-        out += 0.0
+        out += _ZERO
     else:
-        out += np.multiply(xi, 1.0 - lam)
-    return out.clip(lower, upper, out=out)
+        out += np.multiply(xi, rest)
+    return clip_in_place(out, lower, upper)
 
 
 class BsoEngine:
@@ -183,8 +187,10 @@ class BsoEngine:
     ``run_bso`` drives it to completion; tests can step it manually and
     inspect the swarm between iterations. ``debug_checks`` re-validates the
     core invariants (bounds containment, best-fitness bookkeeping) after
-    every step. The box and velocity bounds are stored at the swarm's
-    (n, dim) shape, so no clip pays for broadcasting (dim,) bounds.
+    every step. The box is stored at the probes' (2, n, dim) shape (its [0]
+    half bounds the swarm) and the velocity bounds at (n, dim), so no clamp
+    broadcasts (dim,) bounds (see ``clip_in_place``). Coefficients are 0-d
+    float64 arrays: the same bits as Python floats, converted once.
     """
 
     def __init__(
@@ -201,10 +207,11 @@ class BsoEngine:
         self.rng = RandomStream(self.seed)
         self.debug_checks = debug_checks
 
-        self.lower = np.tile(self.space.lower, (config.n, 1))
-        self.upper = np.tile(self.space.upper, (config.n, 1))
+        self.lower = np.tile(self.space.lower, (2, config.n, 1))
+        self.upper = np.tile(self.space.upper, (2, config.n, 1))
         self.v_hi = np.tile(config.v_frac * self.space.widths, (config.n, 1))
         self.v_lo = -self.v_hi
+        self._coef = tuple(np.array(c) for c in (config.a1, config.a2, config.lam, 1.0 - config.lam))
 
         X = uniform_population(self.rng, self.space, config.n)
         V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
@@ -225,7 +232,7 @@ class BsoEngine:
     def step(self) -> None:
         """One full swarm iteration."""
         st, cfg = self.state, self.config
-        omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
+        omega = np.array(inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max))
 
         # Antenna probes use the pre-update velocities. When the antenna
         # term cannot influence the move (lam == 1 or a zero step) the
@@ -237,8 +244,9 @@ class BsoEngine:
             d = st.delta / cfg.c2_ratio
             xi = antenna_increment(self.problem, st.X, st.V, st.delta, d, self.rng, self.lower, self.upper)
 
-        st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, self.rng, self.v_lo, self.v_hi)
-        st.X = blend_position(st.X, st.V, xi, cfg.lam, self.lower, self.upper)
+        a1, a2, lam, rest = self._coef
+        st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, a1, a2, self.rng, self.v_lo, self.v_hi)
+        st.X = blend_position(st.X, st.V, xi, lam, rest, self.lower[0], self.upper[0])
 
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf

@@ -35,8 +35,13 @@ from .harness import (
 RUN_SCHEMA = "beetleswarm-run-v1"
 CONSTRAINED_SCHEMA = "beetleswarm-constrained-v1"
 
-# Keys a --config file may carry besides optimizer tunables.
-RUN_LEVEL_KEYS = {"algorithm", "problem", "problems", "algorithms", "n_trials", "base_seed", "seed", "out"}
+# Keys a --config file may carry besides optimizer tunables, per command; another command's key is an error.
+RUN_LEVEL_KEYS = {
+    "run": {"algorithm", "problem", "seed", "out"},
+    "bench": {"algorithms", "problems", "n_trials", "base_seed", "out"},
+    "constrained": {"algorithm", "problem", "n_trials", "base_seed", "out"},
+}
+_ANY_RUN_KEY = set().union(*RUN_LEVEL_KEYS.values())
 # Parsed arguments that are not config keys; every other flag's dest is the key it overrides.
 _NOT_KEYS = {"command", "handler", "config", "list", "pop"}
 
@@ -58,6 +63,9 @@ def _settings(args) -> dict:
         if not isinstance(settings, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
     settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_KEYS)
+    for key in sorted(settings.keys() & _ANY_RUN_KEY - RUN_LEVEL_KEYS[args.command]):
+        hint = "; use base_seed (trial i runs at seed base_seed + i)" if key == "seed" else ""
+        raise UsageError(f"config key {key!r} does not apply to {args.command}{hint}")
     return settings
 
 
@@ -125,7 +133,7 @@ def _expand_problems(spec_str) -> list[str]:
 def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
     """One algorithm's config from the merged settings, with --pop for the swarm optimizers."""
     cfg_type = ALGORITHMS[algo][0]
-    tunables = {k: v for k, v in settings.items() if k not in RUN_LEVEL_KEYS}
+    tunables = {k: v for k, v in settings.items() if k not in _ANY_RUN_KEY}
     if pop is not None and algo != "bas":
         tunables["n"] = pop
     tunables["seed"] = seed
@@ -139,7 +147,10 @@ def _trial_settings(settings: dict) -> tuple[int, int]:
     n_trials = _setting(settings, "n_trials", int, 30)
     if n_trials < 1:
         raise UsageError(f"n_trials (--trials) must be at least 1, got {n_trials}")
-    return n_trials, _setting(settings, "base_seed", int, 0)
+    base_seed = _setting(settings, "base_seed", int, 0)
+    if base_seed < 0:
+        raise UsageError(f"base_seed (--seed) must be nonnegative, got {base_seed}")
+    return n_trials, base_seed
 
 
 def _check_workers() -> None:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Problem, SearchSpace, check_fields
+from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place
 
 Array = np.ndarray
 
@@ -51,6 +51,10 @@ class PenaltyConfig:
         if self.exponent < 1:
             raise ValueError("penalty exponent must be at least 1")
 
+    @cached_property
+    def _weight(self) -> Array:
+        return np.array(self.weight)
+
 
 @dataclass(frozen=True)
 class DiscreteGrid:
@@ -68,7 +72,9 @@ class ConstrainedProblem:
     ``g_lower``/``g_upper`` give the feasible interval per constraint;
     one-sided "g <= 0" constraints use lower = -inf, upper = 0.
     ``grids`` has one entry per dimension: a DiscreteGrid for snapped
-    variables, None for continuous ones.
+    variables, None for continuous ones. Through ``as_problem``,
+    ``raw_batch`` and ``constraint_batch`` receive the snapped copy in
+    column-major order, so they must not assume a C-contiguous input.
     """
 
     id: str
@@ -80,11 +86,13 @@ class ConstrainedProblem:
     grids: tuple[DiscreteGrid | None, ...]
 
     @cached_property
-    def _grid_table(self) -> tuple[Array, Array, Array, Array]:
-        """Gridded column indices with their steps and k bounds, built once."""
+    def _grid_table(self) -> tuple[slice | Array, Array, Array, Array]:
+        """Gridded columns (a slice when adjacent, so no gather) with their steps and k bounds, built once."""
         gridded = [(j, g) for j, g in enumerate(self.grids) if g is not None]
+        cols = [j for j, _ in gridded]
+        adjacent = bool(cols) and cols[-1] - cols[0] == len(cols) - 1
         return (
-            np.array([j for j, _ in gridded], dtype=np.intp),
+            slice(cols[0], cols[-1] + 1) if adjacent else np.array(cols, dtype=np.intp),
             np.array([g.step for _, g in gridded], dtype=float),
             np.array([g.k_min for _, g in gridded], dtype=float),
             np.array([g.k_max for _, g in gridded], dtype=float),
@@ -103,19 +111,19 @@ class ConstrainedProblem:
             if len(self._by_rows) >= 8:  # a few batch sizes recur; keep the cache small
                 self._by_rows.clear()
             rows = self._grid_table[1:] + (self.g_lower, self.g_upper)
-            self._by_rows[m] = tuple(np.tile(r, (m, 1)) for r in rows)
+            self._by_rows[m] = tuple(np.asfortranarray(np.tile(r, (m, 1))) for r in rows)
         return self._by_rows[m]
 
     def snap_many(self, X: Array) -> Array:
-        """Fresh copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
-        X = np.array(X, dtype=float, copy=True)
-        cols = self._grid_table[0]
-        if cols.size:
+        """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
+        X = np.array(X, dtype=float, order="F")
+        cols, steps = self._grid_table[:2]
+        if steps.size:
             step, k_min, k_max = self._bounds(X.shape[0])[:3]
             k = X[:, cols]
             k /= step
             np.rint(k, out=k)
-            k.clip(k_min, k_max, out=k)
+            clip_in_place(k, k_min, k_max)
             k *= step
             X[:, cols] = k
         return X
@@ -135,7 +143,7 @@ class ConstrainedProblem:
         g_lower, g_upper = self._bounds(g.shape[0])[3:]
         below = np.subtract(g_lower, g)
         np.maximum(below, np.subtract(g, g_upper), out=below)
-        return np.maximum(0.0, below, out=below)
+        return np.maximum(_ZERO, below, out=below)
 
     def feasible(self, x, tol: float = 1e-6) -> bool:
         """Whether every constraint holds, within ``tol`` absolute slack.
@@ -164,8 +172,8 @@ def _penalized_many(problem: ConstrainedProblem, X: Array, config: PenaltyConfig
     """Raw objective plus the exterior penalty for each row of X, unsnapped."""
     viol = problem.violations_many(X)
     viol **= config.exponent
-    penalty = viol.sum(axis=1)
-    penalty *= config.weight
+    penalty = np.add.reduce(viol, axis=1)
+    penalty *= config._weight
     return np.add(problem.raw_batch(X), penalty, out=penalty)
 
 
@@ -179,20 +187,28 @@ def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> 
 # ---------------------------------------------------------------------------
 
 
+# Kernel coefficients are 0-d float64 arrays: a Python float's bits, with no scalar conversion per ufunc call.
+_PV_COST = tuple(np.array(c) for c in (0.6224, 1.7781, 3.1661, 19.84))
+_PV_G = tuple(np.array(c) for c in (0.0193, 0.00954, -math.pi, (4.0 / 3.0) * math.pi, 3.0, 1296000.0, 240.0))
+
+
 def _pv_cost(X: Array) -> Array:
     x1, x2, x3, x4 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    x1_sq = x1**2
-    return 0.6224 * x1 * x3 * x4 + 1.7781 * x2 * x3**2 + 3.1661 * x1_sq * x4 + 19.84 * x1_sq * x3
+    c1, c2, c3, c4 = _PV_COST
+    x1_sq = x1 * x1
+    return c1 * x1 * x3 * x4 + c2 * x2 * (x3 * x3) + c3 * x1_sq * x4 + c4 * x1_sq * x3
 
 
 def _pv_constraints(X: Array) -> Array:
     x1, x2, x3, x4 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    G = np.empty((X.shape[0], 4))
-    G[:, 0] = -x1 + 0.0193 * x3
-    G[:, 1] = -x2 + 0.00954 * x3
-    G[:, 2] = -math.pi * x3**2 * x4 - (4.0 / 3.0) * math.pi * x3**3 + 1296000.0
-    G[:, 3] = x4 - 240.0
-    return G
+    c1, c2, neg_pi, c3, three, volume, length = _PV_G
+    G = np.empty((4, X.shape[0]))  # one row per constraint, returned as its (m, 4) transpose
+    np.subtract(c1 * x3, x1, out=G[0])
+    np.subtract(c2 * x3, x2, out=G[1])
+    # x3**3 is a libm pow, kept so its bits do not change
+    np.add(neg_pi * (x3 * x3) * x4 - c3 * x3**three, volume, out=G[2])
+    np.subtract(x4, length, out=G[3])
+    return G.T
 
 
 _PV_GRID = DiscreteGrid(step=0.0625, k_min=1, k_max=99)
@@ -216,18 +232,34 @@ PRESSURE_VESSEL = ConstrainedProblem(
 # ---------------------------------------------------------------------------
 
 
+_HB_OBJ = tuple(np.array(c) for c in (5.3578547, 0.8356891, 37.29329, 40792.141))
+# Each constraint is k + (c*a)*b + (c*a)*b + (c*a)*b; a subtracted term has a negated c, and c*x3**2 is (c*x3**2)*1.
+_HB_K = np.array([[85.334407], [80.51249], [9.300961]])
+_HB_C = np.array([[0.0056858, 0.00026, -0.0022053, 0.0071317, 0.0029955, 0.0021813, 0.0047026, 0.0012547, 0.0019085]]).T
+_HB_A, _HB_B = np.array([1, 0, 2, 1, 0, 5, 2, 0, 2]), np.array([4, 3, 4, 4, 1, 6, 4, 2, 3])
+
+
 def _hb_objective(X: Array) -> Array:
     x1, x3, x5 = X[:, 0], X[:, 2], X[:, 4]
-    return 5.3578547 * x3**2 + 0.8356891 * x1 * x5 + 37.29329 * x1 - 40792.141
+    c1, c2, c3, c4 = _HB_OBJ
+    return c1 * (x3 * x3) + c2 * x1 * x5 + c3 * x1 - c4
 
 
 def _hb_constraints(X: Array) -> Array:
-    x1, x2, x3, x4, x5 = (X[:, i] for i in range(5))
-    G = np.empty((X.shape[0], 3))
-    G[:, 0] = 85.334407 + 0.0056858 * x2 * x5 + 0.00026 * x1 * x4 - 0.0022053 * x3 * x5
-    G[:, 1] = 80.51249 + 0.0071317 * x2 * x5 + 0.0029955 * x1 * x2 + 0.0021813 * x3**2
-    G[:, 2] = 9.300961 + 0.0047026 * x3 * x5 + 0.0012547 * x1 * x3 + 0.0019085 * x3 * x4
-    return G
+    """g1 = 85.334407 + 0.0056858*x2*x5 + 0.00026*x1*x4 - 0.0022053*x3*x5, g2 = 80.51249 + 0.0071317*x2*x5
+    + 0.0029955*x1*x2 + 0.0021813*x3**2, g3 = 9.300961 + 0.0047026*x3*x5 + 0.0012547*x1*x3 + 0.0019085*x3*x4,
+    each added left to right; the nine products come from one pass over the rows x1..x5, x3**2 and 1."""
+    rows = np.empty((7, X.shape[0]))
+    rows[:5] = X.T
+    np.multiply(rows[2], rows[2], out=rows[5])
+    rows[6] = 1.0
+    terms = rows.take(_HB_A, axis=0)
+    terms *= _HB_C
+    terms *= rows.take(_HB_B, axis=0)
+    G = np.add(_HB_K, terms[0::3])
+    G += terms[1::3]
+    G += terms[2::3]
+    return G.T
 
 
 HIMMELBLAU = ConstrainedProblem(

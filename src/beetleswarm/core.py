@@ -16,7 +16,8 @@ import numpy as np
 
 Array = np.ndarray
 
-_INF = np.array(np.inf)  # float64 0-d, so fmin needs no scalar conversion or dtype resolution
+# float64 0-d constants, so a ufunc needs no scalar conversion or dtype resolution per call
+_INF, _ZERO = np.array(np.inf), np.array(0.0)
 
 
 class RandomStream:
@@ -117,8 +118,9 @@ class Problem:
     order (this is how noisy objectives stay reproducible). The optimizers
     hand ``batch`` a fresh array on every call and never modify it
     afterwards. BSO sends its right probes, left probes and moved swarm as
-    three (n, dim) batches; BAS sends its right and left probes as one
-    (2, dim) batch, right row first, then its new position as one row.
+    three (n, dim) batches, the probes as the two halves of one (2, n, dim)
+    array; BAS sends its right and left probes as one (2, dim) batch, right
+    row first, then its new position as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -216,6 +218,13 @@ def clamp_to_bounds(x, space: SearchSpace) -> Array:
     if x.shape[-1] != space.dim:
         raise ValueError(f"expected trailing dimension {space.dim}, got shape {x.shape}")
     return x.clip(space.lower, space.upper)
+
+
+def clip_in_place(x: Array, lo: Array, hi: Array) -> Array:
+    """``x.clip(lo, hi, out=x)`` bit for bit, without ndarray.clip's Python layer, if lo and hi have x's shape.
+
+    On a tie of signed zeros, a broadcast bound or ``np.maximum(lo, x)`` may return the bound where clip keeps x."""
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
 def uniform_in_space(rng: RandomStream, space: SearchSpace) -> Array:

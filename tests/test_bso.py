@@ -123,19 +123,19 @@ class TestUpdatePosition:
         self.bounds = (space.lower, space.upper)
 
     def test_pure_swarm_move(self):
-        out = blend_position(np.array([[1.0, 1.0]]), np.array([[0.5, -0.5]]), np.array([[9.0, 9.0]]), 1.0, *self.bounds)
+        out = blend_position(np.array([[1.0, 1.0]]), np.array([[0.5, -0.5]]), np.array([[9.0, 9.0]]), 1.0, 0.0, *self.bounds)
         assert np.array_equal(out, [[1.5, 0.5]])
 
     def test_pure_antenna_move(self):
-        out = blend_position(np.array([[1.0, 1.0]]), np.array([[9.0, 9.0]]), np.array([[0.5, -0.5]]), 0.0, *self.bounds)
+        out = blend_position(np.array([[1.0, 1.0]]), np.array([[9.0, 9.0]]), np.array([[0.5, -0.5]]), 0.0, 1.0, *self.bounds)
         assert np.array_equal(out, [[1.5, 0.5]])
 
     def test_even_blend(self):
-        out = blend_position(np.zeros((1, 2)), np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, *self.bounds)
+        out = blend_position(np.zeros((1, 2)), np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, 0.5, *self.bounds)
         assert np.array_equal(out, [[1.0, 1.0]])
 
     def test_clamps_to_box(self):
-        out = blend_position(np.array([[9.0, -9.0]]), np.array([[5.0, -5.0]]), np.zeros((1, 2)), 1.0, *self.bounds)
+        out = blend_position(np.array([[9.0, -9.0]]), np.array([[5.0, -5.0]]), np.zeros((1, 2)), 1.0, 0.0, *self.bounds)
         assert np.array_equal(out, [[10.0, -10.0]])
 
     def test_rejects_bad_blend(self):
@@ -219,7 +219,7 @@ class TestEngine:
             omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
             xi = antenna_increment(engine.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, rng, *bounds)
             V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, rng, engine.v_lo, engine.v_hi)
-            X = blend_position(st.X, V, xi, cfg.lam, *bounds)
+            X = blend_position(st.X, V, xi, cfg.lam, 1.0 - cfg.lam, *bounds)
             engine.step()
             assert np.array_equal(engine.state.V, V)
             assert np.array_equal(engine.state.X, X)

@@ -138,6 +138,28 @@ class TestConfigFile:
         assert run_cli("run", "--config", str(cfg)) == 2
         assert "config key 'out' must be a string, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,settings,key,hint",
+        [
+            # these used to be ignored: bench ran seeds 0 and 1, run ran once at seed 0
+            ("bench", {"problems": "F16", "seed": 5}, "seed", "use base_seed"),
+            ("constrained", {"problem": "pv", "seed": 5}, "seed", "use base_seed"),
+            ("run", {"problem": "F16", "n_trials": 7, "base_seed": 3}, "base_seed", ""),
+            ("run", {"problem": "F16", "algorithms": "bso"}, "algorithms", ""),
+            ("bench", {"problems": "F16", "problem": "F1"}, "problem", ""),
+            ("constrained", {"problem": "pv", "problems": "F1"}, "problems", ""),
+        ],
+        ids=["bench-seed", "constrained-seed", "run-base_seed", "run-algorithms", "bench-problem", "constrained-problems"],
+    )
+    def test_other_commands_run_level_key_rejected(self, tmp_path, capsys, command, settings, key, hint):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "max_iters": 3, "n": 4, "out": str(tmp_path / "o")}))
+        assert run_cli(command, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r} does not apply to {command}" in err
+        assert hint in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -227,7 +249,8 @@ class TestBench:
         code = run_cli("bench", "--problems", "F1", "--trials", "2", "--iters", "3", "--pop", "4",
                        "--seed", "-1", "--out", str(tmp_path / "rep"))
         assert code == 2
-        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        # the flag sets base_seed, so the message names that key, not the config's seed
+        assert "base_seed (--seed) must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
     def test_repeated_ids_run_once(self, tmp_path):
@@ -302,6 +325,13 @@ class TestConstrained:
         code = run_cli("constrained", "--problem", "pv", "--iters", "5", "--pop", "5", "--trials", "2")
         assert code == 2
         assert "BSO_THREADS must be a positive integer, got '-3'" in capsys.readouterr().err
+
+    def test_negative_base_seed_rejected(self, tmp_path, capsys):
+        code = run_cli("constrained", "--problem", "hb", "--trials", "1", "--iters", "3", "--pop", "4",
+                       "--seed", "-1", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "base_seed (--seed) must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_problem(self, capsys):
         assert run_cli("constrained", "--problem", "F1") == 2

@@ -10,6 +10,7 @@ evaluation of the stated formulas (detailed inline); for those the
 directly computed value is pinned instead.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from beetleswarm import (
     list_problems,
     penalized_fitness,
 )
-from beetleswarm.constrained import HIMMELBLAU, PRESSURE_VESSEL, as_problem
+from beetleswarm.constrained import HIMMELBLAU, PRESSURE_VESSEL, DiscreteGrid, as_problem
 
 from beetleswarm import RandomStream
 
@@ -99,6 +100,34 @@ class TestHimmelblauTranscription:
                 assert np.all(np.abs(g1 - g0) <= 1e-6)
 
 
+def hb_batches():
+    """Seeded batches of 1, 2, 50 and 1000 rows, each in row-major then column-major order.
+
+    Per size: a batch inside the box, one reaching half a box width past
+    every side, and one spread over [-upper, 2*upper] with exact zeros of
+    both signs, so signs flip inside the kernels.
+    """
+    rng = np.random.default_rng(20240610)
+    lo, width = HIMMELBLAU.space.lower, HIMMELBLAU.space.widths
+    for m in (1, 2, 50, 1000):
+        wide = HIMMELBLAU.space.upper * (3.0 * rng.random((m, 5)) - 1.0)
+        wide[rng.random((m, 5)) < 0.1] = 0.0
+        wide[rng.random((m, 5)) < 0.1] = -0.0
+        for X in (lo + rng.random((m, 5)) * width, lo + (2.0 * rng.random((m, 5)) - 0.5) * width, wide):
+            yield np.ascontiguousarray(X)
+            yield np.asfortranarray(X)
+
+
+def test_himmelblau_kernels_digest():
+    # HB's kernels use only +, -, * and /, so their bits do not depend on a numpy build's libm
+    problem = as_problem(HIMMELBLAU)
+    h = hashlib.sha256()
+    for X in hb_batches():
+        for part in (HIMMELBLAU.raw_batch(X), HIMMELBLAU.constraint_batch(X), problem.evaluate_many(X)):
+            h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    assert h.hexdigest() == "3551cdb2bba6deae90f884fcf7d2d1e8812c5fe5507caca15752bd9965f0a214"
+
+
 class TestSnapDiscrete:
     def test_rounds_to_nearest_multiple(self):
         out = PRESSURE_VESSEL.snap([0.80, 0.30, 42.0, 176.0])
@@ -133,6 +162,30 @@ class TestSnapDiscrete:
         x = [0.8, 0.4, 123.456789, 10.0001]
         out = PRESSURE_VESSEL.snap(x)
         assert out[2] == 123.456789 and out[3] == 10.0001
+
+    def test_non_adjacent_gridded_columns(self):
+        # PV's gridded columns 0-1 are snapped through a slice; columns 0 and 2 take the gather path
+        grids = (DiscreteGrid(step=0.25, k_min=-3, k_max=12), None, DiscreteGrid(step=0.1, k_min=2, k_max=40))
+        cp = ConstrainedProblem(
+            id="gaps",
+            space=SearchSpace.box(3, -2.0, 5.0),
+            raw_batch=lambda X: X[:, 0] + X[:, 2],
+            constraint_batch=lambda X: X[:, :1],
+            g_lower=np.array([-np.inf]),
+            g_upper=np.array([np.inf]),
+            grids=grids,
+        )
+        X = np.random.default_rng(5).uniform(-4.0, 8.0, size=(60, 3))
+        kept = X.copy()
+        snapped = cp.snap_many(X)
+        expected = X.copy()
+        for j in (0, 2):
+            g = grids[j]
+            expected[:, j] = np.clip(np.rint(X[:, j] / g.step), g.k_min, g.k_max) * g.step
+        assert snapped.tobytes() == expected.tobytes()
+        assert all(np.array_equal(cp.snap(x), row) for x, row in zip(X, snapped))
+        assert np.array_equal(X, kept)
+        assert snapped.flags.f_contiguous  # objectives receive the snapped copy column-major
 
 
 class TestPenalty:

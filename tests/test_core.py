@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from beetleswarm import (
     uniform_in_space,
 )
 from beetleswarm.bas import BasConfig, run_bas
-from beetleswarm.core import uniform_population
+from beetleswarm.core import clip_in_place, uniform_population
 from beetleswarm.harness import ALGORITHMS, run_trial_records
 
 from .conftest import FixedStream, sphere_problem
@@ -78,6 +79,26 @@ class TestClampToBounds:
         once = clamp_to_bounds(values, space)
         assert np.array_equal(clamp_to_bounds(once, space), once)
         assert np.all(once >= space.lower) and np.all(once <= space.upper)
+
+
+EDGE_VALUES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0])
+
+
+class TestClipInPlace:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 7, 50, 1500])
+    def test_matches_ndarray_clip_bit_for_bit(self, rows, order):
+        # every edge value against every ordered pair of edge-value bounds of x's shape:
+        # signed zeros, NaN, infinities and subnormals keep clip's exact bits
+        X = np.asarray(np.tile(EDGE_VALUES, (rows, 1)), order=order)
+        for lo_value, hi_value in product(EDGE_VALUES, EDGE_VALUES):
+            if not lo_value <= hi_value:
+                continue
+            lo, hi = np.full_like(X, lo_value), np.full_like(X, hi_value)
+            expected = X.clip(lo, hi)
+            out = X.copy(order="K")
+            assert clip_in_place(out, lo, hi) is out
+            assert out.tobytes() == expected.tobytes(), (lo_value, hi_value)
 
 
 class TestRandomStream:
