@@ -124,9 +124,11 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     one fresh (2, n, dim) array (clamped to [lo, hi] if the problem asks
     for it); each half is one objective call. The increment is
     -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
-    probe.
+    probe. The clamp equals ``ndarray.clip`` only if lo and hi have the
+    probes' (2, n, dim) shape, as the engine's tiled box does; scalar or
+    (dim,) bounds can return the bound on a tie of signed zeros.
     """
-    offset = np.multiply(V, np.array(d / 2.0))
+    offset = np.multiply(V, d / 2.0)
     probes = np.empty((2,) + X.shape)
     right, left = probes[0], probes[1]
     np.add(X, offset, out=right)
@@ -138,7 +140,7 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
     # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
     sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
-    sign *= np.array(-delta)
+    sign *= -delta
     return np.multiply(V, sign[:, None])
 
 
@@ -148,7 +150,9 @@ def swarm_velocity(
     """Clamped velocity update; draws r1 then r2, one per beetle per dimension.
 
     Computes clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)) in that
-    order, with r1 and r2 taken from one (2, n, dim) draw.
+    order, with r1 and r2 taken from one (2, n, dim) draw. That is ``clip``
+    only for v_lo, v_hi of V's shape (the engine tiles them); scalar or
+    (dim,) bounds can return the bound on a tie of signed zeros.
     """
     r = rng.uniform((2,) + V.shape)
     pull_p, pull_g = r[0], r[1]
@@ -170,7 +174,9 @@ def blend_position(X: Array, V: Array, xi: Array | None, lam: float, rest: float
     Computes clip((X + lam*V) + rest*xi), where the engine passes
     rest = 1 - lam. ``xi`` of None stands for a zero antenna move;
     ``+ 0.0`` is still added, so a ``-0.0`` coordinate becomes ``+0.0``
-    exactly as with an explicit zero array.
+    exactly as with an explicit zero array. The clip is ``ndarray.clip``
+    only if lower and upper have X's shape (the engine passes a tiled box);
+    scalar or (dim,) bounds can return the bound on a tie of signed zeros.
     """
     out = np.multiply(V, lam)
     out += X
@@ -189,8 +195,8 @@ class BsoEngine:
     core invariants (bounds containment, best-fitness bookkeeping) after
     every step. The box is stored at the probes' (2, n, dim) shape (its [0]
     half bounds the swarm) and the velocity bounds at (n, dim), so no clamp
-    broadcasts (dim,) bounds (see ``clip_in_place``). Coefficients are 0-d
-    float64 arrays: the same bits as Python floats, converted once.
+    broadcasts (dim,) bounds (see ``clip_in_place``). Constant coefficients
+    are 0-d float64 arrays converted once; per-step values stay floats.
     """
 
     def __init__(
@@ -232,7 +238,7 @@ class BsoEngine:
     def step(self) -> None:
         """One full swarm iteration."""
         st, cfg = self.state, self.config
-        omega = np.array(inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max))
+        omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
 
         # Antenna probes use the pre-update velocities. When the antenna
         # term cannot influence the move (lam == 1 or a zero step) the

@@ -139,7 +139,7 @@ def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
     tunables["seed"] = seed
     try:
         return cfg_type.from_dict(tunables)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {algo} config: {exc}")
 
 

@@ -47,25 +47,24 @@ class ConfigDict:
 
     @classmethod
     def from_dict(cls, data: dict):
-        """Config from a dict; an int field takes an integer, a float field any real, neither a bool."""
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(types))
+        """Config from a dict; a key that is not a field is an error, and the constructor checks the values."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        for key, value in data.items():
-            if value is None and "None" in types[key]:
-                continue
-            kind = numbers.Integral if types[key] == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
         return cls(**data)
 
 
 def check_fields(config) -> None:
-    """Checks every config dataclass shares: each number finite, each integer nonnegative."""
+    """Checks every config shares: an int field takes an integer, a float field any real (and None if
+    typed ``float | None``), no field a bool; each number is finite, each integer nonnegative."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+        if value is None and "None" in f.type:
+            continue
+        kind = numbers.Integral if f.type == "int" else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+        if not -math.inf < value < math.inf:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
         if isinstance(value, numbers.Integral) and value < 0:
             raise ValueError(f"{f.name} must be nonnegative, got {value!r}")
@@ -87,6 +86,9 @@ class SearchSpace:
             raise ValueError("search space needs at least one dimension")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        for i, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+            if not math.isfinite(hi - lo):  # an infinite bound, or a width past the float range
+                raise ValueError(f"dimension {i}: bounds [{lo}, {hi}] must be finite and so must their width")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
@@ -115,12 +117,13 @@ class Problem:
     output, is an error. A NaN value is read as +inf. Evaluation must be
     deterministic unless ``stochastic`` is set, in which case each point
     evaluation consumes draws from the stream the caller passes in, in row
-    order (this is how noisy objectives stay reproducible). The optimizers
-    hand ``batch`` a fresh array on every call and never modify it
-    afterwards. BSO sends its right probes, left probes and moved swarm as
-    three (n, dim) batches, the probes as the two halves of one (2, n, dim)
-    array; BAS sends its right and left probes as one (2, dim) batch, right
-    row first, then its new position as one row.
+    order (this is how noisy objectives stay reproducible). ``batch`` gets
+    a read-only view, so an objective that writes into its input raises
+    ValueError; the optimizers pass a fresh array on every call and never
+    modify it afterwards. BSO sends its right probes, left probes and moved
+    swarm as three (n, dim) batches, the probes as the two halves of one
+    (2, n, dim) array; BAS sends its right and left probes as one (2, dim)
+    batch, right row first, then its new position as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -153,6 +156,8 @@ class Problem:
             )
         if self.stochastic and rng is None:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
+        X = X.view()
+        X.setflags(write=False)  # the objective sees a read-only view; the caller's array stays writable
         F = np.asarray(self.batch(X, rng))
         if F.dtype.kind not in "fiu":
             raise ValueError(f"{self.id}: objective must return real numbers, got dtype {F.dtype}")
@@ -221,9 +226,10 @@ def clamp_to_bounds(x, space: SearchSpace) -> Array:
 
 
 def clip_in_place(x: Array, lo: Array, hi: Array) -> Array:
-    """``x.clip(lo, hi, out=x)`` bit for bit, without ndarray.clip's Python layer, if lo and hi have x's shape.
+    """``x.clip(lo, hi, out=x)`` bit for bit, without ndarray.clip's Python layer, only if lo and hi have x's shape.
 
-    On a tie of signed zeros, a broadcast bound or ``np.maximum(lo, x)`` may return the bound where clip keeps x."""
+    Scalar or (dim,) bounds, or ``np.maximum(lo, x)``, can return the bound on a tie of signed zeros
+    (x = +0.0 against lo = -0.0 gives -0.0, where clip keeps +0.0); the BSO engine passes tiled copies."""
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 

@@ -86,7 +86,7 @@ def run_one(algorithm: str, problem: Problem, config, seed: int) -> RunRecord:
 
 
 def worker_count() -> int:
-    """Pool size from BSO_THREADS (default 1); anything but a positive integer is an error."""
+    """Pool size from BSO_THREADS (default 1); anything but a positive integer up to the CPU count is an error."""
     raw = os.environ.get("BSO_THREADS", "1")
     try:
         workers = int(raw)
@@ -94,6 +94,9 @@ def worker_count() -> int:
         workers = 0
     if workers < 1:
         raise ValueError(f"BSO_THREADS must be a positive integer, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"BSO_THREADS must not exceed the CPU count ({cpus}), got {raw!r}")
     return workers
 
 

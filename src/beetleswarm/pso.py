@@ -33,7 +33,7 @@ class PsoConfig(ConfigDict):
     seed: int = 0
 
     def __post_init__(self):
-        # Delegate range checks to the engine config.
+        # Delegate type and range checks to the engine config.
         self.to_bso()
 
     def to_bso(self) -> BsoConfig:

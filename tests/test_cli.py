@@ -112,6 +112,8 @@ class TestConfigFile:
             ("n", 10.5, "must be int"),
             ("max_iters", 2.5, "must be int"),
             ("lam", "0.3", "must be float"),
+            ("a1", True, "must be float"),
+            ("n", None, "must be int"),
             ("problem", 5, "must be a string"),
             ("algorithm", 5, "must be a string"),
         ],

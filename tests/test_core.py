@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import partial
 from itertools import product
 
@@ -48,6 +49,20 @@ class TestSearchSpace:
         space = SearchSpace.box(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             space.lower[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "lower,upper,dim",
+        [
+            ([-np.inf, 0.0], [1.0, 1.0], 0),
+            ([0.0, 0.0], [1.0, np.inf], 1),
+            ([-np.inf], [np.inf], 0),
+            ([0.0, -1e308], [1.0, 1e308], 1),  # finite bounds, but the width overflows to inf
+        ],
+    )
+    def test_rejects_non_finite_bounds_and_widths(self, lower, upper, dim):
+        # a box with lower = -inf used to run BSO to best_f = inf at a NaN best_x, with only warnings
+        with pytest.raises(ValueError, match=f"^dimension {dim}: bounds .* must be finite"):
+            SearchSpace(np.array(lower), np.array(upper))
 
 
 class TestClampToBounds:
@@ -210,6 +225,27 @@ class TestProblem:
         assert np.all(F[:2] == np.inf)
         assert F[2:].tobytes() == values[2:].tobytes()
 
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    def test_objective_that_writes_into_its_batch_raises(self, algo):
+        # a sphere that zeroed its input used to pull the swarm onto [0, 0]
+        # and report a best_f near 0 for a point whose value is 0
+        def zeroing_sphere(X, rng=None):
+            F = (X * X).sum(axis=1)
+            X[:] = 0.0
+            return F
+
+        cfg_type, runner = ALGORITHMS[algo]
+        cfg = cfg_type(max_iters=30) if algo == "bas" else cfg_type(n=10, max_iters=30)
+        p = Problem(id="zeroing", space=SearchSpace.box(2, -10.0, 10.0), batch=zeroing_sphere)
+        with pytest.raises(ValueError, match="read-only"):
+            runner(p, cfg, seed=0)
+
+    def test_callers_batch_stays_writable(self):
+        X = np.ones((3, 2))
+        assert sphere_problem(2).evaluate_many(X).tolist() == [2.0, 2.0, 2.0]
+        X[0, 0] = 5.0
+        assert X.flags.writeable
+
     def test_integer_output_becomes_float(self):
         p = Problem(id="ints", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: np.arange(X.shape[0]))
         F = p.evaluate_many(np.zeros((3, 1)))
@@ -246,6 +282,36 @@ class TestConfigFields:
     def test_non_finite_value_rejected(self, cfg_type, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
             cfg_type(**{key: value})
+
+    @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig, PenaltyConfig])
+    @pytest.mark.parametrize("value", [2.5, True, "1", None, np.nan])
+    def test_constructor_and_from_dict_share_the_type_rule(self, cfg_type, value):
+        # an int field takes an integer, a float field any real, a float | None
+        # field also None, and no field a bool; BsoConfig(n=2.5) used to build
+        # and then fail inside np.tile, and BsoConfig(a1=True) ran as 1.0
+        for f in fields(cfg_type):
+            outcomes = []
+            for build in (cfg_type, getattr(cfg_type, "from_dict", None)):
+                if build is None:  # PenaltyConfig has no dict round trip
+                    continue
+                try:
+                    cfg = build(**{f.name: value}) if build is cfg_type else build({f.name: value})
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    assert getattr(cfg, f.name) is value
+                    outcomes.append("accepted")
+            assert len(set(outcomes)) == 1, (f.name, outcomes)
+            if value is None and "None" in f.type:
+                assert outcomes[0] == "accepted"
+            elif isinstance(value, float) and f.type != "int":
+                # a real passes the type rule; NaN then fails the finite check, 2.5 at most a range check
+                if np.isnan(value):
+                    assert outcomes[0] == f"{f.name} must be finite, got nan"
+                else:
+                    assert "config key" not in outcomes[0]
+            else:
+                assert outcomes[0] == f"config key {f.name!r} must be {f.type}, got {value!r}"
 
     @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig])
     def test_negative_seed_rejected(self, cfg_type):

@@ -25,7 +25,7 @@ from beetleswarm import (
 )
 from beetleswarm.bas import BasConfig
 from beetleswarm.constrained import PRESSURE_VESSEL
-from beetleswarm.harness import run_matrix, run_one, run_trial_records, run_trials, summarize
+from beetleswarm.harness import run_matrix, run_one, run_trial_records, run_trials, summarize, worker_count
 
 from .conftest import sphere_problem
 
@@ -123,7 +123,7 @@ class TestRunTrials:
         cfgs = {"bso": BsoConfig(n=5, max_iters=8), "pso": PsoConfig(n=5, max_iters=8)}
         monkeypatch.setenv("BSO_THREADS", "1")
         serial = run_matrix(["bso", "pso"], ["F16", "F18"], cfgs, n_trials=2, base_seed=7)
-        monkeypatch.setenv("BSO_THREADS", "3")
+        monkeypatch.setenv("BSO_THREADS", "2")
         parallel = run_matrix(["bso", "pso"], ["F16", "F18"], cfgs, n_trials=2, base_seed=7)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
@@ -151,6 +151,19 @@ class TestRunTrials:
         monkeypatch.setenv("BSO_THREADS", "2")
         with pytest.raises((AttributeError, pickle.PicklingError)):
             run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
+
+    def test_thread_count_above_cpu_count_rejected(self, monkeypatch):
+        # checked through worker_count() alone, so no pool is ever started; a
+        # stray BSO_THREADS=5000 used to ask for one process per job
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("BSO_THREADS", "4")
+        assert worker_count() == 4
+        monkeypatch.setenv("BSO_THREADS", "5")
+        with pytest.raises(ValueError, match=r"^BSO_THREADS must not exceed the CPU count \(4\), got '5'$"):
+            worker_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # an unknown count allows one worker
+        with pytest.raises(ValueError, match=r"the CPU count \(1\), got '5'"):
+            worker_count()
 
     @pytest.mark.parametrize("value", ["lots", "0", "-3", "1.5", ""])
     def test_bad_thread_count_rejected(self, monkeypatch, value):
