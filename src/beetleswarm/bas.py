@@ -14,7 +14,6 @@ one row; a stochastic objective draws its noise right, left, move.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -143,33 +142,20 @@ def update_schedules(delta: float, config: BasConfig) -> tuple[float, float]:
     return new_delta, new_delta / config.c2_ratio
 
 
-def run_bas(problem: Problem, config: BasConfig, seed: int | None = None) -> RunRecord:
+def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None = None) -> RunRecord:
     """Run BAS from a uniform random start for ``max_iters`` iterations."""
-    effective_seed = config.seed if seed is None else int(seed)
-    rng = RandomStream(effective_seed)
-    delta0 = config.delta0 if config.delta0 is not None else 0.3 * float(problem.space.widths.max())
 
-    start = time.perf_counter()
-    x0 = uniform_in_space(rng, problem.space)
-    f0 = problem.evaluate(x0, rng)
-    x, best_x, best_f = x0, x0, f0
-    delta, d = delta0, delta0 / config.c2_ratio
-    curve = [best_f]
-    for _ in range(config.max_iters):
-        x, best_x, best_f = _bas_move(x, delta, d, best_x, best_f, problem, rng)
-        delta, d = update_schedules(delta, config)
-        curve.append(best_f)
-    elapsed = time.perf_counter() - start
+    def optimize(config: BasConfig, seed: int) -> tuple[list[float], Array, float]:
+        rng = RandomStream(seed)
+        delta = config.delta0 if config.delta0 is not None else 0.3 * float(problem.space.widths.max())
+        x = uniform_in_space(rng, problem.space)
+        best_x, best_f = x, problem.evaluate(x, rng)
+        d = delta / config.c2_ratio
+        curve = [best_f]
+        for _ in range(config.max_iters):
+            x, best_x, best_f = _bas_move(x, delta, d, best_x, best_f, problem, rng)
+            delta, d = update_schedules(delta, config)
+            curve.append(best_f)
+        return curve, best_x, best_f
 
-    snapshot = config.to_dict()
-    snapshot["seed"] = effective_seed
-    return RunRecord(
-        problem_id=problem.id,
-        algorithm="bas",
-        seed=effective_seed,
-        config=snapshot,
-        curve=np.asarray(curve),
-        best_x=best_x,
-        best_f=best_f,
-        wall_time_s=elapsed,
-    )
+    return RunRecord.from_run(problem, "bas", BasConfig, config, seed, optimize)

@@ -29,7 +29,6 @@ noise in row order (as F7 does).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +208,7 @@ class BsoEngine:
         self.problem = problem
         self.config = config
         self.space = problem.space
-        self.seed = int(config.seed if seed is None else seed)
-        self.rng = RandomStream(self.seed)
+        self.rng = RandomStream(config.seed if seed is None else seed)
         self.debug_checks = debug_checks
 
         self.lower = np.tile(self.space.lower, (2, config.n, 1))
@@ -268,9 +266,11 @@ class BsoEngine:
         if self.debug_checks:
             self._check_invariants()
 
-    def run(self) -> None:
+    def run(self) -> tuple[list[float], Array, float]:
+        """Step to the iteration budget; returns the curve, the global-best position and its fitness."""
         for _ in range(self.config.max_iters):
             self.step()
+        return self.curve, self.state.G.copy(), self.state.Gf
 
     def _check_invariants(self) -> None:
         st = self.state
@@ -287,19 +287,6 @@ def run_bso(
     debug_checks: bool = False,
 ) -> RunRecord:
     """Run the swarm to its iteration budget and package the result."""
-    cfg = config if config is not None else BsoConfig()
-    start = time.perf_counter()
-    engine = BsoEngine(problem, cfg, seed=seed, debug_checks=debug_checks)
-    engine.run()
-    elapsed = time.perf_counter() - start
-
-    return RunRecord(
-        problem_id=problem.id,
-        algorithm="bso",
-        seed=engine.seed,
-        config={**cfg.to_dict(), "seed": engine.seed},
-        curve=np.asarray(engine.curve),
-        best_x=engine.state.G.copy(),
-        best_f=engine.state.Gf,
-        wall_time_s=elapsed,
+    return RunRecord.from_run(
+        problem, "bso", BsoConfig, config, seed, lambda cfg, s: BsoEngine(problem, cfg, s, debug_checks).run()
     )

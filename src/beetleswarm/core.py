@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -31,7 +32,7 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = check_int(seed, "seed")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size: int | tuple[int, ...] | None = None):
@@ -54,6 +55,15 @@ class ConfigDict:
         return cls(**data)
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as a Python int, by the rule an int config field follows: an integer, not a bool, at least 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return int(value)
+
+
 def check_fields(config) -> None:
     """Checks every config shares: an int field takes an integer, a float field any real (and None if
     typed ``float | None``), no field a bool; each number is finite, each integer nonnegative."""
@@ -66,8 +76,8 @@ def check_fields(config) -> None:
             raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if not -math.inf < value < math.inf:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if isinstance(value, numbers.Integral) and value < 0:
-            raise ValueError(f"{f.name} must be nonnegative, got {value!r}")
+        if kind is numbers.Integral:
+            check_int(value, f.name)
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,21 @@ class RunRecord:
         best_x.setflags(write=False)
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "best_x", best_x)
+
+    @classmethod
+    def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:
+        """The one run path of every optimizer: a config of None is ``config_type()``, one of another type an
+        error, a seed of None ``config.seed``; ``wall_time_s`` times all of ``optimize(config, seed) -> (curve,
+        best_x, best_f)``, set-up included."""
+        if config is None:
+            config = config_type()
+        elif not isinstance(config, config_type):
+            raise ValueError(f"{algorithm} needs a {config_type.__name__}, got a {type(config).__name__}")
+        seed = check_int(config.seed if seed is None else seed, "seed")
+        start = time.perf_counter()
+        curve, best_x, best_f = optimize(config, seed)
+        elapsed = time.perf_counter() - start
+        return cls(problem.id, algorithm, seed, {**config.to_dict(), "seed": seed}, curve, best_x, best_f, elapsed)
 
     def to_dict(self) -> dict:
         """JSON-ready representation (arrays become lists)."""

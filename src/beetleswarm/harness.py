@@ -27,7 +27,7 @@ import numpy as np
 from . import catalog
 from .bas import BasConfig, run_bas
 from .bso import BsoConfig, run_bso
-from .core import Problem, RunRecord
+from .core import Problem, RunRecord, check_int
 from .pso import PsoConfig, run_pso
 
 # name -> (config type, runner(problem, config, seed=...))
@@ -101,9 +101,10 @@ def worker_count() -> int:
 
 
 def _seeds(n_trials: int, base_seed: int) -> list[int]:
+    n_trials, base_seed = check_int(n_trials, "n_trials"), check_int(base_seed, "base_seed")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    return [int(base_seed) + i for i in range(int(n_trials))]
+    return list(range(base_seed, base_seed + n_trials))
 
 
 def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:

@@ -13,9 +13,9 @@ that the two optimizers differ only in the antenna term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .bso import BsoConfig, run_bso
+from .bso import BsoConfig, BsoEngine
 from .core import ConfigDict, Problem, RunRecord
 
 
@@ -59,6 +59,6 @@ def run_pso(
     debug_checks: bool = False,
 ) -> RunRecord:
     """Run plain global-best PSO and package the result."""
-    cfg = config if config is not None else PsoConfig()
-    record = run_bso(problem, cfg.to_bso(), seed=seed, debug_checks=debug_checks)
-    return replace(record, algorithm="pso", config={**cfg.to_dict(), "seed": record.seed})
+    return RunRecord.from_run(
+        problem, "pso", PsoConfig, config, seed, lambda cfg, s: BsoEngine(problem, cfg.to_bso(), s, debug_checks).run()
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,10 @@ def constant_problem(dim: int, value: float = 7.0) -> Problem:
 @pytest.fixture
 def sphere2() -> Problem:
     return sphere_problem(2)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report at least two CPUs, so BSO_THREADS=2 passes worker_count() on a one-CPU machine too."""
+    cpus = max(2, os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)

@@ -198,6 +198,12 @@ class TestRunBas:
         cfg = BasConfig(max_iters=20, seed=1)
         assert run_bas(sphere_problem(2), cfg, seed=2).seed == 2
 
+    def test_default_config(self):
+        # run_bas was the one runner without a default config
+        rec = run_bas(sphere_problem(2))
+        assert rec.config == {**BasConfig().to_dict(), "seed": 0}
+        assert rec.curve.size == BasConfig().max_iters + 1
+
     def test_curve_monotone_nonincreasing(self):
         for seed in range(8):
             rec = run_bas(sphere_problem(4), BasConfig(max_iters=80), seed=seed)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from functools import partial
 from itertools import product
@@ -137,6 +138,17 @@ class TestRandomStream:
 
     def test_scalar_draw(self):
         assert isinstance(RandomStream(0).uniform(), float)
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [(2.7, "an integer"), (True, "an integer"), ("7", "an integer"), (np.float64(3.0), "an integer"),
+         (-1, "nonnegative")],
+    )
+    def test_seed_follows_the_int_field_rule(self, seed, message):
+        # int(seed) used to run 2.7 as seed 2, True as 1 and "7" as 7
+        with pytest.raises(ValueError, match=f"^seed must be {message}, got {re.escape(repr(seed))}$"):
+            RandomStream(seed)
+        assert type(RandomStream(np.int64(3)).seed) is int
 
 
 class TestUniformInSpace:
@@ -320,6 +332,33 @@ class TestConfigFields:
         assert cfg_type(seed=0).seed == 0
 
 
+class TestRunPath:
+    """run_bso, run_pso and run_bas resolve the config and the seed through one path, with one rule."""
+
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    def test_seed_follows_the_int_field_rule(self, algo):
+        # each runner used to truncate or coerce its seed: 2.7 ran as seed 2, True as 1 and "7" as 7
+        cfg_type, runner = ALGORITHMS[algo]
+        cfg, p = cfg_type(max_iters=2), sphere_problem(2)
+        rec = runner(p, cfg, seed=np.int64(3))
+        assert type(rec.seed) is int and type(rec.config["seed"]) is int and rec.seed == rec.config["seed"] == 3
+        for seed, message in ((2.7, "an integer"), (True, "an integer"), ("7", "an integer"),
+                              (np.float64(3.0), "an integer"), (-1, "nonnegative")):
+            with pytest.raises(ValueError, match=f"^seed must be {message}, got {re.escape(repr(seed))}$"):
+                runner(p, cfg, seed=seed)
+
+    @pytest.mark.parametrize(
+        "algo,foreign", [(a, f) for a in ("bso", "pso", "bas") for f in ("bso", "pso", "bas") if a != f]
+    )
+    def test_config_of_another_optimizer_rejected(self, algo, foreign):
+        # run_bas used to run a BsoConfig with BSO's delta0 and eta and record it as bas;
+        # the other pairings failed with a bare AttributeError
+        cfg_type, runner = ALGORITHMS[algo]
+        other = ALGORITHMS[foreign][0]
+        with pytest.raises(ValueError, match=f"^{algo} needs a {cfg_type.__name__}, got a {other.__name__}$"):
+            runner(sphere_problem(2), other(max_iters=2), seed=0)
+
+
 class TestNonFiniteObjective:
     """NaN and +inf regions never disable an agent or become a NaN best."""
 
@@ -361,7 +400,7 @@ class TestNonFiniteObjective:
 
     @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_pooled_records_match_serial(self, algo, bad, monkeypatch):
+    def test_pooled_records_match_serial(self, algo, bad, monkeypatch, two_cpus):
         cfg_type = ALGORITHMS[algo][0]
         cfg = cfg_type(max_iters=30) if algo == "bas" else cfg_type(n=8, max_iters=30)
         p = _holed_problem(0.0, bad)

@@ -119,7 +119,27 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trial_records("bso", p, BsoConfig(), 0, 0)
 
-    def test_parallel_matches_serial(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ["run_trials", "run_trial_records", "run_matrix"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("n_trials", 2.7, "an integer"), ("n_trials", True, "an integer"), ("base_seed", 1.9, "an integer"),
+         ("base_seed", True, "an integer"), ("base_seed", -1, "nonnegative")],
+    )
+    def test_bad_trial_count_or_base_seed_rejected_before_any_trial(self, monkeypatch, entry, key, value, message):
+        # n_trials=2.7 used to run 2 trials and base_seed=True seeds (1, 2)
+        def no_trial(*job):
+            raise AssertionError(f"a trial ran: {job}")
+
+        monkeypatch.setattr(beetleswarm.harness, "run_one", no_trial)
+        counts = {"n_trials": 2, "base_seed": 0, key: value}
+        cfg = BsoConfig(n=5, max_iters=3)
+        with pytest.raises(ValueError, match=f"^{key} must be {message}, got {value!r}$"):
+            if entry == "run_matrix":
+                run_matrix(["bso"], ["F16"], {"bso": cfg}, **counts)
+            else:
+                getattr(beetleswarm.harness, entry)("bso", sphere_problem(2), cfg, **counts)
+
+    def test_parallel_matches_serial(self, monkeypatch, two_cpus):
         cfgs = {"bso": BsoConfig(n=5, max_iters=8), "pso": PsoConfig(n=5, max_iters=8)}
         monkeypatch.setenv("BSO_THREADS", "1")
         serial = run_matrix(["bso", "pso"], ["F16", "F18"], cfgs, n_trials=2, base_seed=7)
@@ -130,7 +150,7 @@ class TestRunTrials:
             assert (s.problem_id, s.algorithm, s.seeds) == (p.problem_id, p.algorithm, p.seeds)
             assert (s.ave, s.std, s.best) == (p.ave, p.std, p.best)  # timings may differ
 
-    def test_pool_runs_the_callers_problem(self, monkeypatch):
+    def test_pool_runs_the_callers_problem(self, monkeypatch, two_cpus):
         # a custom penalty is not in the catalog; the pool must run this very
         # problem, not the catalog's default-penalty PV of the same id
         problem = as_problem(PRESSURE_VESSEL, PenaltyConfig(weight=1.0))
@@ -147,7 +167,7 @@ class TestRunTrials:
             pooled_summary.ave, pooled_summary.std, pooled_summary.best,
         )
 
-    def test_unpicklable_problem_fails_loudly_in_pool(self, monkeypatch):
+    def test_unpicklable_problem_fails_loudly_in_pool(self, monkeypatch, two_cpus):
         monkeypatch.setenv("BSO_THREADS", "2")
         with pytest.raises((AttributeError, pickle.PicklingError)):
             run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
@@ -183,6 +203,7 @@ assert not [m for m in pool_modules if m in sys.modules], "pool loaded on import
 problem, cfg = beetleswarm.get_problem("F16"), beetleswarm.BsoConfig(n=5, max_iters=8)
 serial = run_trial_records("bso", problem, cfg, 3, 0)
 assert not [m for m in pool_modules if m in sys.modules], "pool loaded by a serial run"
+os.cpu_count = lambda real=os.cpu_count() or 1: max(2, real)  # two workers pass on one CPU too
 os.environ["BSO_THREADS"] = "2"
 pooled = run_trial_records("bso", problem, cfg, 3, 0)
 assert all(m in sys.modules for m in pool_modules)
