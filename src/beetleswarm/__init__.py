@@ -9,7 +9,7 @@ harness with CSV/JSON exports.
 
 from .bas import BasConfig, BasState, run_bas
 from .benchmarks import BENCHMARK_IDS, BenchmarkSpec, evaluate, problem, spec
-from .bso import BsoConfig, BsoEngine, SwarmState, inertia_weight, run_bso
+from .bso import BsoConfig, BsoEngine, PsoConfig, SwarmState, inertia_weight, run_bso, run_pso
 from .catalog import get_problem, list_problems, problem_ids
 from .constrained import (
     CONSTRAINED_IDS,
@@ -28,7 +28,6 @@ from .core import (
     uniform_in_space,
 )
 from .harness import TrialSummary, compare_report, export_convergence, run_trials
-from .pso import PsoConfig, run_pso
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,7 @@ draw from the caller's stream on top of the weighted quartic sum.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -326,8 +326,3 @@ def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
     stream) and ignored everywhere else.
     """
     return problem(benchmark_id).evaluate(x, rng)
-
-
-def catalog() -> list[dict]:
-    """Machine-readable listing of the whole catalog."""
-    return [{**asdict(s), "stochastic": p.stochastic} for s, p in _TABLE.values()]

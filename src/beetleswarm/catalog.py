@@ -1,4 +1,4 @@
-"""Unified problem lookup: benchmark ids F1..F23 plus PV and HB."""
+"""Unified problem lookup and listing: benchmark ids F1..F23 plus PV and HB."""
 
 from __future__ import annotations
 
@@ -20,8 +20,15 @@ def get_problem(problem_id: str) -> Problem:
 
 
 def list_problems() -> list[dict]:
-    """Every catalog entry: id, dim, range, known minimum."""
-    return benchmarks.catalog() + constrained.catalog()
+    """Every entry: id, dim, bounds (one number per side for a cube, else one per dimension), fmin, stochastic."""
+    entries = []
+    for p in _PROBLEMS.values():
+        lower, upper = p.space.lower.tolist(), p.space.upper.tolist()
+        if len(set(lower)) == len(set(upper)) == 1:
+            lower, upper = lower[0], upper[0]
+        entries.append({"id": p.id, "dim": p.space.dim, "lower": lower, "upper": upper,
+                        "fmin": p.known_fmin, "stochastic": p.stochastic})
+    return entries
 
 
 def problem_ids() -> tuple[str, ...]:

@@ -55,9 +55,9 @@ def _settings(args) -> dict:
     settings = {}
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {args.config}")
+            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read config file {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(settings, dict):
@@ -160,6 +160,15 @@ def _check_workers() -> None:
         raise UsageError(str(exc))
 
 
+def _make_out_dir(out: str) -> Path:
+    """The output directory, created now: call it after every other check and before the first trial."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {out} as the output directory: {exc.strerror}")
+    return Path(out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,12 +179,11 @@ def cmd_run(args) -> int:
     algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
     problem_id = _check_problem(_setting(settings, "problem", str))
     config = _build_config(algo, settings, args.pop, _setting(settings, "seed", int, 0))
-    out_dir = Path(_setting(settings, "out", str, "."))
+    out_dir = _make_out_dir(_setting(settings, "out", str, "."))
 
     problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     export_convergence(record, out_dir / "curve.csv")
     doc = {"schema": RUN_SCHEMA, **record.to_dict()}
     (out_dir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -196,8 +204,8 @@ def cmd_bench(args) -> int:
     problems = _expand_problems(settings.get("problems", ""))
     n_trials, base_seed = _trial_settings(settings)
     configs = {algo: _build_config(algo, settings, args.pop, base_seed) for algo in algos}
-    out_dir = Path(_setting(settings, "out", str, "bench-out"))
     _check_workers()
+    out_dir = _make_out_dir(_setting(settings, "out", str, "bench-out"))
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
     json_path, text_path = compare_report(summaries, out_dir)
@@ -216,8 +224,8 @@ def cmd_constrained(args) -> int:
     algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
     n_trials, base_seed = _trial_settings(settings)
     config = _build_config(algo, settings, args.pop, base_seed)
-    out_dir = Path(_setting(settings, "out", str)) if "out" in settings else None
     _check_workers()
+    out_dir = _make_out_dir(_setting(settings, "out", str)) if "out" in settings else None
 
     cp = constrained_problem(problem_id)
     problem = catalog.get_problem(problem_id)
@@ -248,7 +256,6 @@ def cmd_constrained(args) -> int:
         "config": {**config.to_dict(), "base_seed": base_seed},
     }
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "constrained.json").write_text(json.dumps(doc, indent=2) + "\n")
 
     xs = "  ".join(f"x{i + 1}={v:.6f}" for i, v in enumerate(best["x"]))

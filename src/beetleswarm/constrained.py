@@ -12,7 +12,7 @@ Two classic mixed/nonlinear design benchmarks are registered here:
   with three constraint functions that must each stay inside an interval.
 
 Constraint handling is a static exterior penalty: fitness seen by the
-optimizers is raw objective plus ``weight * sum(violation ** exponent)``,
+optimizers is raw objective plus ``weight * sum(violation ** 2)``,
 which equals the raw objective exactly on the feasible set.
 """
 
@@ -32,7 +32,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Exterior penalty: weight * violation^exponent per constraint, summed.
+    """Exterior penalty: weight * violation^2 per constraint, summed.
 
     The weight default is deliberately stiff. Both design optima here sit
     exactly on constraint boundaries, and a quadratic penalty lets the
@@ -42,14 +42,11 @@ class PenaltyConfig:
     """
 
     weight: float = 1e12
-    exponent: float = 2.0
 
     def __post_init__(self):
         check_fields(self)
         if self.weight < 0:
             raise ValueError("penalty weight must be nonnegative")
-        if self.exponent < 1:
-            raise ValueError("penalty exponent must be at least 1")
 
     @cached_property
     def _weight(self) -> Array:
@@ -171,7 +168,7 @@ class ConstrainedProblem:
 def _penalized_many(problem: ConstrainedProblem, X: Array, config: PenaltyConfig) -> Array:
     """Raw objective plus the exterior penalty for each row of X, unsnapped."""
     viol = problem.violations_many(X)
-    viol **= config.exponent
+    viol *= viol
     penalty = np.add.reduce(viol, axis=1)
     penalty *= config._weight
     return np.add(problem.raw_batch(X), penalty, out=penalty)
@@ -303,18 +300,3 @@ def as_problem(cp: ConstrainedProblem, penalty: PenaltyConfig | None = None) -> 
 
 def _snapped_penalized(cp: ConstrainedProblem, pen: PenaltyConfig, X: Array, rng=None) -> Array:
     return _penalized_many(cp, cp.snap_many(X), pen)
-
-
-def catalog() -> list[dict]:
-    """Machine-readable listing of the constrained problems."""
-    return [
-        {
-            "id": cp.id,
-            "dim": cp.space.dim,
-            "lower": [float(v) for v in cp.space.lower],
-            "upper": [float(v) for v in cp.space.upper],
-            "fmin": None,
-            "stochastic": False,
-        }
-        for cp in _CONSTRAINED.values()
-    ]

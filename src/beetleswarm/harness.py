@@ -26,9 +26,8 @@ import numpy as np
 
 from . import catalog
 from .bas import BasConfig, run_bas
-from .bso import BsoConfig, run_bso
+from .bso import BsoConfig, PsoConfig, run_bso, run_pso
 from .core import Problem, RunRecord, check_int
-from .pso import PsoConfig, run_pso
 
 # name -> (config type, runner(problem, config, seed=...))
 ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from beetleswarm import cli, harness
 from beetleswarm.cli import main
 
 
@@ -170,6 +171,18 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "none.json")) == 2
 
+    def test_directory_rejected(self, tmp_path, capsys):
+        # used to raise IsADirectoryError: traceback, exit 1
+        assert run_cli("run", "--problem", "F16", "--config", str(tmp_path)) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        # used to raise UnicodeDecodeError: traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"problem": "F\xff16"}')
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_matrix(self, tmp_path, capsys):
@@ -296,6 +309,10 @@ class TestBench:
         assert "F1" in ids and "F23" in ids and "PV" in ids and "HB" in ids
         f5 = next(e for e in entries if e["id"] == "F5")
         assert (f5["dim"], f5["lower"], f5["upper"], f5["fmin"]) == (30, -30.0, 30.0, 0.0)
+        pv = next(e for e in entries if e["id"] == "PV")
+        assert (pv["dim"], pv["lower"], pv["upper"], pv["fmin"]) == (
+            4, [0.0625, 0.0625, 10.0, 10.0], [6.1875, 6.1875, 200.0, 200.0], None
+        )
 
 
 class TestConstrained:
@@ -348,6 +365,29 @@ class TestConstrained:
         cfg.write_text(json.dumps({"problem": value}))
         assert run_cli("constrained", "--config", str(cfg), "--iters", "3", "--pop", "4", "--trials", "1") == 2
         assert expected in capsys.readouterr().err
+
+
+class TestOutDir:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--problem", "F16", "--iters", "2"),
+            ("bench", "--problems", "F16", "--iters", "2", "--pop", "4", "--trials", "1"),
+            ("constrained", "--problem", "pv", "--iters", "2", "--pop", "4", "--trials", "1"),
+        ],
+        ids=["run", "bench", "constrained"],
+    )
+    def test_out_naming_a_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, argv):
+        # mkdir used to fail only after every trial had run: traceback, exit 1, results lost
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_one", no_trial)
+        monkeypatch.setattr(cli, "run_one", no_trial)
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert run_cli(*argv, "--out", str(target)) == 2
+        assert f"cannot use {target} as the output directory" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -195,8 +195,8 @@ class TestPenalty:
         assert PRESSURE_VESSEL.feasible(x, tol=0.0)
         assert penalized_fitness(PRESSURE_VESSEL, x, cfg) == PRESSURE_VESSEL.raw(x)
 
-    def test_length_violation_priced_by_exponent(self):
-        cfg = PenaltyConfig(weight=100.0, exponent=2.0)
+    def test_length_violation_priced_squared(self):
+        cfg = PenaltyConfig(weight=100.0)
         x = np.array([6.0, 6.0, 50.0, 250.0])  # x4 - 240 = 10
         viol = PRESSURE_VESSEL.violations_many(x[None, :])[0]
         assert viol[3] == 10.0
@@ -255,7 +255,7 @@ class TestPenalty:
             grids=(None, None, None),
         )
         x = np.array([3.0, -2.0, 0.5])
-        assert penalized_fitness(cp, x, PenaltyConfig(weight=10.0, exponent=2.0)) == 1.5 + 10.0 * (2.0**2 + 1.0**2)
+        assert penalized_fitness(cp, x, PenaltyConfig(weight=10.0)) == 1.5 + 10.0 * (2.0**2 + 1.0**2)
         assert np.array_equal(x, [3.0, -2.0, 0.5])
         X = np.array([[3.0, -2.0, 0.5], [0.0, 0.5, 1.0]])
         kept = X.copy()
@@ -267,8 +267,6 @@ class TestPenalty:
     def test_penalty_config_validation(self):
         with pytest.raises(ValueError):
             PenaltyConfig(weight=-1.0)
-        with pytest.raises(ValueError):
-            PenaltyConfig(exponent=0.5)
 
 
 class TestProblemWrapper:

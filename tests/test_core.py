@@ -288,7 +288,7 @@ class TestConfigFields:
             (BasConfig, "c2_ratio", np.inf),
             (BasConfig, "delta0", np.nan),
             (PenaltyConfig, "weight", np.nan),
-            (PenaltyConfig, "exponent", np.inf),
+            (PenaltyConfig, "weight", np.inf),
         ],
     )
     def test_non_finite_value_rejected(self, cfg_type, key, value):
