@@ -6,9 +6,9 @@ distance delta toward the antenna that smelled better (lower fitness,
 everything here minimizes). Both the step length and the antenna spacing
 shrink geometrically over the run.
 
-Objective batches: an iteration makes two calls, each with a fresh array:
-the (2, dim) antenna probes, right row then left, then the new position as
-one row; a stochastic objective draws its noise right, left, move.
+Objective batches: an iteration makes two ``evaluate_many`` calls on fresh
+arrays: the (2, dim) probes ``antennae`` returns, right row then left, then
+the new position as one row; noisy objectives draw right, left, move.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, clamp_to_bounds, uniform_in_space
+from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, clip_in_place, uniform_in_space
 
 Array = np.ndarray
 
@@ -82,30 +82,33 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
         raise ValueError("dim must be at least 1")
     while True:
         raw = 2.0 * rng.uniform(dim) - 1.0
-        if raw.any():
+        if np.count_nonzero(raw):  # ndarray.any's Python-level wrapper costs about 5x more
             return _normalize(raw)
 
 
-def antennae(x: Array, b: Array, d: float) -> tuple[Array, Array]:
-    """Left/right probe points half the antenna spacing from the body."""
+def antennae(x: Array, b: Array, d: float) -> Array:
+    """Right and left probe points half the antenna spacing from the body, rows of one fresh (2, dim) array."""
     if not d > 0:
         raise ValueError("antenna spacing d must be positive")
     offset = (d / 2.0) * b
-    return x + offset, x - offset
+    probes = np.empty((2, x.size))
+    np.add(x, offset, out=probes[0])
+    np.subtract(x, offset, out=probes[1])
+    return probes
 
 
 def _bas_move(x, delta, d, best_x, best_f, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
     """New position and best-so-far after one iteration; see ``bas_step``."""
     b = sample_direction(rng, problem.space.dim)
-    probes = np.array(antennae(x, b, d))  # right row, then left
+    probes = antennae(x, b, d)
     if problem.clamp_probes:
         probes.clip(problem.space.lower, problem.space.upper, out=probes)
     f_right, f_left = problem.evaluate_many(probes, rng).tolist()
 
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
-    x_new = x - delta * b * ((f_right > f_left) - (f_right < f_left))
-    x_new = clamp_to_bounds(x_new, problem.space)
-    f_new = problem.evaluate(x_new, rng)
+    x_new = x - delta * ((f_right > f_left) - (f_right < f_left)) * b  # scaling by the sign first is exact
+    clip_in_place(x_new, problem.space.lower, problem.space.upper)  # bounds of x_new's shape: clip's bits
+    [f_new] = problem.evaluate_many(x_new[None, :], rng).tolist()
 
     for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left), (x_new, f_new)):
         if cand_f < best_f:

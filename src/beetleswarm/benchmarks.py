@@ -227,26 +227,36 @@ def _kowalik(X: Array, rng=None) -> Array:
     return ((KOWALIK_A - X[:, 0:1] * numer / denom) ** 2).sum(axis=1)
 
 
+# F16-F18 coefficients are 0-d float64 arrays, as in PV/HB: a Python float's bits, with no scalar conversion per ufunc
+# call. Each expression keeps its textbook op order; ops stay out of place, faster on BAS's 1- and 2-row batches.
+_CAMEL = tuple(np.array(c) for c in (4.0, 2.1, 3.0))
+_BRANIN = tuple(np.array(c) for c in (5.1 / (4 * np.pi**2), 5.0 / np.pi, 6.0, 10.0 * (1.0 - 1.0 / (8.0 * np.pi)), 10.0))
+_GOLDSTEIN = tuple(np.array(c) for c in (1.0, 19.0, 14.0, 3.0, 6.0, 30.0, 2.0, 18.0, 32.0, 12.0, 48.0, 36.0, 27.0))
+
+
 def _six_hump_camel(X: Array, rng=None) -> Array:
+    four, c2_1, three = _CAMEL
     x1, x2 = X[:, 0], X[:, 1]
     x1_sq, x2_sq = x1 * x1, x2 * x2
     x1_4 = x1_sq * x1_sq
-    return 4.0 * x1_sq - 2.1 * x1_4 + x1_4 * x1_sq / 3.0 + x1 * x2 - 4.0 * x2_sq + 4.0 * (x2_sq * x2_sq)
+    return four * x1_sq - c2_1 * x1_4 + x1_4 * x1_sq / three + x1 * x2 - four * x2_sq + four * (x2_sq * x2_sq)
 
 
 def _branin(X: Array, rng=None) -> Array:
+    b, c, r, s_one_minus_t, s = _BRANIN
     x1, x2 = X[:, 0], X[:, 1]
-    a = x2 - 5.1 / (4 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0
-    return a**2 + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1) + 10.0
+    a = x2 - b * (x1 * x1) + c * x1 - r
+    return a * a + s_one_minus_t * np.cos(x1) + s
 
 
 def _goldstein_price(X: Array, rng=None) -> Array:
+    one, c19, c14, three, six, c30, two, c18, c32, c12, c48, c36, c27 = _GOLDSTEIN
     x1, x2 = X[:, 0], X[:, 1]
     x1_sq, x2_sq = x1 * x1, x2 * x2
-    t1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (19.0 - 14.0 * x1 + 3.0 * x1_sq - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2_sq)
-    t2 = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
-        18.0 - 32.0 * x1 + 12.0 * x1_sq + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2_sq
-    )
+    s = x1 + x2 + one
+    t = two * x1 - three * x2
+    t1 = one + s * s * (c19 - c14 * x1 + three * x1_sq - c14 * x2 + six * x1 * x2 + three * x2_sq)
+    t2 = c30 + t * t * (c18 - c32 * x1 + c12 * x1_sq + c48 * x2 - c36 * x1 * x2 + c27 * x2_sq)
     return t1 * t2
 
 

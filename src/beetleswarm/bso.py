@@ -253,11 +253,12 @@ class BsoEngine:
 
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf
-        np.copyto(st.P, st.X, where=improved[:, None])
-        np.copyto(st.Pf, F, where=improved)
-        gi = int(st.Pf.argmin())
-        st.G = st.P[gi].copy()
-        st.Gf = float(st.Pf[gi])
+        if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are
+            np.copyto(st.P, st.X, where=improved[:, None])
+            np.copyto(st.Pf, F, where=improved)
+            gi = int(st.Pf.argmin())
+            st.G = st.P[gi].copy()
+            st.Gf = float(st.Pf[gi])
 
         st.delta = cfg.eta * st.delta
         st.k += 1

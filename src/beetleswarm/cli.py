@@ -23,6 +23,7 @@ from . import catalog
 from .constrained import CONSTRAINED_IDS, constrained_problem
 from .harness import (
     ALGORITHMS,
+    REPORT_FILES,
     compare_report,
     export_convergence,
     run_matrix,
@@ -160,13 +161,18 @@ def _check_workers() -> None:
         raise UsageError(str(exc))
 
 
-def _make_out_dir(out: str) -> Path:
-    """The output directory, created now: call it after every other check and before the first trial."""
+def _make_out_dir(out: str, *files: str) -> list[Path]:
+    """The output directory, created now, then the path of each of ``files`` in it, none of them an existing
+    directory: call it after every other check and before the first trial."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use {out} as the output directory: {exc.strerror}")
-    return Path(out)
+    paths = [Path(out) / name for name in files]
+    for path in paths:
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
+    return [Path(out), *paths]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +185,14 @@ def cmd_run(args) -> int:
     algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
     problem_id = _check_problem(_setting(settings, "problem", str))
     config = _build_config(algo, settings, args.pop, _setting(settings, "seed", int, 0))
-    out_dir = _make_out_dir(_setting(settings, "out", str, "."))
+    out_dir, curve_path, run_path = _make_out_dir(_setting(settings, "out", str, "."), "curve.csv", "run.json")
 
     problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
 
-    export_convergence(record, out_dir / "curve.csv")
+    export_convergence(record, curve_path)
     doc = {"schema": RUN_SCHEMA, **record.to_dict()}
-    (out_dir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
+    run_path.write_text(json.dumps(doc, indent=2) + "\n")
 
     print(
         f"{algo} on {problem_id}: best_f={record.best_f:.6g} "
@@ -205,7 +211,7 @@ def cmd_bench(args) -> int:
     n_trials, base_seed = _trial_settings(settings)
     configs = {algo: _build_config(algo, settings, args.pop, base_seed) for algo in algos}
     _check_workers()
-    out_dir = _make_out_dir(_setting(settings, "out", str, "bench-out"))
+    out_dir = _make_out_dir(_setting(settings, "out", str, "bench-out"), *REPORT_FILES)[0]
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
     json_path, text_path = compare_report(summaries, out_dir)
@@ -225,7 +231,7 @@ def cmd_constrained(args) -> int:
     n_trials, base_seed = _trial_settings(settings)
     config = _build_config(algo, settings, args.pop, base_seed)
     _check_workers()
-    out_dir = _make_out_dir(_setting(settings, "out", str)) if "out" in settings else None
+    json_path = _make_out_dir(_setting(settings, "out", str), "constrained.json")[1] if "out" in settings else None
 
     cp = constrained_problem(problem_id)
     problem = catalog.get_problem(problem_id)
@@ -255,8 +261,8 @@ def cmd_constrained(args) -> int:
         "summary": summary.to_dict(),
         "config": {**config.to_dict(), "base_seed": base_seed},
     }
-    if out_dir is not None:
-        (out_dir / "constrained.json").write_text(json.dumps(doc, indent=2) + "\n")
+    if json_path is not None:
+        json_path.write_text(json.dumps(doc, indent=2) + "\n")
 
     xs = "  ".join(f"x{i + 1}={v:.6f}" for i, v in enumerate(best["x"]))
     gs = "  ".join(f"g{i + 1}={v:.6f}" for i, v in enumerate(best["g"]))

@@ -17,8 +17,9 @@ import numpy as np
 
 Array = np.ndarray
 
-# float64 0-d constants, so a ufunc needs no scalar conversion or dtype resolution per call
+# float64 0-d constants (a ufunc needs no scalar conversion or dtype resolution per call) and the native float64 dtype
 _INF, _ZERO = np.array(np.inf), np.array(0.0)
+_FLOAT64 = np.dtype(np.float64)
 
 
 class RandomStream:
@@ -158,7 +159,8 @@ class Problem:
         return float(self.evaluate_many(x[None, :], rng)[0])
 
     def evaluate_many(self, X, rng: RandomStream | None = None) -> Array:
-        """Fitness of each row of an (m, dim) array."""
+        """Fitness of each row of an (m, dim) array. A native float64 ndarray from ``batch`` skips the real-number
+        check and the float cast that any other output takes; every output gets the shape check and NaN map."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.space.dim:
             raise ValueError(
@@ -168,15 +170,17 @@ class Problem:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
         X = X.view()
         X.setflags(write=False)  # the objective sees a read-only view; the caller's array stays writable
-        F = np.asarray(self.batch(X, rng))
-        if F.dtype.kind not in "fiu":
-            raise ValueError(f"{self.id}: objective must return real numbers, got dtype {F.dtype}")
+        F = self.batch(X, rng)
+        if type(F) is not np.ndarray or F.dtype is not _FLOAT64:
+            F = np.asarray(F)
+            if F.dtype.kind not in "fiu":
+                raise ValueError(f"{self.id}: objective must return real numbers, got dtype {F.dtype}")
+            F = F.astype(float, copy=False)
         if F.shape != (X.shape[0],):
             raise ValueError(
                 f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
                 f"got shape {F.shape}"
             )
-        F = F.astype(float, copy=False)
         # NaN ranks as +inf, so it never wins a comparison; other values keep their bits.
         return np.fmin(F, _INF)
 

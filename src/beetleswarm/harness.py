@@ -33,6 +33,7 @@ from .core import Problem, RunRecord, check_int
 ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}
 
 REPORT_SCHEMA = "beetleswarm-compare-v1"
+REPORT_FILES = ("report.json", "report.txt")  # what compare_report writes into its destination
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,7 @@ def compare_report(summaries: list[TrialSummary], destination) -> tuple[Path, Pa
         "problems": problems,
         "cells": cells,
     }
-    json_path = dest / "report.json"
+    json_path, text_path = (dest / name for name in REPORT_FILES)
     json_path.write_text(json.dumps(doc, indent=2) + "\n")
-    text_path = dest / "report.txt"
     text_path.write_text(_format_table(problems, algorithms, cells))
     return json_path, text_path

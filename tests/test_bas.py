@@ -60,6 +60,12 @@ class TestAntennae:
             right, left = antennae(x, b, d)
             assert np.allclose((right + left) / 2.0, x, atol=1e-12)
 
+    def test_probes_are_rows_of_one_array(self):
+        x, b = np.array([1.0, -2.0, 0.5]), np.array([0.6, 0.0, -0.8])
+        probes = antennae(x, b, 0.5)
+        assert isinstance(probes, np.ndarray) and probes.shape == (2, 3) and probes.flags.owndata
+        assert probes.tobytes() == np.array([x + 0.25 * b, x - 0.25 * b]).tobytes()  # right row first
+
     def test_requires_positive_spacing(self):
         with pytest.raises(ValueError):
             antennae(np.zeros(2), np.array([1.0, 0.0]), 0.0)

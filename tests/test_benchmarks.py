@@ -336,6 +336,35 @@ class TestEvaluate:
             assert np.array_equal(pairs, singles), pid
 
 
+# F16-F18 as written with Python-float literals: the kernels hold their coefficients as 0-d arrays, which must
+# change no bit. F17 has no golden run digest, so this is its only bit pin.
+def _textbook_2d(fid, x1, x2):
+    x1_sq, x2_sq = x1 * x1, x2 * x2
+    if fid == "F16":
+        x1_4 = x1_sq * x1_sq
+        return 4.0 * x1_sq - 2.1 * x1_4 + x1_4 * x1_sq / 3.0 + x1 * x2 - 4.0 * x2_sq + 4.0 * (x2_sq * x2_sq)
+    if fid == "F17":
+        a = x2 - 5.1 / (4 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0
+        return a**2 + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1) + 10.0
+    t1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (19.0 - 14.0 * x1 + 3.0 * x1_sq - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2_sq)
+    t2 = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
+        18.0 - 32.0 * x1 + 12.0 * x1_sq + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2_sq
+    )
+    return t1 * t2
+
+
+@pytest.mark.parametrize("fid", ["F16", "F17", "F18"])
+@pytest.mark.parametrize("m", [1, 2, 50, 1500])
+def test_2d_kernels_match_textbook_bit_for_bit(fid, m):
+    rng = np.random.default_rng(m)
+    X = rng.choice([-1.0, 1.0], size=(m, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 2))
+    X[rng.uniform(size=(m, 2)) < 0.1] = 0.0
+    X[rng.uniform(size=(m, 2)) < 0.1] = -0.0
+    X[0] = [-0.0, 0.0]
+    got = problem(fid).batch(X)
+    assert got.tobytes() == _textbook_2d(fid, X[:, 0], X[:, 1]).tobytes()
+
+
 class TestProperties:
     @pytest.mark.parametrize("fid", ["F1", "F2", "F3", "F4", "F5", "F6", "F9", "F10", "F11", "F12", "F13"])
     def test_nonnegative_on_box(self, fid):

@@ -367,27 +367,41 @@ class TestConstrained:
         assert expected in capsys.readouterr().err
 
 
+# each command with a file it writes into --out
+OUT_CASES = pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("run", "--problem", "F16", "--iters", "2"), "curve.csv"),
+        (("bench", "--problems", "F16", "--iters", "2", "--pop", "4", "--trials", "1"), "report.txt"),
+        (("constrained", "--problem", "pv", "--iters", "2", "--pop", "4", "--trials", "1"), "constrained.json"),
+    ],
+    ids=["run", "bench", "constrained"],
+)
+
+
 class TestOutDir:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("run", "--problem", "F16", "--iters", "2"),
-            ("bench", "--problems", "F16", "--iters", "2", "--pop", "4", "--trials", "1"),
-            ("constrained", "--problem", "pv", "--iters", "2", "--pop", "4", "--trials", "1"),
-        ],
-        ids=["run", "bench", "constrained"],
-    )
-    def test_out_naming_a_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, argv):
-        # mkdir used to fail only after every trial had run: traceback, exit 1, results lost
-        def no_trial(*args, **kwargs):
+    @pytest.fixture
+    def no_trial(self, monkeypatch):
+        def fail(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "run_one", no_trial)
-        monkeypatch.setattr(cli, "run_one", no_trial)
+        monkeypatch.setattr(harness, "run_one", fail)
+        monkeypatch.setattr(cli, "run_one", fail)
+
+    @OUT_CASES
+    def test_out_naming_a_file_fails_before_any_trial(self, tmp_path, capsys, no_trial, argv, written):
+        # mkdir used to fail only after every trial had run: traceback, exit 1, results lost
         target = tmp_path / "taken"
         target.write_text("")
         assert run_cli(*argv, "--out", str(target)) == 2
         assert f"cannot use {target} as the output directory" in capsys.readouterr().err
+
+    @OUT_CASES
+    def test_output_file_that_is_a_directory_fails_before_any_trial(self, tmp_path, capsys, no_trial, argv, written):
+        # the write used to fail only after every trial had run: IsADirectoryError, exit 1, results lost
+        (tmp_path / "od" / written).mkdir(parents=True)
+        assert run_cli(*argv, "--out", str(tmp_path / "od")) == 2
+        assert f"cannot write {tmp_path / 'od' / written}: it is a directory" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -258,6 +258,27 @@ class TestProblem:
         X[0, 0] = 5.0
         assert X.flags.writeable
 
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.array([0.1, np.nan, -0.0], dtype=np.float32),
+            np.array([0.1, np.nan, -0.0], dtype=">f8"),
+            [0.1, np.nan, -0.0],
+        ],
+        ids=["float32", "big-endian", "list"],
+    )
+    def test_other_real_outputs_are_cast_to_native_float64(self, out):
+        # only a native float64 ndarray skips the cast; these take it, as every output used to
+        p = Problem(id="cast", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: out)
+        F = p.evaluate_many(np.zeros((3, 1)))
+        assert F.dtype == np.float64 and F.dtype.isnative
+        assert F.tolist() == [float(out[0]), np.inf, 0.0] and np.signbit(F[2])
+
+    def test_bool_output_rejected(self):
+        p = Problem(id="flags", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: X[:, 0] > 0)
+        with pytest.raises(ValueError, match="flags: objective must return real numbers, got dtype bool"):
+            p.evaluate_many(np.zeros((3, 1)))
+
     def test_integer_output_becomes_float(self):
         p = Problem(id="ints", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: np.arange(X.shape[0]))
         F = p.evaluate_many(np.zeros((3, 1)))
