@@ -321,18 +321,7 @@ class PsoConfig(ConfigDict):
 
     def to_bso(self) -> BsoConfig:
         """Equivalent engine configuration (pure swarm move, antennae off)."""
-        return BsoConfig(
-            n=self.n,
-            max_iters=self.max_iters,
-            lam=1.0,
-            a1=self.a1,
-            a2=self.a2,
-            omega_max=self.omega_max,
-            omega_min=self.omega_min,
-            delta0=0.0,
-            v_frac=self.v_frac,
-            seed=self.seed,
-        )
+        return BsoConfig(**self.to_dict(), lam=1.0, delta0=0.0)
 
 
 def run_pso(

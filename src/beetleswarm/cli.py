@@ -10,6 +10,9 @@ Every invocation writes back the fully resolved configuration (defaults
 applied, flags merged over any ``--config`` file), so each output is
 self-describing and exactly reproducible. Exit codes: 0 success, 2 usage
 error, 3 no feasible solution found, 1 internal error.
+
+Each flag that sets a config key is one row of ``FLAGS``, which builds the
+parser and gives each key its commands, JSON type and default.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
+from dataclasses import fields
 from pathlib import Path
 
 from . import catalog
@@ -36,15 +41,26 @@ from .harness import (
 RUN_SCHEMA = "beetleswarm-run-v1"
 CONSTRAINED_SCHEMA = "beetleswarm-constrained-v1"
 
-# Keys a --config file may carry besides optimizer tunables, per command; another command's key is an error.
-RUN_LEVEL_KEYS = {
-    "run": {"algorithm", "problem", "seed", "out"},
-    "bench": {"algorithms", "problems", "n_trials", "base_seed", "out"},
-    "constrained": {"algorithm", "problem", "n_trials", "base_seed", "out"},
-}
-_ANY_RUN_KEY = set().union(*RUN_LEVEL_KEYS.values())
-# Parsed arguments that are not config keys; every other flag's dest is the key it overrides.
-_NOT_KEYS = {"command", "handler", "config", "list", "pop"}
+# A flag, the config key it sets and the commands that take it. ``kind`` is the key's JSON type (None: a comma
+# string or a list, which the command parses); a ``default`` of None makes the key required where it is read.
+Flag = namedtuple("Flag", "flag key kind default commands help")
+_ALL = ("run", "bench", "constrained")
+FLAGS = (
+    Flag("--algo", "algorithm", str, "bso", ("run", "constrained"), "bso (default), bas or pso"),
+    Flag("--algos", "algorithms", None, "bso", ("bench",), "comma list, e.g. bso,pso"),
+    Flag("--problem", "problem", str, None, ("run", "constrained"), "F1..F23, PV or HB (constrained: pv or hb)"),
+    Flag("--problems", "problems", None, "", ("bench",), "comma list with ranges, e.g. F1..F13,F16"),
+    Flag("--iters", "max_iters", int, None, _ALL, "iteration budget per run"),
+    Flag("--pop", "n", int, None, _ALL, "population size per run (ignored by bas)"),
+    Flag("--trials", "n_trials", int, 30, ("bench", "constrained"), "trials per cell (default 30)"),
+    Flag("--seed", "seed", int, 0, ("run",), "random seed"),
+    Flag("--seed", "base_seed", int, 0, ("bench", "constrained"), "base seed; trial i uses seed base+i"),
+    Flag("--out", "out", str, ".", ("run",), "output directory (default: current directory)"),
+    Flag("--out", "out", str, "bench-out", ("bench",), "report directory (default: bench-out)"),
+    Flag("--out", "out", str, None, ("constrained",), "write constrained.json here"),
+)
+# Keys the commands read themselves: the flag keys no optimizer config has. Any other setting is a tunable.
+_RUN_LEVEL_KEYS = {f.key for f in FLAGS} - {f.name for cfg_type, _ in ALGORITHMS.values() for f in fields(cfg_type)}
 
 
 class UsageError(Exception):
@@ -63,20 +79,22 @@ def _settings(args) -> dict:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(settings, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-    settings.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_KEYS)
-    for key in sorted(settings.keys() & _ANY_RUN_KEY - RUN_LEVEL_KEYS[args.command]):
+    own, given = [f.key for f in FLAGS if args.command in f.commands], vars(args)
+    settings.update((key, given[key]) for key in own if key != "n" and given[key] is not None)
+    for key in sorted(settings.keys() & {f.key for f in FLAGS} - set(own)):
         hint = "; use base_seed (trial i runs at seed base_seed + i)" if key == "seed" else ""
         raise UsageError(f"config key {key!r} does not apply to {args.command}{hint}")
     return settings
 
 
-def _setting(settings: dict, key: str, kind: type, default=None):
-    """One run-level value, checked against its JSON type; no default means the key is required."""
-    if key not in settings and default is None:
+def _setting(settings: dict, command: str, key: str):
+    """One run-level value, checked against its flag's JSON type; a flag with no default makes it required."""
+    flag = next(f for f in FLAGS if f.key == key and command in f.commands)
+    if key not in settings and flag.default is None:
         raise UsageError(f"no {key} given (use a flag or a config file)")
-    value = settings.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        name = "an integer" if kind is int else "a string"
+    value = settings.get(key, flag.default)
+    if flag.kind and (isinstance(value, bool) or not isinstance(value, flag.kind)):
+        name = "an integer" if flag.kind is int else "a string"
         raise UsageError(f"config key {key!r} must be {name}, got {value!r}")
     return value
 
@@ -132,10 +150,10 @@ def _expand_problems(spec_str) -> list[str]:
 
 
 def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
-    """One algorithm's config from the merged settings, with --pop for the swarm optimizers."""
+    """One algorithm's config from the merged settings, with --pop for a config type that has a population."""
     cfg_type = ALGORITHMS[algo][0]
-    tunables = {k: v for k, v in settings.items() if k not in _ANY_RUN_KEY}
-    if pop is not None and algo != "bas":
+    tunables = {k: v for k, v in settings.items() if k not in _RUN_LEVEL_KEYS}
+    if pop is not None and any(f.name == "n" for f in fields(cfg_type)):
         tunables["n"] = pop
     tunables["seed"] = seed
     try:
@@ -144,11 +162,11 @@ def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
         raise UsageError(f"bad {algo} config: {exc}")
 
 
-def _trial_settings(settings: dict) -> tuple[int, int]:
-    n_trials = _setting(settings, "n_trials", int, 30)
+def _trial_settings(settings: dict, command: str) -> tuple[int, int]:
+    n_trials = _setting(settings, command, "n_trials")
     if n_trials < 1:
         raise UsageError(f"n_trials (--trials) must be at least 1, got {n_trials}")
-    base_seed = _setting(settings, "base_seed", int, 0)
+    base_seed = _setting(settings, command, "base_seed")
     if base_seed < 0:
         raise UsageError(f"base_seed (--seed) must be nonnegative, got {base_seed}")
     return n_trials, base_seed
@@ -182,10 +200,10 @@ def _make_out_dir(out: str, *files: str) -> list[Path]:
 
 def cmd_run(args) -> int:
     settings = _settings(args)
-    algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
-    problem_id = _check_problem(_setting(settings, "problem", str))
-    config = _build_config(algo, settings, args.pop, _setting(settings, "seed", int, 0))
-    out_dir, curve_path, run_path = _make_out_dir(_setting(settings, "out", str, "."), "curve.csv", "run.json")
+    algo = _check_algorithm(_setting(settings, "run", "algorithm"))
+    problem_id = _check_problem(_setting(settings, "run", "problem"))
+    config = _build_config(algo, settings, args.pop, _setting(settings, "run", "seed"))
+    out_dir, curve_path, run_path = _make_out_dir(_setting(settings, "run", "out"), "curve.csv", "run.json")
 
     problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
@@ -206,12 +224,12 @@ def cmd_bench(args) -> int:
         print(json.dumps(catalog.list_problems(), indent=2))
         return 0
     settings = _settings(args)
-    algos = _algo_list(settings.get("algorithms", "bso"))
-    problems = _expand_problems(settings.get("problems", ""))
-    n_trials, base_seed = _trial_settings(settings)
+    algos = _algo_list(_setting(settings, "bench", "algorithms"))
+    problems = _expand_problems(_setting(settings, "bench", "problems"))
+    n_trials, base_seed = _trial_settings(settings, "bench")
     configs = {algo: _build_config(algo, settings, args.pop, base_seed) for algo in algos}
     _check_workers()
-    out_dir = _make_out_dir(_setting(settings, "out", str, "bench-out"), *REPORT_FILES)[0]
+    out_dir = _make_out_dir(_setting(settings, "bench", "out"), *REPORT_FILES)[0]
 
     summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
     json_path, text_path = compare_report(summaries, out_dir)
@@ -222,16 +240,17 @@ def cmd_bench(args) -> int:
 
 def cmd_constrained(args) -> int:
     settings = _settings(args)
-    problem_id = _setting(settings, "problem", str).upper()
+    problem_id = _setting(settings, "constrained", "problem").upper()
     if problem_id not in CONSTRAINED_IDS:
         raise UsageError(
             f"unknown constrained problem {problem_id!r} (choose from {', '.join(CONSTRAINED_IDS).lower()})"
         )
-    algo = _check_algorithm(_setting(settings, "algorithm", str, "bso"))
-    n_trials, base_seed = _trial_settings(settings)
+    algo = _check_algorithm(_setting(settings, "constrained", "algorithm"))
+    n_trials, base_seed = _trial_settings(settings, "constrained")
     config = _build_config(algo, settings, args.pop, base_seed)
     _check_workers()
-    json_path = _make_out_dir(_setting(settings, "out", str), "constrained.json")[1] if "out" in settings else None
+    out = _setting(settings, "constrained", "out") if "out" in settings else None
+    json_path = None if out is None else _make_out_dir(out, "constrained.json")[1]
 
     cp = constrained_problem(problem_id)
     problem = catalog.get_problem(problem_id)
@@ -289,43 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
         "results are identical to a serial run.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    run_p = sub.add_parser("run", help="one seeded optimizer run")
-    run_p.add_argument("--algo", dest="algorithm", metavar="ALGO", help="bso, bas or pso")
-    run_p.add_argument("--problem", help="problem id (F1..F23, PV, HB)")
-    run_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget")
-    run_p.add_argument("--pop", type=int, help="population size (ignored by bas)")
-    run_p.add_argument("--seed", type=int, help="random seed")
-    run_p.add_argument("--out", help="output directory (default: current directory)")
-    run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.set_defaults(handler=cmd_run)
-
-    bench_p = sub.add_parser("bench", help="trial matrix over problems and algorithms")
-    bench_p.add_argument("--algos", dest="algorithms", metavar="ALGOS", help="comma list, e.g. bso,pso")
-    bench_p.add_argument("--problems", help="comma list with ranges, e.g. F1..F13,F16")
-    bench_p.add_argument(
-        "--trials", dest="n_trials", metavar="TRIALS", type=int, help="trials per cell (default 30)"
-    )
-    bench_p.add_argument(
-        "--seed", dest="base_seed", metavar="SEED", type=int, help="base seed; trial i uses seed base+i"
-    )
-    bench_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget per run")
-    bench_p.add_argument("--pop", type=int, help="population size per run")
-    bench_p.add_argument("--out", help="report directory (default: bench-out)")
-    bench_p.add_argument("--config", help="JSON config file; flags override its values")
-    bench_p.add_argument("--list", action="store_true", help="print the problem catalog and exit")
-    bench_p.set_defaults(handler=cmd_bench)
-
-    con_p = sub.add_parser("constrained", help="penalty-handled engineering problems")
-    con_p.add_argument("--problem", help="pv or hb")
-    con_p.add_argument("--algo", dest="algorithm", metavar="ALGO", help="bso (default), bas or pso")
-    con_p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help="iteration budget per run")
-    con_p.add_argument("--pop", type=int, help="population size per run")
-    con_p.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int, help="trials (default 30)")
-    con_p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base seed")
-    con_p.add_argument("--out", help="write constrained.json here")
-    con_p.add_argument("--config", help="JSON config file; flags override its values")
-    con_p.set_defaults(handler=cmd_constrained)
+    for command, handler, summary in (
+        ("run", cmd_run, "one seeded optimizer run"),
+        ("bench", cmd_bench, "trial matrix over problems and algorithms"),
+        ("constrained", cmd_constrained, "penalty-handled engineering problems"),
+    ):
+        sub_p = sub.add_parser(command, help=summary)
+        for f in FLAGS:
+            if command in f.commands:
+                # --pop keeps its own dest, out of the settings: bas ignores it but rejects a file's n
+                dest, kind = "pop" if f.key == "n" else f.key, int if f.kind is int else None
+                sub_p.add_argument(f.flag, dest=dest, metavar=f.flag[2:].upper(), type=kind, help=f.help)
+        sub_p.add_argument("--config", help="JSON config file; flags override its values")
+        if command == "bench":
+            sub_p.add_argument("--list", action="store_true", help="print the problem catalog and exit")
+        sub_p.set_defaults(handler=handler)
 
     return parser
 

@@ -7,7 +7,8 @@ wall-clock time. Trials are independent, so with ``BSO_THREADS`` set above
 1 they execute in a process pool that receives the caller's own problem
 and config objects (so both must pickle); because every trial owns its
 seed, the parallel and serial paths produce identical records (timings
-aside).
+aside). A trial that raises ends the run at once on either path, with a
+note naming the trial on its exception; the pool drops the trials not begun.
 
 Exports: per-run convergence curves as two-column CSV at full double
 precision, and cross-algorithm comparison reports as JSON plus an aligned
@@ -79,10 +80,15 @@ class TrialSummary:
 
 
 def run_one(algorithm: str, problem: Problem, config, seed: int) -> RunRecord:
-    """Dispatch a single seeded run to the named optimizer."""
+    """Dispatch a single seeded run to the named optimizer; an exception it raises names the run in its notes."""
     if algorithm not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm][1](problem, config, seed=seed)
+    try:
+        return ALGORITHMS[algorithm][1](problem, config, seed=seed)
+    except Exception as exc:
+        # what add_note does on Python 3.11+, written out so that 3.10 keeps the note too
+        exc.__notes__ = [*getattr(exc, "__notes__", []), f"{algorithm} on {problem.id}, seed {seed}"]
+        raise
 
 
 def worker_count() -> int:
@@ -110,15 +116,22 @@ def _seeds(n_trials: int, base_seed: int) -> list[int]:
 def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
     """Run (algorithm, problem, config, seed) jobs, in a pool if BSO_THREADS > 1.
 
-    Records come back in job order either way.
+    Records come back in job order either way. The first failure is raised at once; in the pool, the jobs
+    already begun finish in the background and the rest never start.
     """
     workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never load multiprocessing
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = [pool.submit(run_one, *job) for job in jobs]
-            return [f.result() for f in futures]
-    return [run_one(*job) for job in jobs]
+    if workers < 2 or len(jobs) < 2:
+        return [run_one(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never load multiprocessing
+    pool, futures = ProcessPoolExecutor(max_workers=min(workers, len(jobs))), []
+    try:
+        futures.extend(pool.submit(run_one, *job) for job in jobs)
+        return [f.result() for f in futures]
+    finally:
+        # not shutdown(cancel_futures=True), which can hang on Python 3.11 when a job fails to pickle
+        for future in futures:
+            future.cancel()
+        pool.shutdown(wait=all(f.done() for f in futures))  # a job still running means a failure: don't wait
 
 
 def run_trial_records(

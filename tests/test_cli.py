@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +412,19 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli("optimize") == 2
+
+
+class TestReadme:
+    def test_flag_table_matches_the_parser_table(self):
+        # the README lists every row of cli.FLAGS, in order; a default must appear in the value cell
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = []
+        for line in readme.splitlines():
+            if line.startswith("| `--"):
+                flag, key, commands, value = (cell.strip() for cell in line.strip("|").split("|"))
+                commands = ("run", "bench", "constrained") if commands == "all" else tuple(commands.split(", "))
+                rows.append((flag.strip("`"), key.strip("`"), commands, value))
+        assert [row[:3] for row in rows] == [(f.flag, f.key, f.commands) for f in cli.FLAGS]
+        for (flag, key, _, value), row in zip(rows, cli.FLAGS):
+            if row.default not in (None, ""):
+                assert f"default `{row.default}`" in value, (flag, key, value)

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ import beetleswarm
 from beetleswarm import (
     BsoConfig,
     PenaltyConfig,
+    Problem,
     PsoConfig,
     RandomStream,
     RunRecord,
+    SearchSpace,
     TrialSummary,
     as_problem,
     compare_report,
@@ -25,9 +28,18 @@ from beetleswarm import (
 )
 from beetleswarm.bas import BasConfig
 from beetleswarm.constrained import PRESSURE_VESSEL
-from beetleswarm.harness import run_matrix, run_one, run_trial_records, run_trials, summarize, worker_count
+from beetleswarm.harness import _run_jobs, run_matrix, run_one, run_trial_records, run_trials, summarize, worker_count
 
 from .conftest import sphere_problem
+
+
+def _failing_objective(X, rng=None):
+    raise RuntimeError("objective failed")
+
+
+def _slow_objective(X, rng=None):
+    time.sleep(0.5)
+    return (X * X).sum(axis=1)
 
 
 def _record(best_f, seed=0, curve=None, problem_id="P", algorithm="bso", time_s=0.25):
@@ -171,6 +183,23 @@ class TestRunTrials:
         monkeypatch.setenv("BSO_THREADS", "2")
         with pytest.raises((AttributeError, pickle.PicklingError)):
             run_trial_records("bso", sphere_problem(2), BsoConfig(n=5, max_iters=3), 2, 0)
+
+    def test_failed_trial_cancels_the_pool_and_names_the_trial(self, monkeypatch, two_cpus):
+        # the pool used to run all 12 slow jobs (3 s on two workers) before reporting the first job's error,
+        # and neither path said which trial had failed
+        cfg = BsoConfig(n=2, max_iters=0)  # one objective call per trial
+        space = SearchSpace.box(2, -1.0, 1.0)
+        failing = ("bso", Problem(id="fails", space=space, batch=_failing_objective), cfg, 7)
+        slow = Problem(id="slow", space=space, batch=_slow_objective)
+        monkeypatch.setenv("BSO_THREADS", "2")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="^objective failed") as pooled:
+            _run_jobs([failing] + [("bso", slow, cfg, s) for s in range(12)])
+        assert time.perf_counter() - start < 1.5
+        assert pooled.value.__notes__ == ["bso on fails, seed 7"]
+        with pytest.raises(RuntimeError, match="^objective failed") as serial:
+            _run_jobs([failing])
+        assert serial.value.__notes__ == pooled.value.__notes__
 
     def test_thread_count_above_cpu_count_rejected(self, monkeypatch):
         # checked through worker_count() alone, so no pool is ever started; a

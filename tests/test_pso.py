@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from beetleswarm import PsoConfig, get_problem, run_pso
+from beetleswarm import BsoConfig, PsoConfig, get_problem, run_pso
 
 from .conftest import sphere_problem
 
@@ -24,10 +26,13 @@ class TestPsoConfig:
             PsoConfig(omega_min=1.0, omega_max=0.5)
 
     def test_engine_mapping(self):
-        bso = PsoConfig(n=7, max_iters=12, seed=4).to_bso()
-        assert bso.lam == 1.0
-        assert bso.delta0 == 0.0
-        assert (bso.n, bso.max_iters, bso.seed) == (7, 12, 4)
+        # every PSO field, each off its default, carries over; the antenna is off and eta, c2_ratio keep BSO's
+        pso = PsoConfig(n=7, max_iters=12, a1=1.25, a2=1.75, omega_max=0.8, omega_min=0.3, v_frac=0.15, seed=4)
+        assert all(getattr(pso, f.name) != f.default for f in fields(PsoConfig))
+        bso = pso.to_bso()
+        assert {key: getattr(bso, key) for key in pso.to_dict()} == pso.to_dict()
+        assert (bso.lam, bso.delta0) == (1.0, 0.0)
+        assert (bso.eta, bso.c2_ratio) == (BsoConfig.eta, BsoConfig.c2_ratio)
 
 
 class TestRunPso:
