@@ -41,15 +41,15 @@ from .harness import (
 RUN_SCHEMA = "beetleswarm-run-v1"
 CONSTRAINED_SCHEMA = "beetleswarm-constrained-v1"
 
-# A flag, the config key it sets and the commands that take it. ``kind`` is the key's JSON type (None: a comma
-# string or a list, which the command parses); a ``default`` of None makes the key required where it is read.
+# A flag, the config key it sets and the commands that take it. ``kind`` is the key's JSON type (list: a comma
+# string or a list of strings, read as its stripped items); a ``default`` of None makes the key required.
 Flag = namedtuple("Flag", "flag key kind default commands help")
 _ALL = ("run", "bench", "constrained")
 FLAGS = (
     Flag("--algo", "algorithm", str, "bso", ("run", "constrained"), "bso (default), bas or pso"),
-    Flag("--algos", "algorithms", None, "bso", ("bench",), "comma list, e.g. bso,pso"),
+    Flag("--algos", "algorithms", list, "bso", ("bench",), "comma list, e.g. bso,pso"),
     Flag("--problem", "problem", str, None, ("run", "constrained"), "F1..F23, PV or HB (constrained: pv or hb)"),
-    Flag("--problems", "problems", None, "", ("bench",), "comma list with ranges, e.g. F1..F13,F16"),
+    Flag("--problems", "problems", list, "", ("bench",), "comma list with ranges, e.g. F1..F13,F16"),
     Flag("--iters", "max_iters", int, None, _ALL, "iteration budget per run"),
     Flag("--pop", "n", int, None, _ALL, "population size per run (ignored by bas)"),
     Flag("--trials", "n_trials", int, 30, ("bench", "constrained"), "trials per cell (default 30)"),
@@ -93,10 +93,12 @@ def _setting(settings: dict, command: str, key: str):
     if key not in settings and flag.default is None:
         raise UsageError(f"no {key} given (use a flag or a config file)")
     value = settings.get(key, flag.default)
-    if flag.kind and (isinstance(value, bool) or not isinstance(value, flag.kind)):
-        name = "an integer" if flag.kind is int else "a string"
+    if flag.kind is list and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = ",".join(value)
+    if isinstance(value, bool) or not isinstance(value, str if flag.kind is list else flag.kind):
+        name = {int: "an integer", str: "a string", list: "a comma string or a list of strings"}[flag.kind]
         raise UsageError(f"config key {key!r} must be {name}, got {value!r}")
-    return value
+    return [v.strip() for v in value.split(",") if v.strip()] if flag.kind is list else value
 
 
 def _check_algorithm(algo: str) -> str:
@@ -106,9 +108,8 @@ def _check_algorithm(algo: str) -> str:
     return algo
 
 
-def _algo_list(value) -> list[str]:
+def _algo_list(names: list[str]) -> list[str]:
     """Checked algorithm names, repeats dropped, first occurrences kept in order."""
-    names = value if isinstance(value, (list, tuple)) else [a for a in str(value).split(",") if a.strip()]
     if not names:
         raise UsageError("no algorithms given")
     return list(dict.fromkeys(_check_algorithm(a) for a in names))
@@ -121,15 +122,10 @@ def _check_problem(problem_id: str) -> str:
     return key
 
 
-def _expand_problems(spec_str) -> list[str]:
-    """Comma list with F-range support: "F1..F4,F16" -> F1 F2 F3 F4 F16; repeats dropped."""
-    if isinstance(spec_str, (list, tuple)):
-        spec_str = ",".join(str(v) for v in spec_str)
+def _expand_problems(parts: list[str]) -> list[str]:
+    """Problem ids with F-range support: ["F1..F4", "F16"] -> F1 F2 F3 F4 F16; repeats dropped."""
     out: list[str] = []
-    for part in str(spec_str).split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in parts:
         if ".." in part:
             left, right = part.split("..", 1)
             left, right = left.strip().upper(), right.strip().upper()

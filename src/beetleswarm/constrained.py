@@ -19,8 +19,9 @@ which equals the raw objective exactly on the feasible set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -48,10 +49,6 @@ class PenaltyConfig:
         if self.weight < 0:
             raise ValueError("penalty weight must be nonnegative")
 
-    @cached_property
-    def _weight(self) -> Array:
-        return np.array(self.weight)
-
 
 @dataclass(frozen=True)
 class DiscreteGrid:
@@ -61,8 +58,17 @@ class DiscreteGrid:
     k_min: int
     k_max: int
 
+    def __post_init__(self):
+        # not check_fields, which refuses negative integers: a grid may reach below zero
+        if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in (self.k_min, self.k_max)):
+            raise ValueError(f"grid k_min and k_max must be integers, got {self.k_min!r} and {self.k_max!r}")
+        if isinstance(self.step, bool) or not (isinstance(self.step, numbers.Real) and 0 < self.step < math.inf):
+            raise ValueError(f"grid step must be positive and finite, got {self.step!r}")
+        if self.k_min > self.k_max:
+            raise ValueError(f"grid k_min must not exceed k_max, got {self.k_min} > {self.k_max}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ConstrainedProblem:
     """Raw objective, interval constraints and per-dimension variable kinds.
 
@@ -72,6 +78,10 @@ class ConstrainedProblem:
     variables, None for continuous ones. Through ``as_problem``,
     ``raw_batch`` and ``constraint_batch`` receive the snapped copy in
     column-major order, so they must not assume a C-contiguous input.
+
+    A problem is plain data that equals only itself (``eq=False``), so it
+    hashes by identity: the arrays derived from it for a batch size are
+    cached by ``_layout``, keyed on the problem and the size.
     """
 
     id: str
@@ -82,41 +92,15 @@ class ConstrainedProblem:
     g_upper: Array
     grids: tuple[DiscreteGrid | None, ...]
 
-    @cached_property
-    def _grid_table(self) -> tuple[slice | Array, Array, Array, Array]:
-        """Gridded columns (a slice when adjacent, so no gather) with their steps and k bounds, built once."""
-        gridded = [(j, g) for j, g in enumerate(self.grids) if g is not None]
-        cols = [j for j, _ in gridded]
-        adjacent = bool(cols) and cols[-1] - cols[0] == len(cols) - 1
-        return (
-            slice(cols[0], cols[-1] + 1) if adjacent else np.array(cols, dtype=np.intp),
-            np.array([g.step for _, g in gridded], dtype=float),
-            np.array([g.k_min for _, g in gridded], dtype=float),
-            np.array([g.k_max for _, g in gridded], dtype=float),
-        )
-
-    @cached_property
-    def _by_rows(self) -> dict[int, tuple[Array, ...]]:
-        return {}
-
-    def __getstate__(self):  # the per-batch-size bounds are rebuilt where needed, not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_by_rows"}
-
-    def _bounds(self, m: int) -> tuple[Array, ...]:
-        """Grid steps, k bounds and g bounds tiled to m rows, so no snap or violation ufunc broadcasts."""
-        if m not in self._by_rows:
-            if len(self._by_rows) >= 8:  # a few batch sizes recur; keep the cache small
-                self._by_rows.clear()
-            rows = self._grid_table[1:] + (self.g_lower, self.g_upper)
-            self._by_rows[m] = tuple(np.asfortranarray(np.tile(r, (m, 1))) for r in rows)
-        return self._by_rows[m]
+    def __post_init__(self):
+        if len(self.grids) != self.space.dim:
+            raise ValueError(f"{self.id}: {len(self.grids)} grids for {self.space.dim} dimensions, not one each")
 
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
         X = np.array(X, dtype=float, order="F")
-        cols, steps = self._grid_table[:2]
-        if steps.size:
-            step, k_min, k_max = self._bounds(X.shape[0])[:3]
+        cols, step, k_min, k_max = _layout(self, X.shape[0])[:4]
+        if cols is not None:
             k = X[:, cols]
             k /= step
             np.rint(k, out=k)
@@ -137,7 +121,7 @@ class ConstrainedProblem:
     def violations_many(self, X: Array) -> Array:
         """(m, n_constraints) array of interval violations, zero when satisfied."""
         g = self.constraint_batch(np.asarray(X, dtype=float))
-        g_lower, g_upper = self._bounds(g.shape[0])[3:]
+        g_lower, g_upper = _layout(self, g.shape[0])[4:]
         below = np.subtract(g_lower, g)
         np.maximum(below, np.subtract(g, g_upper), out=below)
         return np.maximum(_ZERO, below, out=below)
@@ -165,18 +149,31 @@ class ConstrainedProblem:
         }
 
 
-def _penalized_many(problem: ConstrainedProblem, X: Array, config: PenaltyConfig) -> Array:
-    """Raw objective plus the exterior penalty for each row of X, unsnapped."""
+@lru_cache(maxsize=8)  # a process meets few batch sizes per problem: n, 2 and 1, plus 50 and 1500 in perfbench
+def _layout(problem: ConstrainedProblem, m: int) -> tuple[slice | Array | None, Array, Array, Array, Array, Array]:
+    """The gridded columns (a slice when adjacent, so no gather; None without grids), then the grid steps, k
+    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts."""
+    cols = [j for j, g in enumerate(problem.grids) if g is not None] or None
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        cols = slice(cols[0], cols[-1] + 1)
+    elif cols:
+        cols = np.array(cols, dtype=np.intp)
+    table = np.array([(g.step, g.k_min, g.k_max) for g in problem.grids if g is not None], dtype=float).reshape(-1, 3)
+    return (cols, *(np.asfortranarray(np.tile(r, (m, 1))) for r in (*table.T, problem.g_lower, problem.g_upper)))
+
+
+def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Array:
+    """Raw objective plus the exterior penalty, at a 0-d array ``weight``, for each row of X, unsnapped."""
     viol = problem.violations_many(X)
     viol *= viol
     penalty = np.add.reduce(viol, axis=1)
-    penalty *= config._weight
+    penalty *= weight
     return np.add(problem.raw_batch(X), penalty, out=penalty)
 
 
 def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> float:
     """Raw objective plus the exterior penalty at a single point."""
-    return float(_penalized_many(problem, np.asarray(x, dtype=float)[None, :], config)[0])
+    return float(_penalized_many(problem, np.asarray(x, dtype=float)[None, :], np.array(config.weight))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +291,9 @@ def as_problem(cp: ConstrainedProblem, penalty: PenaltyConfig | None = None) -> 
     functools.partial, not a closure, so the problem pickles for the trial
     process pool.
     """
-    pen = penalty if penalty is not None else PenaltyConfig()
-    return Problem(id=cp.id, space=cp.space, batch=partial(_snapped_penalized, cp, pen), clamp_probes=True)
+    weight = np.array((penalty or PenaltyConfig()).weight)  # a 0-d array, built once and not per call
+    return Problem(id=cp.id, space=cp.space, batch=partial(_snapped_penalized, cp, weight), clamp_probes=True)
 
 
-def _snapped_penalized(cp: ConstrainedProblem, pen: PenaltyConfig, X: Array, rng=None) -> Array:
-    return _penalized_many(cp, cp.snap_many(X), pen)
+def _snapped_penalized(cp: ConstrainedProblem, weight: Array, X: Array, rng=None) -> Array:
+    return _penalized_many(cp, cp.snap_many(X), weight)

@@ -244,6 +244,38 @@ class TestBench:
         assert doc["algorithms"] == ["bso", "pso"]
         assert doc["problems"] == ["F16", "F18"]
 
+    def test_spaced_list_items_are_stripped(self, tmp_path):
+        # --algos "bso, pso" used to exit 2 with "unknown algorithm ' pso'", while --problems stripped its items
+        out = tmp_path / "rep"
+        code = run_cli(
+            "bench", "--algos", "bso, pso", "--problems", "F16, F18", "--trials", "1",
+            "--iters", "5", "--pop", "4", "--out", str(out),
+        )
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["algorithms"] == ["bso", "pso"]
+        assert doc["problems"] == ["F16", "F18"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithms": [" bso", "pso "], "problems": ["F16 ", " F17..F18"]}))
+        assert run_cli("bench", "--config", str(cfg), "--trials", "1", "--iters", "5", "--pop", "4",
+                       "--out", str(out)) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["algorithms"] == ["bso", "pso"]
+        assert doc["problems"] == ["F16", "F17", "F18"]
+
+    @pytest.mark.parametrize("key", ["algorithms", "problems"])
+    @pytest.mark.parametrize("value", [True, None, 3, ["bso", 3]], ids=["bool", "null", "number", "mixed-list"])
+    def test_list_key_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        # these used to exit 2 as an unknown algorithm or problem ('true', None, '3'), without naming the key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithms": "bso", "problems": "F16", key: value}))
+        code = run_cli("bench", "--config", str(cfg), "--trials", "1", "--iters", "2", "--pop", "4",
+                       "--out", str(tmp_path / "rep"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be a comma string or a list of strings, got {value!r}" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_non_numeric_trials_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problems": "F16", "n_trials": "many"}))

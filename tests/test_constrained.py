@@ -11,7 +11,7 @@ directly computed value is pinned instead.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,6 +186,48 @@ class TestSnapDiscrete:
         assert all(np.array_equal(cp.snap(x), row) for x, row in zip(X, snapped))
         assert np.array_equal(X, kept)
         assert snapped.flags.f_contiguous  # objectives receive the snapped copy column-major
+
+
+    @pytest.mark.parametrize(
+        "step,k_min,k_max",
+        [(0.0, 1, 9), (0.1, 5, 2), (-0.1, 1, 9), (np.nan, 1, 9), (0.1, 1.5, 9)],
+        ids=["zero-step", "k_min-above-k_max", "negative-step", "nan-step", "fractional-k_min"],
+    )
+    def test_bad_grid_rejected(self, step, k_min, k_max):
+        # each used to build and then snap wrong: to 0.0, always to k_max, outside the box, to NaN
+        with pytest.raises(ValueError, match="grid"):
+            DiscreteGrid(step=step, k_min=k_min, k_max=k_max)
+
+    def test_grids_must_cover_every_dimension(self):
+        # a shorter tuple used to leave the last columns unsnapped
+        with pytest.raises(ValueError, match="3 grids for 4 dimensions"):
+            replace(PRESSURE_VESSEL, grids=PRESSURE_VESSEL.grids[:3])
+
+
+class TestPlainData:
+    def test_evaluation_leaves_only_the_dataclass_fields(self):
+        # the per-batch-size arrays live in a module-level cache, not on the problem or the penalty config
+        for cp in (PRESSURE_VESSEL, HIMMELBLAU):
+            problem = as_problem(cp)
+            for m in (1, 2, 50):
+                problem.evaluate_many(np.tile(cp.space.lower, (m, 1)))
+            assert set(vars(cp)) == {f.name for f in fields(cp)}, cp.id
+        config = PenaltyConfig()
+        penalized_fitness(PRESSURE_VESSEL, PRESSURE_VESSEL.space.lower, config)
+        assert set(vars(config)) == {"weight"}
+
+    @pytest.mark.parametrize("cp", [PRESSURE_VESSEL, HIMMELBLAU], ids=["PV", "HB"])
+    def test_batch_sizes_past_the_cache_keep_every_bit(self, cp):
+        # ten batch sizes, up then down, are more than the layout cache holds, so layouts are evicted and
+        # rebuilt; every row must still get the bits it gets alone
+        problem = as_problem(cp)
+        rng = np.random.default_rng(17)
+        X = cp.space.lower + (1.4 * rng.random((200, cp.space.dim)) - 0.2) * cp.space.widths
+        singles = np.concatenate([problem.evaluate_many(X[i : i + 1]) for i in range(len(X))])
+        sizes = (2, 3, 5, 7, 11, 13, 50, 64, 100, 200)
+        for m in sizes + sizes[::-1]:
+            got = np.concatenate([problem.evaluate_many(X[i : i + m]) for i in range(0, len(X), m)])
+            assert got.tobytes() == singles.tobytes(), m
 
 
 class TestPenalty:

@@ -42,6 +42,10 @@ def _slow_objective(X, rng=None):
     return (X * X).sum(axis=1)
 
 
+def _dying_objective(X, rng=None):
+    os._exit(3)  # the worker process ends without a result or an exception
+
+
 def _record(best_f, seed=0, curve=None, problem_id="P", algorithm="bso", time_s=0.25):
     curve = [best_f + 1, best_f] if curve is None else curve
     return RunRecord(
@@ -245,6 +249,36 @@ assert [(r.seed, r.curve.tobytes(), r.best_x.tobytes()) for r in serial] == [
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_dying_worker_breaks_the_pool(self):
+        # a worker that exits mid-trial raises BrokenProcessPool at once instead of leaving the caller waiting;
+        # the objective is importable from this module, so any start method can ship it to the workers
+        script = """
+import os, sys, time
+from concurrent.futures.process import BrokenProcessPool
+from beetleswarm import BsoConfig, Problem, SearchSpace
+from beetleswarm.harness import _run_jobs
+from tests.test_harness import _dying_objective
+os.cpu_count = lambda real=os.cpu_count() or 1: max(2, real)  # two workers pass on one CPU too
+os.environ["BSO_THREADS"] = "2"
+problem = Problem(id="dies", space=SearchSpace.box(2, -1.0, 1.0), batch=_dying_objective)
+start = time.perf_counter()
+try:
+    _run_jobs([("bso", problem, BsoConfig(n=4, max_iters=2), seed) for seed in range(4)])
+except BrokenProcessPool:
+    print(f"broken after {time.perf_counter() - start:.3f} s")
+else:
+    sys.exit("the pool returned records")
+"""
+        root = Path(__file__).parents[1]
+        src = str(Path(beetleswarm.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "BSO_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, str(root), env.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=root, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout.split()[2]) < 5.0, result.stdout
 
 
 @pytest.mark.parametrize("pid", problem_ids())
