@@ -80,8 +80,8 @@ class ConstrainedProblem:
     column-major order, so they must not assume a C-contiguous input.
 
     A problem is plain data that equals only itself (``eq=False``), so it
-    hashes by identity: the arrays derived from it for a batch size are
-    cached by ``_layout``, keyed on the problem and the size.
+    hashes by identity: the arrays derived from it for a batch shape are
+    cached by ``_layout``, keyed on the problem and that shape.
     """
 
     id: str
@@ -99,7 +99,7 @@ class ConstrainedProblem:
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
         X = np.array(X, dtype=float, order="F")
-        cols, step, k_min, k_max = _layout(self, X.shape[0])[:4]
+        cols, step, k_min, k_max = _layout(self, X.shape)[:4]
         if cols is not None:
             k = X[:, cols]
             k /= step
@@ -110,18 +110,19 @@ class ConstrainedProblem:
         return X
 
     def snap(self, x) -> Array:
-        return self.snap_many(np.asarray(x, dtype=float)[None, :])[0]
+        return self.snap_many(self.space.row(x, self.id))[0]
 
     def raw(self, x) -> float:
-        return float(self.raw_batch(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.raw_batch(self.space.row(x, self.id))[0])
 
     def constraints(self, x) -> Array:
-        return self.constraint_batch(np.asarray(x, dtype=float)[None, :])[0]
+        return self.constraint_batch(self.space.row(x, self.id))[0]
 
     def violations_many(self, X: Array) -> Array:
         """(m, n_constraints) array of interval violations, zero when satisfied."""
-        g = self.constraint_batch(np.asarray(X, dtype=float))
-        g_lower, g_upper = _layout(self, g.shape[0])[4:]
+        X = np.asarray(X, dtype=float)
+        g_lower, g_upper = _layout(self, X.shape)[4:]
+        g = self.constraint_batch(X)
         below = np.subtract(g_lower, g)
         np.maximum(below, np.subtract(g, g_upper), out=below)
         return np.maximum(_ZERO, below, out=below)
@@ -150,16 +151,19 @@ class ConstrainedProblem:
 
 
 @lru_cache(maxsize=8)  # a process meets few batch sizes per problem: n, 2 and 1, plus 50 and 1500 in perfbench
-def _layout(problem: ConstrainedProblem, m: int) -> tuple[slice | Array | None, Array, Array, Array, Array, Array]:
+def _layout(problem: ConstrainedProblem, shape: tuple[int, ...]) -> tuple:
     """The gridded columns (a slice when adjacent, so no gather; None without grids), then the grid steps, k
-    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts."""
+    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts. A batch shape
+    other than (m, dim) is an error, raised here and so never cached."""
+    if len(shape) != 2 or shape[1] != problem.space.dim:
+        raise ValueError(f"{problem.id}: expected an (m, {problem.space.dim}) array, got shape {shape}")
     cols = [j for j, g in enumerate(problem.grids) if g is not None] or None
     if cols and cols[-1] - cols[0] == len(cols) - 1:
         cols = slice(cols[0], cols[-1] + 1)
     elif cols:
         cols = np.array(cols, dtype=np.intp)
     table = np.array([(g.step, g.k_min, g.k_max) for g in problem.grids if g is not None], dtype=float).reshape(-1, 3)
-    return (cols, *(np.asfortranarray(np.tile(r, (m, 1))) for r in (*table.T, problem.g_lower, problem.g_upper)))
+    return (cols, *(np.asfortranarray(np.tile(r, (shape[0], 1))) for r in (*table.T, problem.g_lower, problem.g_upper)))
 
 
 def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Array:
@@ -173,7 +177,7 @@ def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Arr
 
 def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> float:
     """Raw objective plus the exterior penalty at a single point."""
-    return float(_penalized_many(problem, np.asarray(x, dtype=float)[None, :], np.array(config.weight))[0])
+    return float(_penalized_many(problem, problem.space.row(x, problem.id), np.array(config.weight))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,13 @@ class SearchSpace:
     def widths(self) -> Array:
         return self.upper - self.lower
 
+    def row(self, x, name: str) -> Array:
+        """Point x as a (1, dim) float batch; anything but a vector of length dim is an error naming ``name``."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.size != self.dim:
+            raise ValueError(f"{name}: expected a vector of length {self.dim}, got shape {x.shape}")
+        return x[None, :]
+
     @classmethod
     def box(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
         """Cube with the same bounds in every dimension."""
@@ -151,12 +158,7 @@ class Problem:
 
     def evaluate(self, x, rng: RandomStream | None = None) -> float:
         """Fitness of a single point."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != self.space.dim:
-            raise ValueError(
-                f"{self.id}: expected a vector of length {self.space.dim}, got shape {x.shape}"
-            )
-        return float(self.evaluate_many(x[None, :], rng)[0])
+        return float(self.evaluate_many(self.space.row(x, self.id), rng)[0])
 
     def evaluate_many(self, X, rng: RandomStream | None = None) -> Array:
         """Fitness of each row of an (m, dim) array. A native float64 ndarray from ``batch`` skips the real-number
@@ -263,9 +265,8 @@ def clip_in_place(x: Array, lo: Array, hi: Array) -> Array:
 
 
 def uniform_in_space(rng: RandomStream, space: SearchSpace) -> Array:
-    """One point drawn uniformly from the box; consumes exactly dim draws."""
-    u = rng.uniform(space.dim)
-    return space.lower + u * space.widths
+    """One point drawn uniformly from the box: the one-row case of ``uniform_population``, the same dim draws."""
+    return uniform_population(rng, space, 1)[0]
 
 
 def uniform_population(rng: RandomStream, space: SearchSpace, n: int) -> Array:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,8 @@ class TrialSummary:
     ``std`` is the sample standard deviation (divisor n-1); a single trial
     reports 0 by convention. ``source`` is "computed" for cells produced
     by this harness; externally supplied literature rows use
-    "literature" and may omit seeds.
+    "literature" and may omit seeds. Any other source, or fewer than one
+    trial, is an error.
     """
 
     problem_id: str
@@ -58,6 +59,10 @@ class TrialSummary:
     source: str = "computed"
 
     def __post_init__(self):
+        if check_int(self.n_trials, "n_trials") < 1:
+            raise ValueError("n_trials must be at least 1")
+        if self.source not in ("computed", "literature"):
+            raise ValueError(f"source must be 'computed' or 'literature', got {self.source!r}")
         if self.std < 0:
             raise ValueError("std must be nonnegative")
         if self.best > self.ave and not math.isclose(self.best, self.ave, rel_tol=1e-12, abs_tol=1e-12):
@@ -66,17 +71,8 @@ class TrialSummary:
             raise ValueError("n_trials must equal the number of seeds")
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem_id,
-            "algorithm": self.algorithm,
-            "n_trials": self.n_trials,
-            "ave": self.ave,
-            "std": self.std,
-            "ave_time_s": self.ave_time_s,
-            "best": self.best,
-            "seeds": list(self.seeds),
-            "source": self.source,
-        }
+        values = asdict(self)  # the fields in their order, problem_id renamed and seeds a list for JSON
+        return {"problem": values.pop("problem_id"), **values, "seeds": list(self.seeds)}
 
 
 def run_one(algorithm: str, problem: Problem, config, seed: int) -> RunRecord:
@@ -116,22 +112,19 @@ def _seeds(n_trials: int, base_seed: int) -> list[int]:
 def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
     """Run (algorithm, problem, config, seed) jobs, in a pool if BSO_THREADS > 1.
 
-    Records come back in job order either way. The first failure is raised at once; in the pool, the jobs
-    already begun finish in the background and the rest never start.
+    Records come back in job order either way, and the error raised is the earliest failing job's, as soon as
+    the jobs before it are done. In the pool, ``Executor.map`` then cancels the jobs no worker has taken; the
+    ones already taken finish in the background, and the caller does not wait for them.
     """
     workers = worker_count()
     if workers < 2 or len(jobs) < 2:
         return [run_one(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never load multiprocessing
-    pool, futures = ProcessPoolExecutor(max_workers=min(workers, len(jobs))), []
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
     try:
-        futures.extend(pool.submit(run_one, *job) for job in jobs)
-        return [f.result() for f in futures]
+        return list(pool.map(run_one, *zip(*jobs)))
     finally:
-        # not shutdown(cancel_futures=True), which can hang on Python 3.11 when a job fails to pickle
-        for future in futures:
-            future.cancel()
-        pool.shutdown(wait=all(f.done() for f in futures))  # a job still running means a failure: don't wait
+        pool.shutdown(wait=False)
 
 
 def run_trial_records(

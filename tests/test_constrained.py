@@ -11,6 +11,7 @@ directly computed value is pinned instead.
 """
 
 import hashlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -343,3 +344,42 @@ class TestProblemWrapper:
         space = HIMMELBLAU.space
         assert np.array_equal(space.lower, [78.0, 33.0, 27.0, 27.0, 27.0])
         assert np.array_equal(space.upper, [102.0, 45.0, 45.0, 45.0, 45.0])
+
+
+# every single-point entry of a constrained problem, each taking a point x
+_SINGLE_POINT = {
+    "evaluate": lambda cp, x: as_problem(cp).evaluate(x),  # a guard: Problem.evaluate checked the length already
+    "snap": lambda cp, x: cp.snap(x),
+    "raw": lambda cp, x: cp.raw(x),
+    "constraints": lambda cp, x: cp.constraints(x),
+    "feasible": lambda cp, x: cp.feasible(x),
+    "report": lambda cp, x: cp.report(x),
+    "penalized_fitness": lambda cp, x: penalized_fitness(cp, x, PenaltyConfig()),
+}
+
+
+class TestShapes:
+    """A point of the wrong length, or a batch of the wrong width, is an error that names the problem."""
+
+    @pytest.mark.parametrize("cp", [PRESSURE_VESSEL, HIMMELBLAU], ids=["PV", "HB"])
+    @pytest.mark.parametrize("entry", list(_SINGLE_POINT))
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_point_of_wrong_length_rejected(self, cp, entry, extra):
+        # PV's extra coordinate was ignored (report gave raw_objective 25.4066 for [1.0] * 5); the other
+        # cases raised IndexError or numpy broadcast errors that did not name the problem
+        dim = cp.space.dim
+        message = rf"^{cp.id}: expected a vector of length {dim}, got shape \({dim + extra},\)$"
+        with pytest.raises(ValueError, match=message):
+            _SINGLE_POINT[entry](cp, np.ones(dim + extra))
+
+    @pytest.mark.parametrize("cp", [PRESSURE_VESSEL, HIMMELBLAU], ids=["PV", "HB"])
+    @pytest.mark.parametrize("method", ["snap_many", "violations_many"])
+    @pytest.mark.parametrize("shape", ["narrow", "wide", "vector"])
+    def test_batch_of_wrong_shape_rejected(self, cp, method, shape):
+        # a wide PV batch used to return numbers, a narrow one an IndexError, and HB numpy broadcast errors
+        dim = cp.space.dim
+        X = np.ones({"narrow": (1, dim - 1), "wide": (1, dim + 1), "vector": (dim,)}[shape])
+        message = rf"^{cp.id}: expected an \(m, {dim}\) array, got shape {re.escape(str(X.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            getattr(cp, method)(X)
+        assert getattr(cp, method)(np.ones((1, dim))).shape[0] == 1  # a good batch still passes after a bad one

@@ -42,6 +42,11 @@ def _slow_objective(X, rng=None):
     return (X * X).sum(axis=1)
 
 
+def _slow_failing_objective(X, rng=None):
+    time.sleep(0.3)
+    raise RuntimeError("slow objective failed")
+
+
 def _dying_objective(X, rng=None):
     os._exit(3)  # the worker process ends without a result or an exception
 
@@ -104,6 +109,30 @@ class TestTrialSummaryInvariants:
             seeds=(), source="literature",
         )
         assert s.to_dict()["source"] == "literature"
+
+    def test_unknown_source_rejected(self):
+        # a misspelt source skipped the seed-count check and went into report.json as written
+        with pytest.raises(ValueError, match="^source must be 'computed' or 'literature', got 'literture'$"):
+            TrialSummary("F1", "ga", 30, ave=0.0025, std=0.0017, ave_time_s=3.73, best=0.0025, source="literture")
+
+    @pytest.mark.parametrize("source", ["computed", "literature"])
+    @pytest.mark.parametrize(
+        "n_trials,message",
+        [(0, "n_trials must be at least 1"), (True, "n_trials must be an integer, got True"),
+         (1.0, "n_trials must be an integer, got 1.0")],
+        ids=["zero", "bool", "float"],
+    )
+    def test_trial_count_checked(self, source, n_trials, message):
+        # each was accepted: the seed count matched (0 seeds, or one seed for True and 1.0), or was not checked
+        seeds = tuple(range(int(n_trials))) if source == "computed" else ()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrialSummary("F1", "bso", n_trials, 1.0, 0.0, 0.0, 1.0, seeds=seeds, source=source)
+
+    def test_to_dict_keeps_its_keys(self):
+        # a guard: report.json and constrained.json keep these keys in this order, with the seeds as a list
+        d = _summary("F1", "bso").to_dict()
+        assert list(d) == ["problem", "algorithm", "n_trials", "ave", "std", "ave_time_s", "best", "seeds", "source"]
+        assert d["problem"] == "F1" and d["seeds"] == [0, 1] and type(d["seeds"]) is list
 
 
 class TestRunTrials:
@@ -204,6 +233,22 @@ class TestRunTrials:
         with pytest.raises(RuntimeError, match="^objective failed") as serial:
             _run_jobs([failing])
         assert serial.value.__notes__ == pooled.value.__notes__
+
+    def test_pooled_failure_is_the_earliest_failing_job(self, monkeypatch, two_cpus):
+        # a guard: the second job fails first, yet the pool raises the first job's error, as the serial path does
+        cfg = BsoConfig(n=2, max_iters=0)  # one objective call per trial
+        space = SearchSpace.box(2, -1.0, 1.0)
+        jobs = [
+            ("bso", Problem(id="fails late", space=space, batch=_slow_failing_objective), cfg, 3),
+            ("bso", Problem(id="fails", space=space, batch=_failing_objective), cfg, 5),
+        ]
+        errors = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BSO_THREADS", threads)
+            with pytest.raises(RuntimeError) as caught:
+                _run_jobs(jobs)
+            errors[threads] = (str(caught.value), caught.value.__notes__)
+        assert errors["1"] == errors["2"] == ("slow objective failed", ["bso on fails late, seed 3"])
 
     def test_thread_count_above_cpu_count_rejected(self, monkeypatch):
         # checked through worker_count() alone, so no pool is ever started; a
