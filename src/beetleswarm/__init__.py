@@ -8,9 +8,9 @@ harness with CSV/JSON exports.
 """
 
 from .bas import BasConfig, BasState, run_bas
-from .benchmarks import BENCHMARK_IDS, BenchmarkSpec, evaluate, problem, spec
+from .benchmarks import BENCHMARK_IDS
 from .bso import BsoConfig, BsoEngine, PsoConfig, SwarmState, inertia_weight, run_bso, run_pso
-from .catalog import get_problem, list_problems, problem_ids
+from .catalog import BenchmarkSpec, evaluate, get_problem, list_problems, problem, problem_ids, spec
 from .constrained import (
     CONSTRAINED_IDS,
     ConstrainedProblem,

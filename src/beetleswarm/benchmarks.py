@@ -1,8 +1,8 @@
-"""The 23-function benchmark catalog.
+"""The 23 benchmark functions F1-F23, defined as Problems; ``catalog`` looks them up.
 
 Three families of classic test functions: high-dimensional unimodal (F1-F7),
 high-dimensional multimodal (F8-F13) and fixed-dimension multimodal
-(F14-F23), each registered with its standard dimension, box range and known
+(F14-F23), each defined with its standard dimension, box range and known
 minimum. All evaluators are vectorized over an (m, dim) batch of points and
 are total on R^dim, so antenna probes may be evaluated outside the box.
 
@@ -13,7 +13,6 @@ draw from the caller's stream on top of the weighted quartic sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -22,17 +21,6 @@ import numpy as np
 from .core import Problem, RandomStream, SearchSpace
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """Catalog entry: dimension, box range and tabulated minimum."""
-
-    id: str
-    dim: int
-    lower: float
-    upper: float
-    fmin: float
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _shekel(a: Array, c: Array, X: Array, rng=None) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# definitions
 # ---------------------------------------------------------------------------
 
 _BatchFn = Callable[[Array, "RandomStream | None"], Array]
@@ -304,35 +292,10 @@ _DEFS: list[tuple[str, int, float, float, float, _BatchFn, bool]] = [
     ("F23", 4, 0, 10, -10.5363, partial(_shekel, SHEKEL_A[:10], SHEKEL_C[:10]), False),
 ]
 
-# id -> (catalog entry, Problem), built once; every caller shares the immutable Problem.
-_TABLE: dict[str, tuple[BenchmarkSpec, Problem]] = {
-    _id: (
-        BenchmarkSpec(_id, _dim, float(_lo), float(_hi), float(_fmin)),
-        Problem(_id, SearchSpace.box(_dim, _lo, _hi), _fn, known_fmin=float(_fmin), stochastic=_noisy),
-    )
+# Every Problem is built once and immutable; catalog shares these instances.
+PROBLEMS: tuple[Problem, ...] = tuple(
+    Problem(_id, SearchSpace.box(_dim, _lo, _hi), _fn, known_fmin=float(_fmin), stochastic=_noisy)
     for _id, _dim, _lo, _hi, _fmin, _fn, _noisy in _DEFS
-}
+)
 
-BENCHMARK_IDS: tuple[str, ...] = tuple(_TABLE)
-
-
-def spec(benchmark_id: str) -> BenchmarkSpec:
-    """Catalog entry for one function id (F1..F23)."""
-    key = str(benchmark_id).upper()
-    if key not in _TABLE:
-        raise KeyError(f"unknown benchmark {benchmark_id!r}")
-    return _TABLE[key][0]
-
-
-def problem(benchmark_id: str) -> Problem:
-    """The catalog function as a minimization Problem (one shared instance per id)."""
-    return _TABLE[spec(benchmark_id).id][1]
-
-
-def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
-    """Evaluate one catalog function at a single point.
-
-    ``rng`` is required for F7 (its noise draw comes from the caller's
-    stream) and ignored everywhere else.
-    """
-    return problem(benchmark_id).evaluate(x, rng)
+BENCHMARK_IDS: tuple[str, ...] = tuple(p.id for p in PROBLEMS)

@@ -7,6 +7,7 @@ evaluated at random points. The straight-line versions below are written
 with plain loops on purpose; they share no code with the package.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,16 @@ class TestSpecs:
             "fmin": -3.32,
             "stochastic": False,
         }
+
+    def test_spec_is_the_listing_entry(self):
+        # guard: spec and list_problems describe a function from the one Problem the catalog holds
+        entries = {e["id"]: e for e in list_problems()}
+        for fid in BENCHMARK_IDS:
+            want = {k: v for k, v in entries[fid].items() if k != "stochastic"}
+            assert dataclasses.asdict(spec(fid)) == want
+        for pid in ("PV", "F99"):
+            with pytest.raises(KeyError, match="unknown benchmark"):
+                spec(pid)
 
 
 # ---------------------------------------------------------------------------
