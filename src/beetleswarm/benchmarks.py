@@ -140,8 +140,7 @@ def _step(X: Array, rng=None) -> Array:
 
 
 def quartic_without_noise(X: Array) -> Array:
-    """Deterministic part of F7: sum_i i * x_i^4 over each row."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Deterministic part of F7: sum_i i * x_i^4 over each row of an (m, dim) float array."""
     idx = np.arange(1, X.shape[1] + 1, dtype=float)
     X4 = X * X
     X4 *= X4

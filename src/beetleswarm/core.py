@@ -271,5 +271,5 @@ def uniform_in_space(rng: RandomStream, space: SearchSpace) -> Array:
 
 def uniform_population(rng: RandomStream, space: SearchSpace, n: int) -> Array:
     """(n, dim) points drawn uniformly from the box, row by row."""
-    u = rng.uniform((int(n), space.dim))
+    u = rng.uniform((check_int(n, "n"), space.dim))
     return space.lower + u * space.widths

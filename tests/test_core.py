@@ -179,6 +179,16 @@ class TestUniformInSpace:
         samples = uniform_population(rng, space, 1000)
         assert np.all(np.abs(samples.mean(axis=0)) < 0.5)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.7, "n must be an integer, got 2.7"),
+        (True, "n must be an integer, got True"),
+        (-1, "n must be nonnegative, got -1"),
+    ])
+    def test_population_count_is_checked(self, n, message):
+        # int(n) would draw 2 rows for 2.7 and 1 for True
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            uniform_population(RandomStream(0), SearchSpace.box(2, 0.0, 1.0), n)
+
 
 class TestProblem:
     def test_evaluate_checks_dimension(self):
