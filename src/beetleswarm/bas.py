@@ -9,6 +9,7 @@ shrink geometrically over the run.
 Objective batches: an iteration makes two ``evaluate_many`` calls on fresh
 arrays: the (2, dim) probes ``antennae`` returns, right row then left, then
 the new position as one row; noisy objectives draw right, left, move.
+The best takes a probe only if it lies in the box, so ``best_x`` always does.
 """
 
 from __future__ import annotations
@@ -110,9 +111,12 @@ def _bas_move(x, delta, d, best_x, best_f, problem: Problem, rng: RandomStream) 
     clip_in_place(x_new, problem.space.lower, problem.space.upper)  # bounds of x_new's shape: clip's bits
     [f_new] = problem.evaluate_many(x_new[None, :], rng).tolist()
 
-    for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left), (x_new, f_new)):
-        if cand_f < best_f:
+    lower, upper = problem.space.lower, problem.space.upper
+    for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left)):  # only an improving probe pays for the box test
+        if cand_f < best_f and np.count_nonzero((lower <= cand_x) & (cand_x <= upper)) == cand_x.size:
             best_x, best_f = cand_x, cand_f
+    if f_new < best_f:  # x_new is clamped, so always in the box
+        best_x, best_f = x_new, f_new
     return x_new, best_x, best_f
 
 
@@ -122,10 +126,10 @@ def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
     Probes both antennae in one (2, dim) objective call, right row then
     left row, steps toward the lower-fitness side (x' = x - delta * b *
     sign(f(right) - f(left))), clamps the new position to the box,
-    evaluates it as one row and folds all three evaluations into the
-    best-so-far, right, left, then new. Probe points are deliberately
-    evaluated unclamped unless the problem asks otherwise; they are
-    sensors, not candidate positions. The schedules are left unchanged.
+    evaluates it as one row and folds the evaluations into the best-so-far,
+    right, left, then new, by strict ``<``. Probes are evaluated unclamped
+    unless the problem asks otherwise; they are sensors, so the best takes
+    one only if it lies in the box. The schedules are left unchanged.
     """
     x_new, best_x, best_f = _bas_move(state.x, state.delta, state.d, state.best_x, state.best_f, problem, rng)
     return BasState(x_new, state.delta, state.d, state.t + 1, best_x, best_f)

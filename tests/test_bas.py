@@ -228,6 +228,22 @@ class TestRunBas:
         assert rec.config["delta0"] is None  # config echoes the automatic setting
         assert rec.algorithm == "bas"
 
+    @pytest.mark.parametrize("pid, seeds", [("F19", range(5)), ("F15", [2])])
+    def test_best_x_lies_in_the_box(self, pid, seeds):
+        # unclamped probes leave the box here; one that scored best used to become best_x
+        problem = get_problem(pid)
+        for seed in seeds:
+            best_x = run_bas(problem, BasConfig(max_iters=1000), seed=seed).best_x
+            assert np.all(problem.space.lower <= best_x) and np.all(best_x <= problem.space.upper), (seed, best_x)
+
+    def test_best_x_lies_in_the_box_on_a_linear_objective(self):
+        # the minimum of x1 + x2 over [0, 1]^2 is a corner, so the probe past it always scores lower
+        linear = Problem("linear", SearchSpace.box(2, 0.0, 1.0), lambda X, rng=None: X.sum(axis=1))
+        for seed in range(20):
+            rec = run_bas(linear, seed=seed)
+            assert np.all(rec.best_x >= 0.0) and np.all(rec.best_x <= 1.0), (seed, rec.best_x)
+            assert rec.best_f == linear.evaluate(rec.best_x)
+
 
 class TestStepMatchesRun:
     @pytest.mark.parametrize("pid", ["F7", "F18", "HB"])

@@ -61,9 +61,9 @@ GOLDEN = {
     ("bas", "HB", 0): "9c07a44c010516a0b302ac84b98445abc13c394d69d1bfc6f762d53316549783",
     ("bas", "HB", 1): "acaf0c9142f7261094fbe618e2b0377111c7cc707699260bcf853518d4daa95f",
     ("bas", "HB", 2): "c2bd3b1977fc84d43e129682a928b367ff25aa2838ce937c82c189f4f0501c65",
-    ("bas", "F7", 0): "20e5452bf64a3744a29b67a8ac10113c0151a93d6fcaf2e74037632eae177fc8",
+    ("bas", "F7", 0): "feab399ddfc84fc56229cdab7ef3ebd5336d2fbe2580ad8c136f42277b607135",
     ("bas", "F7", 1): "4a3c939f7855bce43cc3e118ff76ed854d825645dcdd76d16914fa8d8d4282ef",
-    ("bas", "F7", 2): "272d330f0742201814948ff0ab41662f31326d17583187907b4dc63612dffacc",
+    ("bas", "F7", 2): "fea4ae11138d24d2738428356cbc8080313b1bb6cd30fa57e2922f404279320a",
     ("bas", "F16", 0): "c75100c2830d1045f123b10b84028f9668297947bced4e2de5cea5c865c1571c",
     ("bas", "F16", 1): "3e80d69f5e8eef1473dd9afccae99386d8e444e2ebb32e734ac0bd7521ecbb76",
     ("bas", "F16", 2): "b3f7d1e45736aeee58953a08be4519881c2c6110a169a929512c74bed225833f",
