@@ -263,9 +263,7 @@ def _shekel(a: Array, c: Array, X: Array, rng=None) -> Array:
 # definitions
 # ---------------------------------------------------------------------------
 
-_BatchFn = Callable[[Array, "RandomStream | None"], Array]
-
-_DEFS: list[tuple[str, int, float, float, float, _BatchFn, bool]] = [
+_DEFS: list[tuple[str, int, float, float, float, Callable, bool]] = [
     ("F1", 30, -100, 100, 0.0, _sphere, False),
     ("F2", 30, -10, 10, 0.0, _abs_sum_and_product, False),
     ("F3", 30, -100, 100, 0.0, _rotated_ellipsoid, False),

@@ -26,7 +26,6 @@ for _pid in constrained.CONSTRAINED_IDS:
 
 
 def _lookup(problem_id: str, ids, kind: str) -> Problem:
-    # the one id rule: case-insensitive, among ``ids`` only
     key = str(problem_id).upper()
     if key not in ids:
         raise KeyError(f"unknown {kind} {problem_id!r}")
