@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigDict, Problem, RandomStream, RunRecord, check_fields, clip_in_place, uniform_in_space
+from .core import ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, uniform_in_space
 
 Array = np.ndarray
 
@@ -34,7 +34,7 @@ class BasConfig(ConfigDict):
     ``delta0`` of None means 30% of the widest box side, a scale that
     grows with the problem like the antenna metaphor suggests. The step
     is multiplied by ``eta`` each iteration, and the antenna spacing is
-    always ``delta / c2_ratio``.
+    always ``delta / c2_ratio``; a given ``delta0`` whose spacing underflows to 0 is an error.
     """
 
     delta0: float | None = None
@@ -45,12 +45,12 @@ class BasConfig(ConfigDict):
 
     def __post_init__(self):
         check_fields(self)
-        if self.delta0 is not None and not self.delta0 > 0:
-            raise ValueError("delta0 must be positive (or None for automatic scaling)")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
+        if self.delta0 is not None and not self.delta0 / self.c2_ratio > 0:  # a tiny delta0's spacing underflows
+            raise ValueError(f"delta0 and delta0 / c2_ratio must be positive, got {self.delta0!r} / {self.c2_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ class BasState:
     best_f: float
 
 
-def _normalize(v: Array) -> Array:
-    """Scale a nonzero vector to unit Euclidean length."""
-    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real 1-D array
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
-
-
 def sample_direction(rng: RandomStream, dim: int) -> Array:
     """Random unit vector with components i.i.d. symmetric about zero.
 
@@ -84,18 +76,7 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
     while True:
         raw = 2.0 * rng.uniform(dim) - 1.0
         if np.count_nonzero(raw):  # ndarray.any's Python-level wrapper costs about 5x more
-            return _normalize(raw)
-
-
-def antennae(x: Array, b: Array, d: float) -> Array:
-    """Right and left probe points half the antenna spacing from the body, rows of one fresh (2, dim) array."""
-    if not d > 0:
-        raise ValueError("antenna spacing d must be positive")
-    offset = (d / 2.0) * b
-    probes = np.empty((2, x.size))
-    np.add(x, offset, out=probes[0])
-    np.subtract(x, offset, out=probes[1])
-    return probes
+            return raw / math.sqrt(raw.dot(raw))  # the norm as np.linalg.norm computes it for a real 1-D array
 
 
 def _bas_move(x, delta, d, best_x, best_f, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
@@ -138,13 +119,12 @@ def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
 def update_schedules(delta: float, config: BasConfig) -> tuple[float, float]:
     """Next step length and antenna spacing.
 
-    The step is multiplied by ``eta``. A step that underflows to zero on a
-    long run has stalled; it is pinned at a tiny positive value and a
-    RuntimeWarning flags it.
+    The step is multiplied by ``eta``. A step whose antenna spacing underflows to zero on a long run has
+    stalled (the antennae would coincide); it is pinned at a tiny positive value and a RuntimeWarning flags it.
     """
     new_delta = config.eta * delta
-    if new_delta <= 0:
-        warnings.warn("step schedule produced a nonpositive step; search has stalled", RuntimeWarning)
+    if not new_delta / config.c2_ratio > 0:
+        warnings.warn("antenna spacing underflowed to zero; search has stalled", RuntimeWarning)
         new_delta = MIN_STEP
     return new_delta, new_delta / config.c2_ratio
 

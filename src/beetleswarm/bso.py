@@ -22,9 +22,10 @@ bests, and finally contracts the step. Random draws happen in a fixed order
 runs are reproducible from the seed alone.
 
 Objective batches: an iteration makes three (n, dim) objective calls: the
-right and the left probes, the two halves of one fresh (2, n, dim) array,
-then the moved swarm, a fresh array. A stochastic objective draws its
-noise in row order (as F7 does).
+right and the left probes, the two halves of one fresh (2, n, dim) array
+from ``core.antennae`` (BAS's builder), then the moved swarm, a fresh array;
+with lam = 1 or a zero (or underflowed) spacing only the last. A
+stochastic objective draws its noise in row order (as F7 does).
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ZERO, ConfigDict, Problem, RandomStream, RunRecord, check_fields, clip_in_place, uniform_population
+from .core import (
+    _ZERO, ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, uniform_population
+)
 
 Array = np.ndarray
 
@@ -119,22 +122,17 @@ def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: flo
     """Signed antenna move per beetle, always parallel to its velocity.
 
     The probes sit at X +/- V*d/2, right then left, as the two halves of
-    one fresh (2, n, dim) array (clamped to [lo, hi] if the problem asks
-    for it); each half is one objective call. The increment is
-    -delta * V * sign(f(right) - f(left)), i.e. toward the lower-fitness
-    probe. The clamp equals ``ndarray.clip`` only if lo and hi have the
-    probes' (2, n, dim) shape, as the engine's tiled box does; scalar or
-    (dim,) bounds can return the bound on a tie of signed zeros.
+    the fresh (2, n, dim) array ``antennae`` builds (clamped to [lo, hi]
+    if the problem asks for it); each half is one objective call. The
+    increment is -delta * V * sign(f(right) - f(left)), i.e. toward the
+    lower-fitness probe. The clamp equals ``ndarray.clip`` only if lo and
+    hi have the probes' (2, n, dim) shape, as the engine's tiled box does;
+    scalar or (dim,) bounds can return the bound on a tie of signed zeros.
     """
-    offset = np.multiply(V, d / 2.0)
-    probes = np.empty((2,) + X.shape)
-    right, left = probes[0], probes[1]
-    np.add(X, offset, out=right)
-    np.subtract(X, offset, out=left)
+    probes = antennae(X, V, d)
     if problem.clamp_probes:
         clip_in_place(probes, lo, hi)
-    f_right = problem.evaluate_many(right, rng)
-    f_left = problem.evaluate_many(left, rng)
+    f_right, f_left = problem.evaluate_many(probes[0], rng), problem.evaluate_many(probes[1], rng)
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
     # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
     sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
@@ -238,13 +236,13 @@ class BsoEngine:
         omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
 
         # Antenna probes use the pre-update velocities. When the antenna
-        # term cannot influence the move (lam == 1 or a zero step) the
-        # probes are skipped outright so they consume neither evaluations
-        # nor noise draws; this keeps the lam=1/delta0=0 configuration
-        # draw-for-draw identical to plain PSO.
+        # term cannot influence the move (lam == 1, or a zero or underflowed
+        # spacing: coincident probes) the probes are skipped outright, so
+        # they consume neither evaluations nor noise draws; this keeps the
+        # lam=1/delta0=0 configuration draw-for-draw identical to plain PSO.
         xi = None
-        if cfg.lam < 1.0 and st.delta > 0.0:
-            d = st.delta / cfg.c2_ratio
+        d = st.delta / cfg.c2_ratio
+        if cfg.lam < 1.0 and d > 0.0:
             xi = antenna_increment(self.problem, st.X, st.V, st.delta, d, self.rng, self.lower, self.upper)
 
         a1, a2, lam, rest = self._coef

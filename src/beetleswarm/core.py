@@ -66,8 +66,8 @@ def check_int(value, name: str) -> int:
 
 
 def check_fields(config) -> None:
-    """Checks every config shares: an int field takes an integer, a float field any real (and None if
-    typed ``float | None``), no field a bool; each number is finite, each integer nonnegative."""
+    """Checks every config shares: an int field takes an integer, a float field any real (and None if typed
+    ``float | None``), no field a bool; each number is finite, each integer nonnegative, and kept as int or float."""
     for f in fields(config):
         value = getattr(config, f.name)
         if value is None and "None" in f.type:
@@ -79,6 +79,8 @@ def check_fields(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
         if kind is numbers.Integral:
             check_int(value, f.name)
+        if type(value) not in (int, float):  # numpy's numbers or a Fraction: the plain int or float they equal
+            object.__setattr__(config, f.name, int(value) if isinstance(value, numbers.Integral) else float(value))
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ class Problem:
     a read-only view, so an objective that writes into its input raises
     ValueError; the optimizers pass a fresh array on every call and never
     modify it afterwards. BSO sends its right probes, left probes and moved
-    swarm as three (n, dim) batches, the probes as the two halves of one
-    (2, n, dim) array; BAS sends its right and left probes as one (2, dim)
-    batch, right row first, then its new position as one row.
+    swarm as three (n, dim) batches, the probes the halves of one (2, n, dim)
+    ``antennae`` array (the swarm alone once the antenna spacing is 0); BAS
+    sends its (2, dim) ``antennae`` pair, right row first, then one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -242,6 +244,17 @@ class RunRecord:
             "iterations": int(self.curve.size - 1),
             "wall_time_s": self.wall_time_s,
         }
+
+
+def antennae(x: Array, b: Array, d: float) -> Array:
+    """Right and left probes x +/- b*d/2 at antenna spacing d, the halves of one fresh (2,) + x.shape array."""
+    if not d > 0:
+        raise ValueError("antenna spacing d must be positive")
+    offset = np.multiply(b, d / 2.0)
+    probes = np.empty((2,) + x.shape)
+    np.add(x, offset, out=probes[0])
+    np.subtract(x, offset, out=probes[1])
+    return probes
 
 
 def clamp_to_bounds(x, space: SearchSpace) -> Array:

@@ -59,7 +59,8 @@ class TrialSummary:
     source: str = "computed"
 
     def __post_init__(self):
-        if check_int(self.n_trials, "n_trials") < 1:
+        object.__setattr__(self, "n_trials", check_int(self.n_trials, "n_trials"))  # a plain int, for JSON
+        if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.source not in ("computed", "literature"):
             raise ValueError(f"source must be 'computed' or 'literature', got {self.source!r}")

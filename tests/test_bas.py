@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, get_problem, run_bas, uniform_in_space
-from beetleswarm.bas import _normalize, antennae, bas_step, sample_direction, update_schedules
+from beetleswarm.bas import antennae, bas_step, sample_direction, update_schedules
 
 from .conftest import FixedStream, constant_problem, sphere_problem
 
@@ -22,7 +22,8 @@ class TestSampleDirection:
         assert sample_direction(FixedStream(0.35), 1) == np.array([-1.0])
 
     def test_three_four_five_normalization(self):
-        assert np.allclose(_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        # u = (0.65, 0.7) maps to raw (0.3, 0.4), a 3-4-5 triangle
+        assert np.allclose(sample_direction(FixedStream(0.65, 0.7), 2), [0.6, 0.8])
 
     def test_zero_vector_redrawn(self):
         # first two draws map to raw (0, 0); the redraw then succeeds
@@ -30,10 +31,6 @@ class TestSampleDirection:
         b = sample_direction(stream, 2)
         assert np.allclose(b, [np.sqrt(0.5), np.sqrt(0.5)])
         assert stream.cursor == 4
-
-    def test_normalize_rejects_zero(self):
-        with pytest.raises(ValueError):
-            _normalize(np.zeros(3))
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -156,6 +153,13 @@ class TestUpdateSchedules:
         assert delta == 1e-12
         assert d == pytest.approx(1e-12 / cfg.c2_ratio)
 
+    def test_underflowed_spacing_warns_and_clamps(self):
+        # the step 1e-323 is still positive, but its spacing 1e-323 / 5 rounds to 0; it used to
+        # come back as (1e-323, 0.0) without a warning, and antennae then raised
+        with pytest.warns(RuntimeWarning, match="antenna spacing underflowed"):
+            delta, d = update_schedules(1e-323, BasConfig(eta=1.0))
+        assert (delta, d) == (1e-12, 1e-12 / 5.0)
+
     def test_geometric_decay_is_exact_power(self):
         cfg = BasConfig(eta=0.95, delta0=2.0)
         delta = 2.0
@@ -176,6 +180,12 @@ class TestBasConfig:
             BasConfig(c2_ratio=0.0)
         with pytest.raises(ValueError):
             BasConfig(max_iters=-1)
+
+    def test_delta0_whose_spacing_underflows_rejected(self):
+        # BasConfig(delta0=1e-323) used to build, and run_bas then raised from antennae in its first iteration
+        with pytest.raises(ValueError, match=r"^delta0 and delta0 / c2_ratio must be positive, got 1e-323 / 5\.0$"):
+            BasConfig(delta0=1e-323)
+        assert BasConfig(delta0=1e-323, c2_ratio=1.0).delta0 == 1e-323
 
     def test_dict_round_trip(self):
         cfg = BasConfig(delta0=1.5, eta=0.9, seed=11)
@@ -222,6 +232,15 @@ class TestRunBas:
             rec = run_bas(sphere_problem(1), BasConfig(delta0=1.0, max_iters=200), seed=seed)
             hits += rec.best_f <= 1e-2
         assert hits >= 9
+
+    def test_run_past_a_vanishing_spacing_stalls_with_a_warning(self):
+        # at eta = 0.5 the spacing underflows at iteration 1,074; the run used to end there with
+        # "antenna spacing d must be positive"
+        problem = get_problem("F16")
+        with pytest.warns(RuntimeWarning, match="antenna spacing underflowed"):
+            rec = run_bas(problem, BasConfig(eta=0.5, max_iters=2000), seed=0)
+        assert rec.curve.size == 2001 and np.isfinite(rec.best_f)
+        assert rec.best_f == problem.evaluate(rec.best_x)
 
     def test_default_step_scales_with_box(self):
         rec = run_bas(sphere_problem(2, -50, 50), BasConfig(max_iters=1), seed=0)

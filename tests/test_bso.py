@@ -116,6 +116,21 @@ class TestBeetleIncrement:
         engine.run()
         assert calls == [4] * 4  # initial population plus one move per step
 
+    def test_underflowed_spacing_skips_the_probes(self):
+        # at delta = 1e-323 the spacing delta / c2_ratio rounds to 0, so the probes would coincide;
+        # the step used to test delta and still evaluated them, three calls instead of one
+        calls = []
+        base = sphere_problem(2)
+        counting = Problem(base.id, base.space, lambda X, rng=None: calls.append(X.shape) or base.batch(X))
+        engine = BsoEngine(counting, BsoConfig(n=4, max_iters=3, lam=0.5, seed=1))
+        engine.state.delta = 1e-323
+        calls.clear()
+        engine.step()
+        assert calls == [(4, 2)]
+        engine.state.delta = 1e-322  # spacing 2e-323, still positive: both probe halves are evaluated
+        engine.step()
+        assert calls == [(4, 2)] * 4
+
 
 class TestUpdatePosition:
     def setup_method(self):

@@ -1,5 +1,7 @@
+import json
 import re
 from dataclasses import fields
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -17,6 +19,7 @@ from beetleswarm import (
     RandomStream,
     SearchSpace,
     clamp_to_bounds,
+    run_bso,
     uniform_in_space,
 )
 from beetleswarm.bas import BasConfig, run_bas
@@ -355,6 +358,26 @@ class TestConfigFields:
                     assert "config key" not in outcomes[0]
             else:
                 assert outcomes[0] == f"config key {f.name!r} must be {f.type}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "key,value,plain",
+        [("n", np.int64(5), 5), ("lam", np.float32(0.35), float(np.float32(0.35))), ("a1", Fraction(2), 2.0),
+         ("a2", Fraction(7, 2), 3.5), ("delta0", np.float64(6.0), 6.0), ("seed", np.uint8(3), 3)],
+        ids=["int64", "float32", "fraction", "fraction-7/2", "float64", "uint8"],
+    )
+    def test_other_numbers_stored_as_plain_int_or_float(self, key, value, plain):
+        # each used to be kept as given: numpy numbers broke json.dumps of the record, and a
+        # Fraction passed the check and then failed the run with a UFuncTypeError
+        cfg = BsoConfig(**{"n": 4, "max_iters": 3, key: value})
+        assert getattr(cfg, key) == plain and type(getattr(cfg, key)) is type(plain)
+        rec = run_bso(sphere_problem(2), cfg)
+        assert json.loads(json.dumps(rec.to_dict()))["config"][key] == plain
+
+    def test_int_for_a_float_field_kept_as_written(self):
+        # a guard: a config read from JSON keeps its bytes, so an integer given for a float field stays an int
+        cfg = BsoConfig.from_dict(json.loads('{"a1": 2, "delta0": 6.0}'))
+        assert type(cfg.a1) is int and type(cfg.delta0) is float
+        assert json.dumps(cfg.to_dict()).startswith('{"n": 50, "max_iters": 1000, "lam": 0.35, "a1": 2, ')
 
     @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig])
     def test_negative_seed_rejected(self, cfg_type):

@@ -128,6 +128,12 @@ class TestTrialSummaryInvariants:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrialSummary("F1", "bso", n_trials, 1.0, 0.0, 0.0, 1.0, seeds=seeds, source=source)
 
+    def test_numpy_trial_count_stored_as_int(self):
+        # np.int64 passed check_int but was kept, so json.dumps of the summary (and report.json) failed
+        s = TrialSummary("F1", "bso", np.int64(2), 1.0, 0.0, 0.0, 1.0, seeds=(0, 1))
+        assert type(s.n_trials) is int
+        assert json.loads(json.dumps(s.to_dict()))["n_trials"] == 2
+
     def test_to_dict_keeps_its_keys(self):
         # a guard: report.json and constrained.json keep these keys in this order, with the seeds as a list
         d = _summary("F1", "bso").to_dict()
