@@ -34,7 +34,7 @@ class BasConfig(ConfigDict):
     ``delta0`` of None means 30% of the widest box side, a scale that
     grows with the problem like the antenna metaphor suggests. The step
     is multiplied by ``eta`` each iteration, and the antenna spacing is
-    always ``delta / c2_ratio``; a given ``delta0`` whose spacing underflows to 0 is an error.
+    always ``delta / c2_ratio``; a ``delta0`` whose spacing underflows to 0 is an error (a derived one in ``run_bas``).
     """
 
     delta0: float | None = None
@@ -135,6 +135,9 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
     def optimize(config: BasConfig, seed: int) -> tuple[list[float], Array, float]:
         rng = RandomStream(seed)
         delta = config.delta0 if config.delta0 is not None else 0.3 * float(problem.space.widths.max())
+        if not delta / config.c2_ratio > 0:  # a derived delta0: BasConfig checks a given one
+            raise ValueError(f"derived delta0 {delta!r} (0.3 x the widest side, {float(problem.space.widths.max())!r}) "
+                             f"/ c2_ratio {config.c2_ratio!r} underflows to 0")
         x = uniform_in_space(rng, problem.space)
         best_x, best_f = x, problem.evaluate(x, rng)
         d = delta / config.c2_ratio

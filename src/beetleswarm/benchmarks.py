@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Problem, RandomStream, SearchSpace
+from .core import Problem, RandomStream, SearchSpace, constants, frozen
 
 Array = np.ndarray
 
@@ -27,31 +27,29 @@ Array = np.ndarray
 # constant tables for the fixed-dimension functions
 # ---------------------------------------------------------------------------
 
-FOXHOLES_A = np.array(
+FOXHOLES_A = frozen(np.array(
     [
         [-32, -16, 0, 16, 32] * 5,
         [-32] * 5 + [-16] * 5 + [0] * 5 + [16] * 5 + [32] * 5,
     ],
     dtype=float,
-)
+))
 
-KOWALIK_A = np.array(
-    [0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627, 0.0456, 0.0342, 0.0323, 0.0235, 0.0246]
-)
-KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16], dtype=float)
+KOWALIK_A = frozen(np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627, 0.0456, 0.0342, 0.0323, 0.0235, 0.0246]))
+KOWALIK_B = frozen(1.0 / np.array([0.25, 0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16], dtype=float))
 
-HARTMANN3_A = np.array([[3, 10, 30], [0.1, 10, 35], [3, 10, 30], [0.1, 10, 35]], dtype=float)
-HARTMANN3_C = np.array([1.0, 1.2, 3.0, 3.2])
-HARTMANN3_P = np.array(
+HARTMANN3_A = frozen(np.array([[3, 10, 30], [0.1, 10, 35], [3, 10, 30], [0.1, 10, 35]], dtype=float))
+HARTMANN3_C = frozen(np.array([1.0, 1.2, 3.0, 3.2]))
+HARTMANN3_P = frozen(np.array(
     [
         [0.3689, 0.1170, 0.2673],
         [0.4699, 0.4387, 0.7470],
         [0.1091, 0.8732, 0.5547],
         [0.0381, 0.5743, 0.8828],
     ]
-)
+))
 
-HARTMANN6_A = np.array(
+HARTMANN6_A = frozen(np.array(
     [
         [10, 3, 17, 3.5, 1.7, 8],
         [0.05, 10, 17, 0.1, 8, 14],
@@ -59,18 +57,18 @@ HARTMANN6_A = np.array(
         [17, 8, 0.05, 10, 0.1, 14],
     ],
     dtype=float,
-)
-HARTMANN6_C = np.array([1.0, 1.2, 3.0, 3.2])
-HARTMANN6_P = np.array(
+))
+HARTMANN6_C = frozen(np.array([1.0, 1.2, 3.0, 3.2]))
+HARTMANN6_P = frozen(np.array(
     [
         [0.1312, 0.1696, 0.5569, 0.0124, 0.8283, 0.5886],
         [0.2329, 0.4135, 0.8307, 0.3736, 0.1004, 0.9991],
         [0.2348, 0.1451, 0.3522, 0.2883, 0.3047, 0.6650],
         [0.4047, 0.8828, 0.8732, 0.5743, 0.1091, 0.0381],
     ]
-)
+))
 
-SHEKEL_A = np.array(
+SHEKEL_A = frozen(np.array(
     [
         [4, 4, 4, 4],
         [1, 1, 1, 1],
@@ -84,23 +82,8 @@ SHEKEL_A = np.array(
         [7, 3.6, 7, 3.6],
     ],
     dtype=float,
-)
-SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
-
-for _tbl in (
-    FOXHOLES_A,
-    KOWALIK_A,
-    KOWALIK_B,
-    HARTMANN3_A,
-    HARTMANN3_C,
-    HARTMANN3_P,
-    HARTMANN6_A,
-    HARTMANN6_C,
-    HARTMANN6_P,
-    SHEKEL_A,
-    SHEKEL_C,
-):
-    _tbl.setflags(write=False)
+))
+SHEKEL_C = frozen(np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +197,11 @@ def _kowalik(X: Array, rng=None) -> Array:
     return ((KOWALIK_A - X[:, 0:1] * numer / denom) ** 2).sum(axis=1)
 
 
-# F16-F18 coefficients are 0-d float64 arrays, as in PV/HB: a Python float's bits, with no scalar conversion per ufunc
-# call. Each expression keeps its textbook op order; ops stay out of place, faster on BAS's 1- and 2-row batches.
-_CAMEL = tuple(np.array(c) for c in (4.0, 2.1, 3.0))
-_BRANIN = tuple(np.array(c) for c in (5.1 / (4 * np.pi**2), 5.0 / np.pi, 6.0, 10.0 * (1.0 - 1.0 / (8.0 * np.pi)), 10.0))
-_GOLDSTEIN = tuple(np.array(c) for c in (1.0, 19.0, 14.0, 3.0, 6.0, 30.0, 2.0, 18.0, 32.0, 12.0, 48.0, 36.0, 27.0))
+# F16-F18 coefficients are ``core.constants``. Each expression keeps its textbook op order; ops stay out of place,
+# faster on BAS's 1- and 2-row batches.
+_CAMEL = constants(4.0, 2.1, 3.0)
+_BRANIN = constants(5.1 / (4 * np.pi**2), 5.0 / np.pi, 6.0, 10.0 * (1.0 - 1.0 / (8.0 * np.pi)), 10.0)
+_GOLDSTEIN = constants(1.0, 19.0, 14.0, 3.0, 6.0, 30.0, 2.0, 18.0, 32.0, 12.0, 48.0, 36.0, 27.0)
 
 
 def _six_hump_camel(X: Array, rng=None) -> Array:

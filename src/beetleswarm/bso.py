@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _ZERO, ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, uniform_population
+    ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, constants, uniform_population
 )
 
 Array = np.ndarray
@@ -168,17 +168,14 @@ def blend_position(X: Array, V: Array, xi: Array | None, lam: float, rest: float
     """Blend the swarm move and the antenna move, then project into the box.
 
     Computes clip((X + lam*V) + rest*xi), where the engine passes
-    rest = 1 - lam. ``xi`` of None stands for a zero antenna move;
-    ``+ 0.0`` is still added, so a ``-0.0`` coordinate becomes ``+0.0``
-    exactly as with an explicit zero array. The clip is ``ndarray.clip``
-    only if lower and upper have X's shape (the engine passes a tiled box);
-    scalar or (dim,) bounds can return the bound on a tie of signed zeros.
+    rest = 1 - lam; ``xi`` of None stands for a zero antenna move. The
+    clip is ``ndarray.clip`` only if lower and upper have X's shape (the
+    engine passes a tiled box); scalar or (dim,) bounds can return the
+    bound on a tie of signed zeros.
     """
     out = np.multiply(V, lam)
     out += X
-    if xi is None:
-        out += _ZERO
-    else:
+    if xi is not None:
         out += np.multiply(xi, rest)
     return clip_in_place(out, lower, upper)
 
@@ -192,7 +189,7 @@ class BsoEngine:
     every step. The box is stored at the probes' (2, n, dim) shape (its [0]
     half bounds the swarm) and the velocity bounds at (n, dim), so no clamp
     broadcasts (dim,) bounds (see ``clip_in_place``). Constant coefficients
-    are 0-d float64 arrays converted once; per-step values stay floats.
+    are ``core.constants``; per-step values stay floats.
     """
 
     def __init__(
@@ -212,7 +209,7 @@ class BsoEngine:
         self.upper = np.tile(self.space.upper, (2, config.n, 1))
         self.v_hi = np.tile(config.v_frac * self.space.widths, (config.n, 1))
         self.v_lo = -self.v_hi
-        self._coef = tuple(np.array(c) for c in (config.a1, config.a2, config.lam, 1.0 - config.lam))
+        self._coef = constants(config.a1, config.a2, config.lam, 1.0 - config.lam)
 
         X = uniform_population(self.rng, self.space, config.n)
         V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
@@ -272,10 +269,14 @@ class BsoEngine:
 
     def _check_invariants(self) -> None:
         st = self.state
-        assert np.all(st.X >= self.space.lower) and np.all(st.X <= self.space.upper)
-        assert st.Gf == float(st.Pf.min())
-        assert np.array_equal(st.G, st.P[int(np.argmin(st.Pf))])
-        assert self.curve[-1] <= self.curve[-2]
+        for holds, name in (
+            (np.all(st.X >= self.space.lower) and np.all(st.X <= self.space.upper), "every position lies in the box"),
+            (st.Gf == float(st.Pf.min()), "Gf is the least personal best"),
+            (np.array_equal(st.G, st.P[int(np.argmin(st.Pf))]), "G is the position of the least personal best"),
+            (self.curve[-1] <= self.curve[-2], "the curve does not rise"),
+        ):
+            if not holds:  # raised, not asserted, so the check survives ``python -O``
+                raise AssertionError(f"debug check failed at iteration {st.k}: {name}")
 
 
 def run_bso(

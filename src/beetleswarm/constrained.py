@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place
+from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen
 
 Array = np.ndarray
 
@@ -73,11 +73,13 @@ class ConstrainedProblem:
     """Raw objective, interval constraints and per-dimension variable kinds.
 
     ``g_lower``/``g_upper`` give the feasible interval per constraint;
-    one-sided "g <= 0" constraints use lower = -inf, upper = 0.
-    ``grids`` has one entry per dimension: a DiscreteGrid for snapped
-    variables, None for continuous ones. Through ``as_problem``,
-    ``raw_batch`` and ``constraint_batch`` receive the snapped copy in
-    column-major order, so they must not assume a C-contiguous input.
+    one-sided "g <= 0" constraints use lower = -inf, upper = 0. The problem
+    keeps read-only float copies of both (a variant comes from
+    ``dataclasses.replace``). ``grids`` has one entry per dimension: a
+    DiscreteGrid for snapped variables, None for continuous ones. Through
+    ``as_problem``, ``raw_batch`` and ``constraint_batch`` receive the
+    snapped copy in column-major order, so they must not assume a
+    C-contiguous input.
 
     A problem is plain data that equals only itself (``eq=False``), so it
     hashes by identity: the arrays derived from it for a batch shape are
@@ -95,6 +97,8 @@ class ConstrainedProblem:
     def __post_init__(self):
         if len(self.grids) != self.space.dim:
             raise ValueError(f"{self.id}: {len(self.grids)} grids for {self.space.dim} dimensions, not one each")
+        for name in ("g_lower", "g_upper"):
+            object.__setattr__(self, name, frozen(np.array(getattr(self, name), dtype=float)))
 
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
@@ -161,9 +165,10 @@ def _layout(problem: ConstrainedProblem, shape: tuple[int, ...]) -> tuple:
     if cols and cols[-1] - cols[0] == len(cols) - 1:
         cols = slice(cols[0], cols[-1] + 1)
     elif cols:
-        cols = np.array(cols, dtype=np.intp)
+        cols = frozen(np.array(cols, dtype=np.intp))
     table = np.array([(g.step, g.k_min, g.k_max) for g in problem.grids if g is not None], dtype=float).reshape(-1, 3)
-    return (cols, *(np.asfortranarray(np.tile(r, (shape[0], 1))) for r in (*table.T, problem.g_lower, problem.g_upper)))
+    tiles = (frozen(np.asfortranarray(np.tile(r, (shape[0], 1)))) for r in (*table.T, problem.g_lower, problem.g_upper))
+    return (cols, *tiles)
 
 
 def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Array:
@@ -185,9 +190,8 @@ def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> 
 # ---------------------------------------------------------------------------
 
 
-# Kernel coefficients are 0-d float64 arrays: a Python float's bits, with no scalar conversion per ufunc call.
-_PV_COST = tuple(np.array(c) for c in (0.6224, 1.7781, 3.1661, 19.84))
-_PV_G = tuple(np.array(c) for c in (0.0193, 0.00954, -math.pi, (4.0 / 3.0) * math.pi, 3.0, 1296000.0, 240.0))
+_PV_COST = constants(0.6224, 1.7781, 3.1661, 19.84)
+_PV_G = constants(0.0193, 0.00954, -math.pi, (4.0 / 3.0) * math.pi, 3.0, 1296000.0, 240.0)
 
 
 def _pv_cost(X: Array) -> Array:
@@ -230,11 +234,12 @@ PRESSURE_VESSEL = ConstrainedProblem(
 # ---------------------------------------------------------------------------
 
 
-_HB_OBJ = tuple(np.array(c) for c in (5.3578547, 0.8356891, 37.29329, 40792.141))
+_HB_OBJ = constants(5.3578547, 0.8356891, 37.29329, 40792.141)
 # Each constraint is k + (c*a)*b + (c*a)*b + (c*a)*b; a subtracted term has a negated c, and c*x3**2 is (c*x3**2)*1.
-_HB_K = np.array([[85.334407], [80.51249], [9.300961]])
-_HB_C = np.array([[0.0056858, 0.00026, -0.0022053, 0.0071317, 0.0029955, 0.0021813, 0.0047026, 0.0012547, 0.0019085]]).T
-_HB_A, _HB_B = np.array([1, 0, 2, 1, 0, 5, 2, 0, 2]), np.array([4, 3, 4, 4, 1, 6, 4, 2, 3])
+_HB_K = frozen(np.array([[85.334407], [80.51249], [9.300961]]))
+_HB_C = frozen(np.array([[0.0056858, 0.00026, -0.0022053, 0.0071317, 0.0029955, 0.0021813, 0.0047026, 0.0012547,
+                          0.0019085]]).T)
+_HB_A, _HB_B = frozen(np.array([1, 0, 2, 1, 0, 5, 2, 0, 2])), frozen(np.array([4, 3, 4, 4, 1, 6, 4, 2, 3]))
 
 
 def _hb_objective(X: Array) -> Array:
@@ -295,7 +300,7 @@ def as_problem(cp: ConstrainedProblem, penalty: PenaltyConfig | None = None) -> 
     functools.partial, not a closure, so the problem pickles for the trial
     process pool.
     """
-    weight = np.array((penalty or PenaltyConfig()).weight)  # a 0-d array, built once and not per call
+    [weight] = constants((penalty or PenaltyConfig()).weight)
     return Problem(id=cp.id, space=cp.space, batch=partial(_snapped_penalized, cp, weight), clamp_probes=True)
 
 

@@ -17,9 +17,22 @@ import numpy as np
 
 Array = np.ndarray
 
-# float64 0-d constants (a ufunc needs no scalar conversion or dtype resolution per call) and the native float64 dtype
-_INF, _ZERO = np.array(np.inf), np.array(0.0)
-_FLOAT64 = np.dtype(np.float64)
+
+def frozen(a: Array) -> Array:
+    """``a``, made read-only: the one way a shared constant, table or stored bound is frozen where it is made."""
+    a.setflags(write=False)
+    return a
+
+
+def constants(*values: float) -> tuple[Array, ...]:
+    """Each value as a read-only float64 0-d array, the one form of a constant coefficient on the hot path: it holds
+    the Python float's bits, and a ufunc given one needs no scalar conversion or dtype resolution per call. Values
+    that change every step stay Python floats, since building a 0-d array costs about what it saves."""
+    return tuple(frozen(np.array(v, dtype=float)) for v in values)
+
+
+_INF, _ZERO = constants(np.inf, 0.0)
+_FLOAT64 = np.dtype(np.float64)  # the native float64 dtype
 
 
 class RandomStream:
@@ -75,8 +88,11 @@ def check_fields(config) -> None:
         kind = numbers.Integral if f.type == "int" else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        try:  # isfinite takes a float, and an int or Fraction past the float range (10**400) overflows it
+            if kind is numbers.Real and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        except OverflowError:
+            raise ValueError(f"{f.name} must be finite, got a number too large for a float") from None
         if kind is numbers.Integral:
             check_int(value, f.name)
         if type(value) not in (int, float):  # numpy's numbers or a Fraction: the plain int or float they equal
@@ -91,8 +107,8 @@ class SearchSpace:
     upper: Array
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)  # copies, so the caller's arrays stay writable
+        upper = np.array(self.upper, dtype=float, ndmin=1)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
@@ -102,10 +118,8 @@ class SearchSpace:
         for i, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
             if not math.isfinite(hi - lo):  # an infinite bound, or a width past the float range
                 raise ValueError(f"dimension {i}: bounds [{lo}, {hi}] must be finite and so must their width")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", frozen(lower))
+        object.__setattr__(self, "upper", frozen(upper))
 
     @property
     def dim(self) -> int:
@@ -210,12 +224,8 @@ class RunRecord:
     wall_time_s: float
 
     def __post_init__(self):
-        curve = np.asarray(self.curve, dtype=float)
-        best_x = np.asarray(self.best_x, dtype=float)
-        curve.setflags(write=False)
-        best_x.setflags(write=False)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "best_x", best_x)
+        object.__setattr__(self, "curve", frozen(np.asarray(self.curve, dtype=float)))
+        object.__setattr__(self, "best_x", frozen(np.asarray(self.best_x, dtype=float)))
 
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:

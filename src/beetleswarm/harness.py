@@ -242,12 +242,7 @@ def compare_report(summaries: list[TrialSummary], destination) -> tuple[Path, Pa
             raise ValueError(f"duplicate cell ({s.problem_id}, {s.algorithm})")
         cells[s.problem_id][s.algorithm] = s.to_dict()
 
-    missing = [
-        f"({pid}, {algo})"
-        for pid in problems
-        for algo in algorithms
-        if algo not in cells[pid]
-    ]
+    missing = [f"({pid}, {algo})" for pid in problems for algo in algorithms if algo not in cells[pid]]
     if missing:
         raise ValueError(f"algorithms cover different problem sets; missing cells: {missing}")
 

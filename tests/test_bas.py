@@ -242,6 +242,17 @@ class TestRunBas:
         assert rec.curve.size == 2001 and np.isfinite(rec.best_f)
         assert rec.best_f == problem.evaluate(rec.best_x)
 
+    def test_derived_delta0_whose_spacing_underflows_rejected(self):
+        # the derived delta0 follows BasConfig's rule for a given one; this run used to raise
+        # "antenna spacing d must be positive" from its first iteration
+        calls = []
+        tiny = Problem("tiny", SearchSpace.box(1, 0.0, 1e-300), lambda X, rng=None: calls.append(X) or X.sum(axis=1))
+        message = r"^derived delta0 3e-301 \(0\.3 x the widest side, 1e-300\) / c2_ratio 1e\+30 underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            run_bas(tiny, BasConfig(c2_ratio=1e30, max_iters=3))
+        assert calls == []  # raised before the start point
+        assert run_bas(tiny, BasConfig(max_iters=3)).curve.size == 4
+
     def test_default_step_scales_with_box(self):
         rec = run_bas(sphere_problem(2, -50, 50), BasConfig(max_iters=1), seed=0)
         assert rec.config["delta0"] is None  # config echoes the automatic setting

@@ -1,8 +1,13 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beetleswarm
 from beetleswarm import (
     BsoConfig,
     BsoEngine,
@@ -176,6 +181,8 @@ class TestBsoConfig:
             BsoConfig(v_frac=0.0)
         with pytest.raises(ValueError):
             BsoConfig(max_iters=-1)
+        with pytest.raises(ValueError, match="^acceleration coefficients must be nonnegative$"):
+            BsoConfig(a1=-1.0)
 
     def test_dict_round_trip(self):
         cfg = BsoConfig(n=10, max_iters=50, lam=0.2, seed=5)
@@ -220,6 +227,40 @@ class TestEngine:
             assert np.all(st.Pf <= engine.problem.evaluate_many(st.P) + 1e-12)
             prev_pf = st.Pf.copy()
         assert len(engine.curve) == cfg.max_iters + 1
+
+    @pytest.mark.parametrize(
+        "break_it,name",
+        [
+            (lambda eng: eng.state.X.__setitem__((0, 0), 1e9), "every position lies in the box"),
+            (lambda eng: setattr(eng.state, "Gf", eng.state.Gf - 1.0), "Gf is the least personal best"),
+            (lambda eng: setattr(eng.state, "G", eng.state.G + 1.0), "G is the position of the least personal best"),
+            (lambda eng: eng.curve.append(eng.curve[-1] + 1.0), "the curve does not rise"),
+        ],
+        ids=["box", "Gf", "G", "curve"],
+    )
+    def test_debug_checks_name_the_failed_invariant(self, break_it, name):
+        engine = BsoEngine(sphere_problem(3), BsoConfig(n=6, max_iters=5, seed=1), debug_checks=True)
+        engine.step()
+        break_it(engine)
+        with pytest.raises(AssertionError, match=f"^debug check failed at iteration 1: {name}$"):
+            engine._check_invariants()
+
+    def test_debug_checks_survive_python_O(self):
+        # the checks were asserts, which -O strips: a coordinate at 1e9, outside the box, passed them
+        script = """
+import sys
+from beetleswarm import BsoConfig, BsoEngine, get_problem
+assert sys.flags.optimize and not __debug__
+engine = BsoEngine(get_problem("F16"), BsoConfig(n=4, max_iters=3), debug_checks=True)
+engine.step()
+engine.state.X[0, 0] = 1e9
+engine._check_invariants()
+"""
+        src = str(Path(beetleswarm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "AssertionError: debug check failed at iteration 1: every position lies in the box" in result.stderr
 
     @pytest.mark.parametrize("pid", ["F7", "PV"])
     def test_step_is_the_three_kernels(self, pid):

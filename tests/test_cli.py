@@ -127,9 +127,16 @@ class TestConfigFile:
         assert f"config key {key!r} {expected}, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key,value", [("a1", "NaN"), ("delta0", "Infinity"), ("v_frac", "-Infinity")])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("a1", "NaN"), ("delta0", "Infinity"), ("v_frac", "-Infinity"),
+            pytest.param("a2", "1" + "0" * 400, id="a2-10**400"),
+        ],
+    )
     def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
-        # Python's json reads these literals; they used to run with a flat curve
+        # Python's json reads these literals; they used to run with a flat curve, and the
+        # 401-digit integer, too large for a float, used to end the run with a traceback (exit 1)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"problem": "F1", "max_iters": 3, "{key}": {value}}}')
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
@@ -166,8 +173,10 @@ class TestConfigFile:
 
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert run_cli("run", "--config", str(cfg)) == 2
+        for text, expected in (("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")):
+            cfg.write_text(text)
+            assert run_cli("run", "--config", str(cfg)) == 2
+            assert f"config file {cfg} {expected}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "none.json")) == 2
@@ -229,8 +238,17 @@ class TestBench:
         assert code == 2
         assert "no algorithms given" in capsys.readouterr().err
 
-    def test_bad_range(self, capsys):
-        assert run_cli("bench", "--algos", "bso", "--problems", "F5..F2", "--trials", "1") == 2
+    def test_bad_range(self, tmp_path, capsys):
+        for problems, expected in (
+            ("F5..F2", "empty problem range 'F5..F2'"),
+            ("A1..F3", "bad problem range 'A1..F3'; ranges use benchmark ids like F1..F13"),
+            ("F1..Fx", "bad problem range 'F1..Fx'"),
+            (",", "no problems given"),
+        ):
+            out = tmp_path / "rep"
+            assert run_cli("bench", "--algos", "bso", "--problems", problems, "--trials", "1", "--out", str(out)) == 2
+            assert f"error: {expected}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_list_valued_config_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -301,6 +319,13 @@ class TestBench:
         assert "base_seed (--seed) must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        code = run_cli("bench", "--problems", "F1", "--trials", "0", "--iters", "3", "--pop", "4",
+                       "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "n_trials (--trials) must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_repeated_ids_run_once(self, tmp_path):
         out = tmp_path / "rep"
         code = run_cli(
@@ -366,6 +391,11 @@ class TestConstrained:
     def test_zero_iterations_never_crashes(self, capsys):
         code = run_cli("constrained", "--problem", "pv", "--iters", "0", "--pop", "10", "--trials", "2", "--seed", "1")
         assert code in (0, 3)
+
+    def test_no_feasible_trial_exits_3(self, capsys):
+        code = run_cli("constrained", "--problem", "hb", "--iters", "0", "--pop", "2", "--trials", "1", "--seed", "0")
+        assert code == 3
+        assert "HB: no feasible solution found in 1 trials; best infeasible point:" in capsys.readouterr().out
 
     def test_hb_small(self, capsys):
         code = run_cli("constrained", "--problem", "hb", "--iters", "120", "--pop", "20", "--trials", "2", "--seed", "0")

@@ -231,6 +231,37 @@ class TestPlainData:
             assert got.tobytes() == singles.tobytes(), m
 
 
+class TestReadOnlyBounds:
+    @pytest.mark.parametrize("cp", [PRESSURE_VESSEL, HIMMELBLAU], ids=["PV", "HB"])
+    def test_catalog_constraint_bounds_are_read_only(self, cp):
+        # PRESSURE_VESSEL.g_upper[:] = 1e9 used to reach only the batch sizes whose bounds _layout had not cached
+        for bounds in (cp.g_lower, cp.g_upper):
+            with pytest.raises(ValueError, match="read-only"):
+                bounds[0] = 1.0
+
+    def test_callers_bounds_are_copied_as_floats_and_stay_writable(self):
+        g_lower, g_upper = [-np.inf] * 4, np.array([0, 0, 0, 0])
+        cp = replace(PRESSURE_VESSEL, g_lower=g_lower, g_upper=g_upper)
+        assert cp.g_upper.dtype == np.float64 and not cp.g_upper.flags.writeable
+        g_upper[2] = 10**6
+        assert np.array_equal(cp.g_upper, np.zeros(4)) and PRESSURE_VESSEL.g_upper is not cp.g_upper
+
+    def test_relaxed_variant_agrees_across_batch_sizes(self):
+        # a variant with the volume constraint relaxed: rows keep their violations in a 49- and a 50-row batch,
+        # and feasible() agrees with an all-zero violation row
+        X = PRESSURE_VESSEL.space.lower + RandomStream(3).uniform((50, 4)) * PRESSURE_VESSEL.space.widths
+        X[:, 0] = 0.0193 * X[:, 2] + np.linspace(-0.5, 0.5, 50)  # g1 holds on about half of the rows
+        strict = PRESSURE_VESSEL.violations_many(X)  # caches the 50-row layout of the original
+        relaxed = replace(PRESSURE_VESSEL, g_upper=np.array([0.0, 0.0, 1e9, 0.0]))
+        v50, v49 = relaxed.violations_many(X), relaxed.violations_many(X[:49])
+        assert v50[:49].tobytes() == v49.tobytes()
+        assert np.all(v50[:, 2] == 0.0) and np.any(strict[:, 2] > 0.0)
+        zero = ~v50.any(axis=1)
+        assert 0 < zero.sum() < 50
+        assert [relaxed.feasible(x, tol=0.0) for x in X] == zero.tolist()
+        assert PRESSURE_VESSEL.violations_many(X).tobytes() == strict.tobytes()
+
+
 class TestPenalty:
     def test_feasible_point_pays_nothing(self):
         cfg = PenaltyConfig()

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -22,8 +22,9 @@ from beetleswarm import (
     run_bso,
     uniform_in_space,
 )
+from beetleswarm import benchmarks, constrained, core
 from beetleswarm.bas import BasConfig, run_bas
-from beetleswarm.core import clip_in_place, uniform_population
+from beetleswarm.core import clip_in_place, constants, frozen, uniform_population
 from beetleswarm.harness import ALGORITHMS, run_trial_records
 
 from .conftest import FixedStream, sphere_problem
@@ -53,6 +54,18 @@ class TestSearchSpace:
         space = SearchSpace.box(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             space.lower[0] = 5.0
+
+    def test_callers_bounds_are_copied_and_stay_writable(self):
+        # the box used to freeze the caller's own float64 arrays in place
+        lower, upper = np.zeros(2), np.ones(2)
+        space = SearchSpace(lower, upper)
+        lower[0] = -5.0
+        assert lower.flags.writeable and upper.flags.writeable
+        assert np.array_equal(space.lower, [0.0, 0.0]) and not space.lower.flags.writeable
+
+    def test_rejects_bounds_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^lower and upper must be 1-D arrays of equal length$"):
+            SearchSpace(np.zeros(2), np.ones(3))
 
     @pytest.mark.parametrize(
         "lower,upper,dim",
@@ -378,12 +391,76 @@ class TestConfigFields:
         cfg = BsoConfig.from_dict(json.loads('{"a1": 2, "delta0": 6.0}'))
         assert type(cfg.a1) is int and type(cfg.delta0) is float
         assert json.dumps(cfg.to_dict()).startswith('{"n": 50, "max_iters": 1000, "lam": 0.35, "a1": 2, ')
+        assert BsoConfig(a2=10**300).a2 == 10**300 and type(BsoConfig(a2=10**300).a2) is int
+
+    def test_int_for_a_float_field_runs_as_its_float(self):
+        # the engine's coefficients are float64 either way, so a1=2 and a1=2.0 give the same bits
+        configs = (BsoConfig(n=5, max_iters=20, a1=2, a2=3), BsoConfig(n=5, max_iters=20, a1=2.0, a2=3.0))
+        runs = [run_bso(sphere_problem(3), cfg) for cfg in configs]
+        assert runs[0].curve.tobytes() == runs[1].curve.tobytes()
+        assert runs[0].best_x.tobytes() == runs[1].best_x.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg_type,key", [(BsoConfig, "a1"), (PsoConfig, "v_frac"), (BasConfig, "delta0"), (PenaltyConfig, "weight")]
+    )
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"])
+    def test_number_too_large_for_a_float_rejected(self, cfg_type, key, value):
+        # BsoConfig(a1=10**400) used to build, and run_bso then failed with a UFuncTypeError
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got a number too large for a float$"):
+            cfg_type(**{key: value})
 
     @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig])
     def test_negative_seed_rejected(self, cfg_type):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             cfg_type(seed=-1)
         assert cfg_type(seed=0).seed == 0
+
+
+def _arrays(value, where):
+    """(where, array) for every ndarray reachable from value through tuples, lists, dicts, dataclass fields and
+    functools.partial arguments."""
+    if isinstance(value, np.ndarray):
+        yield where, value
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _arrays(v, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _arrays(v, f"{where}[{k!r}]")
+    elif is_dataclass(value) and not isinstance(value, type):
+        for f in fields(value):
+            yield from _arrays(getattr(value, f.name), f"{where}.{f.name}")
+    elif isinstance(value, partial):
+        yield from _arrays(value.args, f"{where}.args")
+
+
+class TestSharedConstants:
+    """Shared constant arrays are read-only where they are made, and coefficients are 0-d float64 arrays."""
+
+    def test_frozen_makes_read_only_and_returns_its_argument(self):
+        a = np.arange(3.0)
+        assert frozen(a) is a and not a.flags.writeable
+
+    def test_constants_are_read_only_float64_scalars_with_the_floats_bits(self):
+        values = (2, 0.1, -np.pi, np.inf, Fraction(1, 3))
+        out = constants(*values)
+        assert isinstance(out, tuple) and len(out) == len(values)
+        for c, v in zip(out, values):
+            assert (c.dtype, c.shape, c.flags.writeable) == (np.float64, (), False)
+            assert c.tobytes() == np.float64(float(v)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[1][()] = 1.0
+
+    def test_every_module_level_array_is_read_only(self):
+        # benchmarks froze its tables through a list of their names; constrained froze none of its arrays
+        found = [
+            (where, a)
+            for module in (core, benchmarks, constrained)
+            for key, value in vars(module).items()
+            for where, a in _arrays(value, f"{module.__name__}.{key}")
+        ]
+        assert len(found) > 30
+        assert [where for where, a in found if a.flags.writeable] == []
 
 
 class TestRunPath:
