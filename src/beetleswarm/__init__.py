@@ -10,7 +10,7 @@ harness with CSV/JSON exports.
 from .bas import BasConfig, BasState, run_bas
 from .benchmarks import BENCHMARK_IDS
 from .bso import BsoConfig, BsoEngine, PsoConfig, SwarmState, inertia_weight, run_bso, run_pso
-from .catalog import BenchmarkSpec, evaluate, get_problem, list_problems, problem, problem_ids, spec
+from .catalog import BenchmarkSpec, evaluate, get_problem, list_problems, problem_ids, spec
 from .constrained import (
     CONSTRAINED_IDS,
     ConstrainedProblem,
@@ -58,7 +58,6 @@ __all__ = [
     "inertia_weight",
     "list_problems",
     "penalized_fitness",
-    "problem",
     "problem_ids",
     "run_bas",
     "run_bso",

@@ -270,6 +270,7 @@ class BsoEngine:
     def _check_invariants(self) -> None:
         st = self.state
         for holds, name in (
+            (np.all(np.isfinite(st.V)), "every velocity is finite"),
             (np.all(st.X >= self.space.lower) and np.all(st.X <= self.space.upper), "every position lies in the box"),
             (st.Gf == float(st.Pf.min()), "Gf is the least personal best"),
             (np.array_equal(st.G, st.P[int(np.argmin(st.Pf))]), "G is the position of the least personal best"),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import benchmarks, constrained
 from .core import Problem, RandomStream
@@ -10,13 +10,14 @@ from .core import Problem, RandomStream
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Catalog entry of a benchmark function: dimension, box range and tabulated minimum."""
+    """Catalog entry: dim, bounds (one number per side for a cube, else one per dimension), fmin, stochastic."""
 
     id: str
     dim: int
-    lower: float
-    upper: float
-    fmin: float
+    lower: float | list[float]
+    upper: float | list[float]
+    fmin: float | None
+    stochastic: bool
 
 
 # Every catalog Problem, built once at import; PV and HB carry the default penalty.
@@ -37,32 +38,26 @@ def get_problem(problem_id: str) -> Problem:
     return _lookup(problem_id, _PROBLEMS, "problem")
 
 
-def problem(benchmark_id: str) -> Problem:
-    """The benchmark function F1..F23 as a minimization Problem (one shared instance per id)."""
-    return _lookup(benchmark_id, benchmarks.BENCHMARK_IDS, "benchmark")
-
-
-def _entry(p: Problem) -> dict:
+def _entry(p: Problem) -> BenchmarkSpec:
     lower, upper = p.space.lower.tolist(), p.space.upper.tolist()
     if len(set(lower)) == len(set(upper)) == 1:
         lower, upper = lower[0], upper[0]
-    return {"id": p.id, "dim": p.space.dim, "lower": lower, "upper": upper,
-            "fmin": p.known_fmin, "stochastic": p.stochastic}
+    return BenchmarkSpec(p.id, p.space.dim, lower, upper, p.known_fmin, p.stochastic)
 
 
 def spec(benchmark_id: str) -> BenchmarkSpec:
-    """Catalog entry for one benchmark function id (F1..F23): its ``list_problems`` entry without ``stochastic``."""
-    return BenchmarkSpec(**{k: v for k, v in _entry(problem(benchmark_id)).items() if k != "stochastic"})
+    """Catalog entry for one benchmark function id (F1..F23): its ``list_problems`` entry as a dataclass."""
+    return _entry(_lookup(benchmark_id, benchmarks.BENCHMARK_IDS, "benchmark"))
 
 
 def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
     """One benchmark function at a single point; ``rng`` is required for F7's noise draw and ignored elsewhere."""
-    return problem(benchmark_id).evaluate(x, rng)
+    return _lookup(benchmark_id, benchmarks.BENCHMARK_IDS, "benchmark").evaluate(x, rng)
 
 
 def list_problems() -> list[dict]:
-    """Every entry: id, dim, bounds (one number per side for a cube, else one per dimension), fmin, stochastic."""
-    return [_entry(p) for p in _PROBLEMS.values()]
+    """Every catalog entry, as the dict of its ``BenchmarkSpec``."""
+    return [asdict(_entry(p)) for p in _PROBLEMS.values()]
 
 
 def problem_ids() -> tuple[str, ...]:

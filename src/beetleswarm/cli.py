@@ -75,7 +75,7 @@ def _settings(args) -> dict:
             settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4,300 digits
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(settings, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")

@@ -22,11 +22,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from sys import float_info
 from typing import Callable
 
 import numpy as np
 
-from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen
+from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, shown
 
 Array = np.ndarray
 
@@ -61,11 +62,13 @@ class DiscreteGrid:
     def __post_init__(self):
         # not check_fields, which refuses negative integers: a grid may reach below zero
         if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in (self.k_min, self.k_max)):
-            raise ValueError(f"grid k_min and k_max must be integers, got {self.k_min!r} and {self.k_max!r}")
+            raise ValueError(f"grid k_min and k_max must be integers, got {shown(self.k_min)} and {shown(self.k_max)}")
         if isinstance(self.step, bool) or not (isinstance(self.step, numbers.Real) and 0 < self.step < math.inf):
-            raise ValueError(f"grid step must be positive and finite, got {self.step!r}")
+            raise ValueError(f"grid step must be positive and finite, got {shown(self.step)}")
+        if isinstance(self.step, numbers.Rational) and self.step > float_info.max:  # exact, where float() overflows
+            raise ValueError("grid step must be positive and finite, got a number too large for a float")
         if self.k_min > self.k_max:
-            raise ValueError(f"grid k_min must not exceed k_max, got {self.k_min} > {self.k_max}")
+            raise ValueError(f"grid k_min must not exceed k_max, got {shown(self.k_min)} > {shown(self.k_max)}")
 
 
 @dataclass(frozen=True, eq=False)

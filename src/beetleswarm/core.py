@@ -69,12 +69,20 @@ class ConfigDict:
         return cls(**data)
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, or the bit length of an int or Fraction past repr's 4,300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {int(value).bit_length()}-bit {type(value).__name__}"
+
+
 def check_int(value, name: str) -> int:
     """``value`` as a Python int, by the rule an int config field follows: an integer, not a bool, at least 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        raise ValueError(f"{name} must be nonnegative, got {shown(value)}")
     return int(value)
 
 
@@ -87,7 +95,7 @@ def check_fields(config) -> None:
             continue
         kind = numbers.Integral if f.type == "int" else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+            raise ValueError(f"config key {f.name!r} must be {f.type}, got {shown(value)}")
         try:  # isfinite takes a float, and an int or Fraction past the float range (10**400) overflows it
             if kind is numbers.Real and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from beetleswarm import RandomStream, evaluate, get_problem, list_problems, problem, problem_ids, spec
+from beetleswarm import RandomStream, evaluate, get_problem, list_problems, problem_ids, spec
 from beetleswarm.benchmarks import BENCHMARK_IDS, quartic_without_noise
 
 # id -> (dim, lower, upper, fmin) as catalogued
@@ -253,7 +253,6 @@ class TestSpecs:
         assert get_problem("f1") is get_problem("F1")
         for pid in problem_ids():
             assert get_problem(pid.lower()) is get_problem(pid)
-        assert problem("F7") is get_problem("F7")
         assert not get_problem("PV").space.lower.flags.writeable
         with pytest.raises(KeyError):
             get_problem("F99")
@@ -275,8 +274,7 @@ class TestSpecs:
         # guard: spec and list_problems describe a function from the one Problem the catalog holds
         entries = {e["id"]: e for e in list_problems()}
         for fid in BENCHMARK_IDS:
-            want = {k: v for k, v in entries[fid].items() if k != "stochastic"}
-            assert dataclasses.asdict(spec(fid)) == want
+            assert dataclasses.asdict(spec(fid)) == entries[fid]
         for pid in ("PV", "F99"):
             with pytest.raises(KeyError, match="unknown benchmark"):
                 spec(pid)
@@ -372,14 +370,14 @@ def test_2d_kernels_match_textbook_bit_for_bit(fid, m):
     X[rng.uniform(size=(m, 2)) < 0.1] = 0.0
     X[rng.uniform(size=(m, 2)) < 0.1] = -0.0
     X[0] = [-0.0, 0.0]
-    got = problem(fid).batch(X)
+    got = get_problem(fid).batch(X)
     assert got.tobytes() == _textbook_2d(fid, X[:, 0], X[:, 1]).tobytes()
 
 
 class TestProperties:
     @pytest.mark.parametrize("fid", ["F1", "F2", "F3", "F4", "F5", "F6", "F9", "F10", "F11", "F12", "F13"])
     def test_nonnegative_on_box(self, fid):
-        p = problem(fid)
+        p = get_problem(fid)
         rng = RandomStream(2024)
         X = p.space.lower + rng.uniform((10_000, p.space.dim)) * p.space.widths
         assert np.all(p.evaluate_many(X) >= 0.0)
@@ -391,7 +389,7 @@ class TestProperties:
         assert quartic_without_noise(np.zeros((1, 30)))[0] == 0.0
 
     def test_f7_noise_is_uniform_additive(self):
-        p = problem("F7")
+        p = get_problem("F7")
         rng = RandomStream(17)
         X = -1.28 + rng.uniform((500, 30)) * 2.56
         noisy = p.evaluate_many(X, RandomStream(3))
@@ -405,7 +403,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("fid", ["F1", "F8", "F9"])
     def test_separable_functions_decompose(self, fid):
-        p = problem(fid)
+        p = get_problem(fid)
         rng = RandomStream(31)
         for _ in range(10):
             x = p.space.lower + rng.uniform(p.space.dim) * p.space.widths

@@ -231,12 +231,13 @@ class TestEngine:
     @pytest.mark.parametrize(
         "break_it,name",
         [
+            (lambda eng: eng.state.V.__setitem__((0, 0), np.nan), "every velocity is finite"),
             (lambda eng: eng.state.X.__setitem__((0, 0), 1e9), "every position lies in the box"),
             (lambda eng: setattr(eng.state, "Gf", eng.state.Gf - 1.0), "Gf is the least personal best"),
             (lambda eng: setattr(eng.state, "G", eng.state.G + 1.0), "G is the position of the least personal best"),
             (lambda eng: eng.curve.append(eng.curve[-1] + 1.0), "the curve does not rise"),
         ],
-        ids=["box", "Gf", "G", "curve"],
+        ids=["velocity", "box", "Gf", "G", "curve"],
     )
     def test_debug_checks_name_the_failed_invariant(self, break_it, name):
         engine = BsoEngine(sphere_problem(3), BsoConfig(n=6, max_iters=5, seed=1), debug_checks=True)
@@ -244,6 +245,14 @@ class TestEngine:
         break_it(engine)
         with pytest.raises(AssertionError, match=f"^debug check failed at iteration 1: {name}$"):
             engine._check_invariants()
+
+    @pytest.mark.parametrize("run,cfg", [(run_bso, BsoConfig(n=6, max_iters=3, v_frac=1e306)),
+                                         (run_pso, PsoConfig(n=6, max_iters=3, v_frac=1e306))], ids=["bso", "pso"])
+    def test_debug_checks_name_a_non_finite_velocity(self, run, cfg):
+        # v_frac * width overflows to inf, so V starts as NaN; the box check used to be the first to fail
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AssertionError, match="^debug check failed at iteration 1: every velocity is finite$"):
+                run(get_problem("F1"), cfg, debug_checks=True)
 
     def test_debug_checks_survive_python_O(self):
         # the checks were asserts, which -O strips: a coordinate at 1e9, outside the box, passed them

@@ -172,8 +172,12 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
     def test_bad_json(self, tmp_path, capsys):
+        # json refuses an integer past int()'s 4,300 digits with a plain ValueError, which used to end in a traceback
+        huge = '{"problem": "F1", "a1": 1' + "0" * 5000 + "}"
         cfg = tmp_path / "cfg.json"
-        for text, expected in (("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")):
+        for text, expected in (
+            ("{not json", "is not valid JSON"), (huge, "is not valid JSON"), ("[1, 2]", "must hold a JSON object")
+        ):
             cfg.write_text(text)
             assert run_cli("run", "--config", str(cfg)) == 2
             assert f"config file {cfg} {expected}" in capsys.readouterr().err

@@ -191,11 +191,14 @@ class TestSnapDiscrete:
 
     @pytest.mark.parametrize(
         "step,k_min,k_max",
-        [(0.0, 1, 9), (0.1, 5, 2), (-0.1, 1, 9), (np.nan, 1, 9), (0.1, 1.5, 9)],
-        ids=["zero-step", "k_min-above-k_max", "negative-step", "nan-step", "fractional-k_min"],
+        [(0.0, 1, 9), (0.1, 5, 2), (-0.1, 1, 9), (np.nan, 1, 9), (0.1, 1.5, 9), (10**400, 1, 9), (10**5000, 1, 9),
+         (0.5, 10**5000, 0)],
+        ids=["zero-step", "k_min-above-k_max", "negative-step", "nan-step", "fractional-k_min", "step-past-floats",
+             "huge-step", "huge-k_min"],
     )
     def test_bad_grid_rejected(self, step, k_min, k_max):
-        # each used to build and then snap wrong: to 0.0, always to k_max, outside the box, to NaN
+        # each used to build and then snap wrong: to 0.0, always to k_max, outside the box, to NaN; a step past
+        # the float range built and overflowed at the first snap, and a k_min past 4,300 digits failed in repr
         with pytest.raises(ValueError, match="grid"):
             DiscreteGrid(step=step, k_min=k_min, k_max=k_max)
 

@@ -409,6 +409,22 @@ class TestConfigFields:
         with pytest.raises(ValueError, match=f"^{key} must be finite, got a number too large for a float$"):
             cfg_type(**{key: value})
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda v: BsoConfig(n=v), "n must be nonnegative, got a 16610-bit int"),
+            (lambda v: BsoConfig(seed=v), "seed must be nonnegative, got a 16610-bit int"),
+            (lambda v: BasConfig(max_iters=v), "max_iters must be nonnegative, got a 16610-bit int"),
+            (lambda v: RandomStream(v), "seed must be nonnegative, got a 16610-bit int"),
+            (lambda v: BsoConfig(n=Fraction(v, 3)), "config key 'n' must be int, got a 16609-bit Fraction"),
+        ],
+        ids=["n", "seed", "max_iters", "stream-seed", "fraction"],
+    )
+    def test_huge_integer_named_by_its_bit_length(self, build, message):
+        # repr refuses an int past 4,300 digits, so each used to raise int()'s digit-limit error, not its own
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(-(10**5000))
+
     @pytest.mark.parametrize("cfg_type", [BsoConfig, PsoConfig, BasConfig])
     def test_negative_seed_rejected(self, cfg_type):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):

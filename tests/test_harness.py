@@ -119,8 +119,8 @@ class TestTrialSummaryInvariants:
     @pytest.mark.parametrize(
         "n_trials,message",
         [(0, "n_trials must be at least 1"), (True, "n_trials must be an integer, got True"),
-         (1.0, "n_trials must be an integer, got 1.0")],
-        ids=["zero", "bool", "float"],
+         (1.0, "n_trials must be an integer, got 1.0"), (-(10**5000), "n_trials must be nonnegative, got a 16610-bit int")],
+        ids=["zero", "bool", "float", "huge"],
     )
     def test_trial_count_checked(self, source, n_trials, message):
         # each was accepted: the seed count matched (0 seeds, or one seed for True and 1.0), or was not checked
