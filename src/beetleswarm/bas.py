@@ -31,10 +31,9 @@ MIN_STEP = 1e-12
 class BasConfig(ConfigDict):
     """Tunables for a BAS run.
 
-    ``delta0`` of None means 30% of the widest box side, a scale that
-    grows with the problem like the antenna metaphor suggests. The step
-    is multiplied by ``eta`` each iteration, and the antenna spacing is
-    always ``delta / c2_ratio``; a ``delta0`` whose spacing underflows to 0 is an error (a derived one in ``run_bas``).
+    ``delta0`` of None means 30% of the widest box side, a scale that grows with the problem like the antenna
+    metaphor suggests. The step is multiplied by ``eta`` each iteration, and the antenna spacing is always
+    ``delta / c2_ratio``; the first spacing must be positive and finite (``check_box`` checks a derived one).
     """
 
     delta0: float | None = None
@@ -49,8 +48,16 @@ class BasConfig(ConfigDict):
             raise ValueError("eta must lie in (0, 1]")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
-        if self.delta0 is not None and not self.delta0 / self.c2_ratio > 0:  # a tiny delta0's spacing underflows
-            raise ValueError(f"delta0 and delta0 / c2_ratio must be positive, got {self.delta0!r} / {self.c2_ratio!r}")
+        if self.delta0 is not None and not 0 < (d := self.delta0 / self.c2_ratio) < math.inf:  # under- or overflows
+            rule = "positive" if d == 0 else "finite"
+            raise ValueError(f"delta0 and delta0 / c2_ratio must be {rule}, got {self.delta0!r} / {self.c2_ratio!r}")
+
+    def check_box(self, problem: Problem) -> None:
+        """Raise ValueError unless a derived ``delta0`` (0.3 x the widest box side) has a positive, finite spacing."""
+        w = float(problem.space.widths.max())
+        if self.delta0 is None and not 0 < (d := 0.3 * w / self.c2_ratio) < math.inf:
+            raise ValueError(f"derived delta0 {0.3 * w!r} (0.3 x the widest side, {w!r}) / c2_ratio {self.c2_ratio!r} "
+                             + ("underflows to 0" if d == 0 else f"overflows on {problem.id}"))
 
 
 @dataclass(frozen=True)
@@ -135,9 +142,6 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
     def optimize(config: BasConfig, seed: int) -> tuple[list[float], Array, float]:
         rng = RandomStream(seed)
         delta = config.delta0 if config.delta0 is not None else 0.3 * float(problem.space.widths.max())
-        if not delta / config.c2_ratio > 0:  # a derived delta0: BasConfig checks a given one
-            raise ValueError(f"derived delta0 {delta!r} (0.3 x the widest side, {float(problem.space.widths.max())!r}) "
-                             f"/ c2_ratio {config.c2_ratio!r} underflows to 0")
         x = uniform_in_space(rng, problem.space)
         best_x, best_f = x, problem.evaluate(x, rng)
         d = delta / config.c2_ratio

@@ -94,6 +94,19 @@ class BsoConfig(ConfigDict):
         if not self.v_frac > 0:
             raise ValueError("v_frac must be positive")
 
+    def check_box(self, problem: Problem) -> None:
+        """Raise ValueError, naming the problem and the bound, unless each velocity and move bound is finite."""
+        w = float(problem.space.widths.max())
+        v_hi, omega = self.v_frac * w, max(abs(self.omega_max), abs(self.omega_min))
+        for name, bound in (
+            ("2 * v_frac * w", 2.0 * v_hi),
+            ("max(|omega_max|, |omega_min|) * v_frac * w + (a1 + a2) * w", omega * v_hi + self.a1 * w + self.a2 * w),
+            ("delta0 / c2_ratio * v_frac * w", self.delta0 / self.c2_ratio * v_hi),
+            ("(lam + (1 - lam) * delta0) * v_frac * w", (self.lam + (1.0 - self.lam) * self.delta0) * v_hi),
+        ):
+            if not np.isfinite(bound):
+                raise ValueError(f"{problem.id}: {name} is {bound!r}, not finite (w = {w!r}, the widest box side)")
+
 
 @dataclass
 class SwarmState:
@@ -316,8 +329,10 @@ class PsoConfig(ConfigDict):
     seed: int = 0
 
     def __post_init__(self):
-        # Delegate type and range checks to the engine config.
-        self.to_bso()
+        self.to_bso()  # the engine config checks types and ranges
+
+    def check_box(self, problem: Problem) -> None:
+        self.to_bso().check_box(problem)
 
     def to_bso(self) -> BsoConfig:
         """Equivalent engine configuration (pure swarm move, antennae off)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import benchmarks, constrained
-from .core import Problem, RandomStream
+from .core import Problem, RandomStream, lookup
 
 
 @dataclass(frozen=True)
@@ -20,22 +20,15 @@ class BenchmarkSpec:
     stochastic: bool
 
 
-# Every catalog Problem, built once at import; PV and HB carry the default penalty.
-_PROBLEMS: dict[str, Problem] = {p.id: p for p in benchmarks.PROBLEMS}
-for _pid in constrained.CONSTRAINED_IDS:
-    _PROBLEMS[_pid] = constrained.as_problem(constrained.constrained_problem(_pid))
-
-
-def _lookup(problem_id: str, ids, kind: str) -> Problem:
-    key = str(problem_id).upper()
-    if key not in ids:
-        raise KeyError(f"unknown {kind} {problem_id!r}")
-    return _PROBLEMS[key]
+# Every catalog Problem, built once at import: F1..F23, then PV and HB with the default penalty.
+_BENCHMARKS: dict[str, Problem] = {p.id: p for p in benchmarks.PROBLEMS}
+_PROBLEMS: dict[str, Problem] = _BENCHMARKS | {
+    pid: constrained.as_problem(constrained.constrained_problem(pid)) for pid in constrained.CONSTRAINED_IDS}
 
 
 def get_problem(problem_id: str) -> Problem:
     """The shared, immutable Problem for any catalogued id (case-insensitive)."""
-    return _lookup(problem_id, _PROBLEMS, "problem")
+    return lookup(_PROBLEMS, problem_id, "problem")
 
 
 def _entry(p: Problem) -> BenchmarkSpec:
@@ -47,12 +40,12 @@ def _entry(p: Problem) -> BenchmarkSpec:
 
 def spec(benchmark_id: str) -> BenchmarkSpec:
     """Catalog entry for one benchmark function id (F1..F23): its ``list_problems`` entry as a dataclass."""
-    return _entry(_lookup(benchmark_id, benchmarks.BENCHMARK_IDS, "benchmark"))
+    return _entry(lookup(_BENCHMARKS, benchmark_id, "benchmark"))
 
 
 def evaluate(benchmark_id: str, x, rng: RandomStream | None = None) -> float:
     """One benchmark function at a single point; ``rng`` is required for F7's noise draw and ignored elsewhere."""
-    return _lookup(benchmark_id, benchmarks.BENCHMARK_IDS, "benchmark").evaluate(x, rng)
+    return lookup(_BENCHMARKS, benchmark_id, "benchmark").evaluate(x, rng)
 
 
 def list_problems() -> list[dict]:

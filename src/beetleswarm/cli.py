@@ -116,10 +116,10 @@ def _algo_list(names: list[str]) -> list[str]:
 
 
 def _check_problem(problem_id: str) -> str:
-    key = str(problem_id).upper()
-    if key not in catalog.problem_ids():
-        raise UsageError(f"unknown problem {problem_id}")
-    return key
+    try:
+        return catalog.get_problem(problem_id).id
+    except KeyError:
+        raise UsageError(f"unknown problem {problem_id}") from None
 
 
 def _expand_problems(parts: list[str]) -> list[str]:
@@ -145,17 +145,20 @@ def _expand_problems(parts: list[str]) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def _build_config(algo: str, settings: dict, pop: int | None, seed: int):
-    """One algorithm's config from the merged settings, with --pop for a config type that has a population."""
+def _build_config(algo: str, settings: dict, pop: int | None, seed: int, problem_ids: list[str]):
+    """One algorithm's config from the merged settings, with --pop where it has a population, checked on each box."""
     cfg_type = ALGORITHMS[algo][0]
     tunables = {k: v for k, v in settings.items() if k not in _RUN_LEVEL_KEYS}
     if pop is not None and any(f.name == "n" for f in fields(cfg_type)):
         tunables["n"] = pop
     tunables["seed"] = seed
     try:
-        return cfg_type.from_dict(tunables)
+        config = cfg_type.from_dict(tunables)
+        for problem_id in problem_ids:
+            config.check_box(catalog.get_problem(problem_id))
     except ValueError as exc:
         raise UsageError(f"bad {algo} config: {exc}")
+    return config
 
 
 def _trial_settings(settings: dict, command: str) -> tuple[int, int]:
@@ -198,7 +201,7 @@ def cmd_run(args) -> int:
     settings = _settings(args)
     algo = _check_algorithm(_setting(settings, "run", "algorithm"))
     problem_id = _check_problem(_setting(settings, "run", "problem"))
-    config = _build_config(algo, settings, args.pop, _setting(settings, "run", "seed"))
+    config = _build_config(algo, settings, args.pop, _setting(settings, "run", "seed"), [problem_id])
     out_dir, curve_path, run_path = _make_out_dir(_setting(settings, "run", "out"), "curve.csv", "run.json")
 
     problem = catalog.get_problem(problem_id)
@@ -223,7 +226,7 @@ def cmd_bench(args) -> int:
     algos = _algo_list(_setting(settings, "bench", "algorithms"))
     problems = _expand_problems(_setting(settings, "bench", "problems"))
     n_trials, base_seed = _trial_settings(settings, "bench")
-    configs = {algo: _build_config(algo, settings, args.pop, base_seed) for algo in algos}
+    configs = {algo: _build_config(algo, settings, args.pop, base_seed, problems) for algo in algos}
     _check_workers()
     out_dir = _make_out_dir(_setting(settings, "bench", "out"), *REPORT_FILES)[0]
 
@@ -243,7 +246,7 @@ def cmd_constrained(args) -> int:
         )
     algo = _check_algorithm(_setting(settings, "constrained", "algorithm"))
     n_trials, base_seed = _trial_settings(settings, "constrained")
-    config = _build_config(algo, settings, args.pop, base_seed)
+    config = _build_config(algo, settings, args.pop, base_seed, [problem_id])
     _check_workers()
     out = _setting(settings, "constrained", "out") if "out" in settings else None
     json_path = None if out is None else _make_out_dir(out, "constrained.json")[1]

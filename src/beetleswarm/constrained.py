@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, shown
+from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, shown
 
 Array = np.ndarray
 
@@ -287,10 +287,7 @@ CONSTRAINED_IDS: tuple[str, ...] = tuple(_CONSTRAINED)
 
 
 def constrained_problem(problem_id: str) -> ConstrainedProblem:
-    key = str(problem_id).upper()
-    if key not in _CONSTRAINED:
-        raise KeyError(f"unknown constrained problem {problem_id!r}")
-    return _CONSTRAINED[key]
+    return lookup(_CONSTRAINED, problem_id, "constrained problem")
 
 
 def as_problem(cp: ConstrainedProblem, penalty: PenaltyConfig | None = None) -> Problem:

@@ -35,6 +35,13 @@ _INF, _ZERO = constants(np.inf, 0.0)
 _FLOAT64 = np.dtype(np.float64)  # the native float64 dtype
 
 
+def lookup(table: dict, name, kind: str):
+    """``table[str(name).upper()]``, the one id rule of every registry: a table keyed by upper-case ids, any case in."""
+    if (key := str(name).upper()) not in table:
+        raise KeyError(f"unknown {kind} {name!r}")
+    return table[key]
+
+
 class RandomStream:
     """Seeded stream of uniform draws in [0, 1).
 
@@ -238,13 +245,14 @@ class RunRecord:
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:
         """The one run path of every optimizer: a config of None is ``config_type()``, one of another type an
-        error, a seed of None ``config.seed``; ``wall_time_s`` times all of ``optimize(config, seed) -> (curve,
-        best_x, best_f)``, set-up included."""
+        error, a seed of None ``config.seed``; ``config.check_box(problem)`` runs before the clock starts, and
+        ``wall_time_s`` times all of ``optimize(config, seed) -> (curve, best_x, best_f)``, set-up included."""
         if config is None:
             config = config_type()
         elif not isinstance(config, config_type):
             raise ValueError(f"{algorithm} needs a {config_type.__name__}, got a {type(config).__name__}")
         seed = check_int(config.seed if seed is None else seed, "seed")
+        config.check_box(problem)
         start = time.perf_counter()
         curve, best_x, best_f = optimize(config, seed)
         elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from beetleswarm import RandomStream, evaluate, get_problem, list_problems, problem_ids, spec
+from beetleswarm import RandomStream, constrained_problem, evaluate, get_problem, list_problems, problem_ids, spec
 from beetleswarm.benchmarks import BENCHMARK_IDS, quartic_without_noise
 
 # id -> (dim, lower, upper, fmin) as catalogued
@@ -278,6 +278,18 @@ class TestSpecs:
         for pid in ("PV", "F99"):
             with pytest.raises(KeyError, match="unknown benchmark"):
                 spec(pid)
+
+    @pytest.mark.parametrize("lookup,args,message", [
+        (get_problem, ("f99",), "unknown problem 'f99'"),
+        (spec, ("PV",), "unknown benchmark 'PV'"),
+        (evaluate, ("PV", [1.0, 1.0, 10.0, 10.0]), "unknown benchmark 'PV'"),
+        (constrained_problem, ("xx",), "unknown constrained problem 'xx'"),
+    ], ids=["get_problem", "spec", "evaluate", "constrained_problem"])
+    def test_every_registry_names_an_unknown_id_alike(self, lookup, args, message):
+        # one id rule (core.lookup) serves the catalog's full and F1-F23 tables and the constrained registry
+        with pytest.raises(KeyError) as error:
+            lookup(*args)
+        assert error.value.args == (message,)
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,15 @@ class TestEngine:
         with pytest.raises(AssertionError, match=f"^debug check failed at iteration 1: {name}$"):
             engine._check_invariants()
 
-    @pytest.mark.parametrize("run,cfg", [(run_bso, BsoConfig(n=6, max_iters=3, v_frac=1e306)),
-                                         (run_pso, PsoConfig(n=6, max_iters=3, v_frac=1e306))], ids=["bso", "pso"])
-    def test_debug_checks_name_a_non_finite_velocity(self, run, cfg):
-        # v_frac * width overflows to inf, so V starts as NaN; the box check used to be the first to fail
+    @pytest.mark.parametrize("cfg", [BsoConfig(n=6, max_iters=3, v_frac=1e306),
+                                     PsoConfig(n=6, max_iters=3, v_frac=1e306).to_bso()], ids=["bso", "pso"])
+    def test_debug_checks_name_a_non_finite_velocity(self, cfg):
+        # v_frac * width overflows to inf, so V starts as NaN; the box check used to be the first to fail.
+        # run_bso and run_pso reject this config on F1's box, so the engine is driven directly
         with np.errstate(over="ignore", invalid="ignore"):
+            engine = BsoEngine(get_problem("F1"), cfg, debug_checks=True)
             with pytest.raises(AssertionError, match="^debug check failed at iteration 1: every velocity is finite$"):
-                run(get_problem("F1"), cfg, debug_checks=True)
+                engine.step()
 
     def test_debug_checks_survive_python_O(self):
         # the checks were asserts, which -O strips: a coordinate at 1e9, outside the box, passed them

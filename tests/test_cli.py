@@ -143,6 +143,29 @@ class TestConfigFile:
         assert f"bad bso config: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv,tunables,message",
+        [
+            (["run", "--problem", "F1"], {"v_frac": 1e306}, "bad bso config: F1: 2 * v_frac * w is inf"),
+            (["run", "--problem", "F1", "--algo", "pso"], {"a1": 1e308, "a2": 1e308},
+             "bad pso config: F1: max(|omega_max|, |omega_min|) * v_frac * w + (a1 + a2) * w is inf"),
+            (["bench", "--problems", "F16,F1", "--trials", "1"], {"c2_ratio": 1e-308},
+             "bad bso config: F16: delta0 / c2_ratio * v_frac * w is inf"),
+            (["constrained", "--problem", "pv", "--algo", "bas", "--trials", "1"], {"c2_ratio": 1e-308},
+             "bad bas config: derived delta0 57.0 (0.3 x the widest side, 190.0) / c2_ratio 1e-308 overflows on PV"),
+            (["run", "--problem", "F16", "--algo", "bas"], {"delta0": 1e308, "c2_ratio": 0.5},
+             "bad bas config: delta0 and delta0 / c2_ratio must be finite, got 1e+308 / 0.5"),
+        ],
+        ids=["run-v_frac", "run-pso-a1-a2", "bench-c2_ratio", "constrained-bas-derived", "run-bas-delta0"],
+    )
+    def test_config_that_overflows_on_its_box_rejected(self, tmp_path, capsys, argv, tunables, message):
+        # each of these used to run: run --problem F1 with v_frac 1e306 exited 0 with best_f=59604.4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": 5, **tunables}))
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # stopped before the output directory and the first trial
+
     def test_non_string_out_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "F1", "max_iters": 3, "out": 5}))

@@ -368,6 +368,11 @@ class TestProblemWrapper:
         with pytest.raises(KeyError):
             constrained_problem("XX")
 
+    def test_lookup_is_case_insensitive(self):
+        # the constrained registry resolves through the catalog's id rule, core.lookup
+        assert constrained_problem("pv") is PRESSURE_VESSEL
+        assert constrained_problem("Hb") is HIMMELBLAU
+
     def test_report_shape(self):
         rep = PRESSURE_VESSEL.report([0.80, 0.43, 50.0, 100.0])
         assert set(rep) == {"x", "raw_objective", "g", "feasible"}

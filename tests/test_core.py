@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -19,6 +19,7 @@ from beetleswarm import (
     RandomStream,
     SearchSpace,
     clamp_to_bounds,
+    get_problem,
     run_bso,
     uniform_in_space,
 )
@@ -504,6 +505,86 @@ class TestRunPath:
         other = ALGORITHMS[foreign][0]
         with pytest.raises(ValueError, match=f"^{algo} needs a {cfg_type.__name__}, got a {other.__name__}$"):
             runner(sphere_problem(2), other(max_iters=2), seed=0)
+
+
+def _counted(problem: Problem, calls: list) -> Problem:
+    return replace(problem, batch=lambda X, rng=None: calls.append(X.shape) or problem.batch(X, rng))
+
+
+def _tanh_sum(X, rng=None):
+    return np.tanh(X).sum(axis=1)  # finite at every point, +/-inf included, so only a config can overflow a run
+
+
+class TestBoxCheck:
+    """A config whose bounds overflow on the problem's box is rejected by the run path before the first trial."""
+
+    @pytest.mark.parametrize(
+        "algo,tunables,bound",
+        [
+            ("bso", {"v_frac": 1e306}, "2 * v_frac * w is inf"),  # v_hi overflows
+            ("pso", {"v_frac": 1e306}, "2 * v_frac * w is inf"),
+            ("bso", {"v_frac": 5e305}, "2 * v_frac * w is inf"),  # v_hi is 1e308, its span overflows
+            ("pso", {"v_frac": 5e305}, "2 * v_frac * w is inf"),
+            ("bso", {"a1": 1e308, "a2": 1e308}, "max(|omega_max|, |omega_min|) * v_frac * w + (a1 + a2) * w is inf"),
+            ("pso", {"a1": 1e308, "a2": 1e308}, "max(|omega_max|, |omega_min|) * v_frac * w + (a1 + a2) * w is inf"),
+            ("bso", {"c2_ratio": 1e-308}, "delta0 / c2_ratio * v_frac * w is inf"),
+            ("bso", {"v_frac": 5e297, "delta0": 1e10, "c2_ratio": 1e10},
+             "(lam + (1 - lam) * delta0) * v_frac * w is inf"),
+        ],
+        ids=["bso-v_frac-1e306", "pso-v_frac-1e306", "bso-v_frac-5e305", "pso-v_frac-5e305", "bso-a1-a2", "pso-a1-a2",
+             "bso-c2_ratio", "bso-blended-move"],
+    )
+    def test_overflowing_bound_rejected_before_the_first_trial(self, algo, tunables, bound):
+        # these ran on F1 at seed 0: v_frac 1e306 and 5e305 to a flat curve at 59,604.4 (every velocity inf or
+        # NaN), a1 = a2 = 1e308 into the debug check at iteration 2, c2_ratio 1e-308 to 81.0 on a noise sign
+        cfg_type, runner = ALGORITHMS[algo]
+        calls = []
+        message = f"^F1: {re.escape(bound)}, not finite \\(w = 200\\.0, the widest box side\\)$"
+        with pytest.raises(ValueError, match=message):
+            runner(_counted(get_problem("F1"), calls), cfg_type(max_iters=50, **tunables), seed=0)
+        assert calls == []
+
+    def test_bas_first_spacing_must_be_finite(self):
+        # BasConfig(delta0=1e308, c2_ratio=0.5) used to build, and on F16 it stayed at its start point (90.314
+        # for all 200 iterations at seed 0); a derived delta0 of 3.0 at c2_ratio 1e-308 ran the same way
+        with pytest.raises(ValueError, match=r"^delta0 and delta0 / c2_ratio must be finite, got 1e\+308 / 0\.5$"):
+            BasConfig(delta0=1e308, c2_ratio=0.5)
+        calls = []
+        message = r"^derived delta0 3\.0 \(0\.3 x the widest side, 10\.0\) / c2_ratio 1e-308 overflows on F16$"
+        with pytest.raises(ValueError, match=message):
+            run_bas(_counted(get_problem("F16"), calls), BasConfig(c2_ratio=1e-308))
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore:antenna spacing underflowed")
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_accepted_config_keeps_the_run_finite(self, data):
+        # fields drawn from their valid ranges, near 0 and near 1e308 included, on boxes 1e-300 to 1e300 wide:
+        # each config is rejected before the objective is called, or it runs with every debug check passing
+        algo = data.draw(st.sampled_from(["bso", "pso", "bas"]), label="algo")
+        cfg_type, runner = ALGORITHMS[algo]
+        positive = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 10.0), st.floats(1e300, 1.7976931348623157e308))
+        nonnegative = st.one_of(st.just(0.0), positive)
+        ranges = {"lam": st.floats(0.0, 1.0), "eta": st.floats(5e-324, 1.0), "a1": nonnegative, "a2": nonnegative,
+                  "delta0": nonnegative, "c2_ratio": positive, "v_frac": positive,
+                  "omega_max": positive.flatmap(lambda v: st.sampled_from([v, -v])),
+                  "omega_min": positive.flatmap(lambda v: st.sampled_from([v, -v]))}
+        tunables = {f.name: data.draw(ranges[f.name], label=f.name) for f in fields(cfg_type) if f.name in ranges}
+        if algo != "bas":  # omega_min must not exceed omega_max
+            tunables["omega_min"], tunables["omega_max"] = sorted((tunables["omega_min"], tunables["omega_max"]))
+        width = 10.0 ** data.draw(st.integers(-300, 300), label="log10 width")
+        calls = []
+        p = _counted(Problem("tanh", SearchSpace.box(2, -width / 2, width / 2), _tanh_sum), calls)
+        sizes = {} if algo == "bas" else {"n": 3}
+        try:
+            cfg = cfg_type(max_iters=4, **sizes, **tunables)
+            with np.errstate(over="ignore"):  # probes are sensors: one may overflow past the box, the swarm may not
+                rec = runner(p, cfg, seed=0) if algo == "bas" else runner(p, cfg, seed=0, debug_checks=True)
+        except ValueError:
+            assert calls == []
+            return
+        assert np.all(np.isfinite(rec.best_x)) and np.all(np.abs(rec.best_x) <= width / 2)
+        assert np.all(np.diff(rec.curve) <= 0)
 
 
 class TestNonFiniteObjective:
