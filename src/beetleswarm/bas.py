@@ -52,11 +52,15 @@ class BasConfig(ConfigDict):
             rule = "positive" if d == 0 else "finite"
             raise ValueError(f"delta0 and delta0 / c2_ratio must be {rule}, got {self.delta0!r} / {self.c2_ratio!r}")
 
+    def start_step(self, problem: Problem) -> float:
+        """The first step on ``problem``: ``delta0``, or 0.3 x the widest box side if it is None."""
+        return self.delta0 if self.delta0 is not None else 0.3 * float(problem.space.widths.max())
+
     def check_box(self, problem: Problem) -> None:
-        """Raise ValueError unless a derived ``delta0`` (0.3 x the widest box side) has a positive, finite spacing."""
-        w = float(problem.space.widths.max())
-        if self.delta0 is None and not 0 < (d := 0.3 * w / self.c2_ratio) < math.inf:
-            raise ValueError(f"derived delta0 {0.3 * w!r} (0.3 x the widest side, {w!r}) / c2_ratio {self.c2_ratio!r} "
+        """Raise ValueError unless a derived ``delta0`` (``start_step``) has a positive, finite spacing."""
+        if self.delta0 is None and not 0 < (d := (delta := self.start_step(problem)) / self.c2_ratio) < math.inf:
+            w = float(problem.space.widths.max())
+            raise ValueError(f"derived delta0 {delta!r} (0.3 x the widest side, {w!r}) / c2_ratio {self.c2_ratio!r} "
                              + ("underflows to 0" if d == 0 else f"overflows on {problem.id}"))
 
 
@@ -141,7 +145,7 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
 
     def optimize(config: BasConfig, seed: int) -> tuple[list[float], Array, float]:
         rng = RandomStream(seed)
-        delta = config.delta0 if config.delta0 is not None else 0.3 * float(problem.space.widths.max())
+        delta = config.start_step(problem)
         x = uniform_in_space(rng, problem.space)
         best_x, best_f = x, problem.evaluate(x, rng)
         d = delta / config.c2_ratio

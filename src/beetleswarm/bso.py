@@ -13,13 +13,14 @@ antenna search. The inertia weight anneals linearly and the antenna step
 ``delta`` contracts geometrically, so late iterations refine instead of
 explore.
 
-Per iteration the engine, in order: computes the inertia weight, derives
-the antenna spacing from the current step, probes both antennae per beetle
-(using the pre-update velocity), updates velocities (clamped), updates and
-clamps positions, evaluates the moved swarm, refreshes personal and global
-bests, and finally contracts the step. Random draws happen in a fixed order
-(one r1 batch then one r2 batch per iteration, in beetle index order), so
-runs are reproducible from the seed alone.
+The whole iteration lives in ``BsoEngine.step``, which, in order: computes
+the inertia weight, derives the antenna spacing from the current step,
+probes both antennae per beetle (using the pre-update velocity), updates
+velocities (clamped), updates and clamps positions, evaluates the moved
+swarm, refreshes personal and global bests, and finally contracts the
+step. Random draws happen in a fixed order (one r1 batch then one r2
+batch per iteration, in beetle index order), so runs are reproducible
+from the seed alone.
 
 Objective batches: an iteration makes three (n, dim) objective calls: the
 right and the left probes, the two halves of one fresh (2, n, dim) array
@@ -131,77 +132,16 @@ def inertia_weight(k: int, K: int, omega_min: float = 0.4, omega_max: float = 0.
     return omega_max - (omega_max - omega_min) * (k / K)
 
 
-def antenna_increment(problem: Problem, X: Array, V: Array, delta: float, d: float, rng, lo, hi) -> Array:
-    """Signed antenna move per beetle, always parallel to its velocity.
-
-    The probes sit at X +/- V*d/2, right then left, as the two halves of
-    the fresh (2, n, dim) array ``antennae`` builds (clamped to [lo, hi]
-    if the problem asks for it); each half is one objective call. The
-    increment is -delta * V * sign(f(right) - f(left)), i.e. toward the
-    lower-fitness probe. The clamp equals ``ndarray.clip`` only if lo and
-    hi have the probes' (2, n, dim) shape, as the engine's tiled box does;
-    scalar or (dim,) bounds can return the bound on a tie of signed zeros.
-    """
-    probes = antennae(X, V, d)
-    if problem.clamp_probes:
-        clip_in_place(probes, lo, hi)
-    f_right, f_left = problem.evaluate_many(probes[0], rng), problem.evaluate_many(probes[1], rng)
-    # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
-    # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
-    sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
-    sign *= -delta
-    return np.multiply(V, sign[:, None])
-
-
-def swarm_velocity(
-    V: Array, X: Array, P: Array, G: Array, omega: float, a1: float, a2: float, rng, v_lo, v_hi
-) -> Array:
-    """Clamped velocity update; draws r1 then r2, one per beetle per dimension.
-
-    Computes clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)) in that
-    order, with r1 and r2 taken from one (2, n, dim) draw. That is ``clip``
-    only for v_lo, v_hi of V's shape (the engine tiles them); scalar or
-    (dim,) bounds can return the bound on a tie of signed zeros.
-    """
-    r = rng.uniform((2,) + V.shape)
-    pull_p, pull_g = r[0], r[1]
-    pull_p *= a1
-    pull_g *= a2
-    out = np.subtract(P, X)
-    pull_p *= out
-    np.subtract(G, X, out=out)
-    pull_g *= out
-    np.multiply(V, omega, out=out)
-    out += pull_p
-    out += pull_g
-    return clip_in_place(out, v_lo, v_hi)
-
-
-def blend_position(X: Array, V: Array, xi: Array | None, lam: float, rest: float, lower, upper) -> Array:
-    """Blend the swarm move and the antenna move, then project into the box.
-
-    Computes clip((X + lam*V) + rest*xi), where the engine passes
-    rest = 1 - lam; ``xi`` of None stands for a zero antenna move. The
-    clip is ``ndarray.clip`` only if lower and upper have X's shape (the
-    engine passes a tiled box); scalar or (dim,) bounds can return the
-    bound on a tie of signed zeros.
-    """
-    out = np.multiply(V, lam)
-    out += X
-    if xi is not None:
-        out += np.multiply(xi, rest)
-    return clip_in_place(out, lower, upper)
-
-
 class BsoEngine:
-    """Stateful, vectorized swarm stepper.
+    """Stateful, vectorized swarm stepper; one call of ``step`` is one whole iteration.
 
     ``run_bso`` drives it to completion; tests can step it manually and
     inspect the swarm between iterations. ``debug_checks`` re-validates the
     core invariants (bounds containment, best-fitness bookkeeping) after
     every step. The box is stored at the probes' (2, n, dim) shape (its [0]
     half bounds the swarm) and the velocity bounds at (n, dim), so no clamp
-    broadcasts (dim,) bounds (see ``clip_in_place``). Constant coefficients
+    broadcasts (dim,) bounds, which can return the bound on a tie of signed
+    zeros (see ``clip_in_place``). Constant coefficients
     are ``core.constants``; per-step values stay floats.
     """
 
@@ -241,24 +181,50 @@ class BsoEngine:
         self.curve = [self.state.Gf]
 
     def step(self) -> None:
-        """One full swarm iteration."""
-        st, cfg = self.state, self.config
+        """One full swarm iteration: probes, velocity, position, then evaluation, bests and the schedule."""
+        st, cfg, rng = self.state, self.config, self.rng
         omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
+        a1, a2, lam, rest = self._coef
 
-        # Antenna probes use the pre-update velocities. When the antenna
-        # term cannot influence the move (lam == 1, or a zero or underflowed
-        # spacing: coincident probes) the probes are skipped outright, so
-        # they consume neither evaluations nor noise draws; this keeps the
-        # lam=1/delta0=0 configuration draw-for-draw identical to plain PSO.
+        # 1. Antenna increment xi = -delta * V * sign(f(right) - f(left)) from probes at X +/- V*d/2 (pre-update V),
+        # one objective call per half. Where it cannot influence the move (lam == 1, or a zero or underflowed
+        # spacing: coincident probes) the probes are skipped outright, consuming neither evaluations nor noise
+        # draws, so the lam=1/delta0=0 configuration is draw-for-draw plain PSO.
         xi = None
         d = st.delta / cfg.c2_ratio
         if cfg.lam < 1.0 and d > 0.0:
-            xi = antenna_increment(self.problem, st.X, st.V, st.delta, d, self.rng, self.lower, self.upper)
+            probes = antennae(st.X, st.V, d)
+            if self.problem.clamp_probes:
+                clip_in_place(probes, self.lower, self.upper)
+            f_right, f_left = self.problem.evaluate_many(probes[0], rng), self.problem.evaluate_many(probes[1], rng)
+            # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
+            # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
+            sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
+            sign *= -st.delta
+            xi = np.multiply(st.V, sign[:, None])
 
-        a1, a2, lam, rest = self._coef
-        st.V = swarm_velocity(st.V, st.X, st.P, st.G, omega, a1, a2, self.rng, self.v_lo, self.v_hi)
-        st.X = blend_position(st.X, st.V, xi, lam, rest, self.lower[0], self.upper[0])
+        # 2. Velocity clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)), r1 then r2 from one (2, n, dim) draw.
+        r = rng.uniform((2,) + st.V.shape)
+        pull_p, pull_g = r[0], r[1]
+        pull_p *= a1
+        pull_g *= a2
+        V = np.subtract(st.P, st.X)
+        pull_p *= V
+        np.subtract(st.G, st.X, out=V)
+        pull_g *= V
+        np.multiply(st.V, omega, out=V)
+        V += pull_p
+        V += pull_g
+        st.V = clip_in_place(V, self.v_lo, self.v_hi)
 
+        # 3. Position clip((X + lam*V) + (1 - lam)*xi), the swarm move blended with the antenna move.
+        X = np.multiply(st.V, lam)
+        X += st.X
+        if xi is not None:
+            X += np.multiply(xi, rest)
+        st.X = clip_in_place(X, self.lower[0], self.upper[0])
+
+        # 4. Evaluation, bests and the schedule.
         F = self.problem.evaluate_many(st.X, self.rng)
         improved = F < st.Pf
         if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are

@@ -218,6 +218,16 @@ class Problem:
         return np.fmin(F, _INF)
 
 
+def checked_config(problem: Problem, algorithm: str, config_type: type, config):
+    """The config a run of ``algorithm`` on ``problem`` uses: ``config_type()`` for None, one of another type an
+    error; ``config.check_box(problem)`` raises if its bounds overflow on the box. Runs no trial."""
+    config = config_type() if config is None else config
+    if not isinstance(config, config_type):
+        raise ValueError(f"{algorithm} needs a {config_type.__name__}, got a {type(config).__name__}")
+    config.check_box(problem)
+    return config
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Everything one optimizer run produced.
@@ -244,15 +254,10 @@ class RunRecord:
 
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:
-        """The one run path of every optimizer: a config of None is ``config_type()``, one of another type an
-        error, a seed of None ``config.seed``; ``config.check_box(problem)`` runs before the clock starts, and
-        ``wall_time_s`` times all of ``optimize(config, seed) -> (curve, best_x, best_f)``, set-up included."""
-        if config is None:
-            config = config_type()
-        elif not isinstance(config, config_type):
-            raise ValueError(f"{algorithm} needs a {config_type.__name__}, got a {type(config).__name__}")
+        """The one run path of every optimizer: the config is ``checked_config``'s, a seed of None ``config.seed``,
+        and ``wall_time_s`` times all of ``optimize(config, seed) -> (curve, best_x, best_f)``, set-up included."""
+        config = checked_config(problem, algorithm, config_type, config)
         seed = check_int(config.seed if seed is None else seed, "seed")
-        config.check_box(problem)
         start = time.perf_counter()
         curve, best_x, best_f = optimize(config, seed)
         elapsed = time.perf_counter() - start

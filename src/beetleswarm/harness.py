@@ -28,7 +28,7 @@ import numpy as np
 from . import catalog
 from .bas import BasConfig, run_bas
 from .bso import BsoConfig, PsoConfig, run_bso, run_pso
-from .core import Problem, RunRecord, check_int
+from .core import Problem, RunRecord, check_int, checked_config
 
 # name -> (config type, runner(problem, config, seed=...))
 ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}
@@ -76,12 +76,18 @@ class TrialSummary:
         return {"problem": values.pop("problem_id"), **values, "seeds": list(self.seeds)}
 
 
+def _algorithm(name: str) -> tuple:
+    """``ALGORITHMS[name]``, (config type, runner); an unknown name is a KeyError."""
+    if name not in ALGORITHMS:
+        raise KeyError(f"unknown algorithm {name!r}")
+    return ALGORITHMS[name]
+
+
 def run_one(algorithm: str, problem: Problem, config, seed: int) -> RunRecord:
     """Dispatch a single seeded run to the named optimizer; an exception it raises names the run in its notes."""
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
+    runner = _algorithm(algorithm)[1]
     try:
-        return ALGORITHMS[algorithm][1](problem, config, seed=seed)
+        return runner(problem, config, seed=seed)
     except Exception as exc:
         # what add_note does on Python 3.11+, written out so that 3.10 keeps the note too
         exc.__notes__ = [*getattr(exc, "__notes__", []), f"{algorithm} on {problem.id}, seed {seed}"]
@@ -113,11 +119,14 @@ def _seeds(n_trials: int, base_seed: int) -> list[int]:
 def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
     """Run (algorithm, problem, config, seed) jobs, in a pool if BSO_THREADS > 1.
 
-    Records come back in job order either way, and the error raised is the earliest failing job's, as soon as
-    the jobs before it are done. In the pool, ``Executor.map`` then cancels the jobs no worker has taken; the
-    ones already taken finish in the background, and the caller does not wait for them.
+    Every job's algorithm, config type and box are checked first, so a plan that cannot run raises before any
+    job runs or is pooled. Records come back in job order either way, and the error raised is the earliest
+    failing job's, as soon as the jobs before it are done. In the pool, ``Executor.map`` then cancels the jobs
+    no worker has taken; the ones already taken finish in the background, and the caller does not wait for them.
     """
     workers = worker_count()
+    for algorithm, problem, config, _ in jobs:
+        checked_config(problem, algorithm, _algorithm(algorithm)[0], config)
     if workers < 2 or len(jobs) < 2:
         return [run_one(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never load multiprocessing

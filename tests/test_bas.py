@@ -122,6 +122,17 @@ class TestBasStep:
         new = bas_step(state, problem, FixedStream(0.9))
         assert -1.0 <= new.x[0] <= 1.0
 
+    def test_probe_clamp_keeps_the_probe_on_a_signed_zero_tie(self):
+        # the right probe -0.5 + 0.5 = +0.0 ties the box's upper bound -0.0; ndarray.clip against (dim,) bounds
+        # keeps the probe's +0.0 there, where bounds tiled to the probes' shape would give -0.0
+        rows = []
+        space = SearchSpace(np.array([-1.0]), np.array([-0.0]))
+        problem = Problem("tie", space, lambda X, rng=None: rows.append(X.copy()) or X[:, 0], clamp_probes=True)
+        bas_step(_state_at([-0.5], d=1.0), problem, FixedStream(0.75))  # raw 0.5 -> b = +1
+        probes = rows[0]
+        assert probes.tobytes() == np.array([[0.0], [-1.0]]).tobytes()
+        assert not np.signbit(probes[0, 0])
+
     def test_schedules_untouched_by_step(self):
         problem = sphere_problem(2)
         state = _state_at([1.0, 1.0], delta=0.7, d=0.14)
@@ -186,6 +197,12 @@ class TestBasConfig:
         with pytest.raises(ValueError, match=r"^delta0 and delta0 / c2_ratio must be positive, got 1e-323 / 5\.0$"):
             BasConfig(delta0=1e-323)
         assert BasConfig(delta0=1e-323, c2_ratio=1.0).delta0 == 1e-323
+
+    def test_start_step(self):
+        # a delta0 of None derives the first step from the box: 0.3 x its widest side
+        problem = get_problem("PV")  # widest side 190
+        assert BasConfig().start_step(problem) == 0.3 * 190.0
+        assert BasConfig(delta0=1.5).start_step(problem) == 1.5
 
     def test_dict_round_trip(self):
         cfg = BasConfig(delta0=1.5, eta=0.9, seed=11)
@@ -285,7 +302,7 @@ class TestStepMatchesRun:
 
         rng = RandomStream(seed)
         x0 = uniform_in_space(rng, problem.space)
-        delta0 = 0.3 * float(problem.space.widths.max())
+        delta0 = cfg.start_step(problem)
         state = BasState(x0, delta0, delta0 / cfg.c2_ratio, 0, x0, problem.evaluate(x0, rng))
         curve = [state.best_f]
         for _ in range(cfg.max_iters):

@@ -1,4 +1,3 @@
-import copy
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from beetleswarm import (
     run_bso,
     run_pso,
 )
-from beetleswarm.bso import antenna_increment, blend_position, swarm_velocity
 
 from .conftest import FixedStream, constant_problem, sphere_problem
 
@@ -53,27 +51,47 @@ class TestInertiaWeight:
             inertia_weight(-1, 10)
 
 
-NO_CLAMP = (-np.inf, np.inf)
+def step_once(problem, X, V, stream, P=None, G=None, omega=0.9, **config):
+    """A small engine stepped once from positions X and velocities V, with personal bests P (X if None), global
+    best G (P's first row if None) and inertia weight omega, its draws taken from ``stream``."""
+    X = np.array(X, dtype=float)
+    engine = BsoEngine(problem, BsoConfig(n=len(X), max_iters=1, omega_max=omega, omega_min=omega, **config))
+    st = engine.state
+    st.X, st.V = X, np.array(V, dtype=float)
+    st.P = X.copy() if P is None else np.array(P, dtype=float)
+    st.G = st.P[0].copy() if G is None else np.array(G, dtype=float)
+    st.Pf = problem.evaluate_many(st.P)
+    engine.rng = stream
+    engine.step()
+    return engine
+
+
+def slope_problem(*w):
+    """f(x) = w . x over [-10, 10]^dim: the right probe wins wherever w . V < 0."""
+    w = np.array(w)
+    return Problem("slope", SearchSpace.box(w.size, -10.0, 10.0), lambda X, rng=None: X @ w)
+
+
+SWARM = dict(lam=1.0, delta0=0.0, v_frac=100.0)  # no antenna move, and a velocity clamp far out of reach
+STILL = dict(omega=1.0, a1=0.0, a2=0.0, v_frac=100.0)  # the velocity stays as it is
 
 
 class TestUpdateVelocity:
     def test_pure_inertia_when_attractors_coincide(self):
-        x = np.array([[1.0, 2.0]])
-        v = np.array([[0.5, -0.25]])
-        out = swarm_velocity(v, x, x, x[0], 0.7, 2.0, 2.0, FixedStream(0.3, 0.3, 0.8, 0.8), *NO_CLAMP)
-        assert np.allclose(out, 0.7 * v)
+        v = [[0.5, -0.25], [-1.0, 0.75]]
+        stream = FixedStream(0.3, 0.3, 0.6, 0.6, 0.8, 0.8, 0.1, 0.1)
+        engine = step_once(sphere_problem(2), [[1.0, 2.0]] * 2, v, stream, omega=0.7, a1=2.0, a2=2.0, **SWARM)
+        assert np.allclose(engine.state.V, 0.7 * np.array(v))
 
     def test_unit_draw_arithmetic(self):
-        v = np.zeros((1, 2))
-        x = np.zeros((1, 2))
-        p = np.array([[1.0, 0.0]])
-        g = np.array([0.0, 1.0])
-        out = swarm_velocity(v, x, p, g, 0.4, 1.0, 1.0, FixedStream(1.0, 1.0, 1.0, 1.0), *NO_CLAMP)
-        assert np.array_equal(out, [[1.0, 1.0]])
+        zeros = np.zeros((2, 2))
+        p, g = [[1.0, 0.0]] * 2, [0.0, 1.0]
+        engine = step_once(sphere_problem(2), zeros, zeros, FixedStream(*[1.0] * 8), p, g, 0.4, a1=1.0, a2=1.0, **SWARM)
+        assert np.array_equal(engine.state.V, [[1.0, 1.0]] * 2)
         # r1 fills the whole (n, dim) block first, then r2
-        ones = np.ones((1, 2))
-        out = swarm_velocity(v, x, ones, ones[0], 0.4, 1.0, 10.0, FixedStream(0.25, 0.5, 0.125, 0.75), *NO_CLAMP)
-        assert np.array_equal(out, [[0.25 + 1.25, 0.5 + 7.5]])
+        ones, stream = np.ones((2, 2)), FixedStream(0.25, 0.5, 1.0, 1.0, 0.125, 0.75, 1.0, 1.0)
+        engine = step_once(sphere_problem(2), zeros, zeros, stream, ones, ones[0], 0.4, a1=1.0, a2=10.0, **SWARM)
+        assert np.array_equal(engine.state.V, [[0.25 + 1.25, 0.5 + 7.5], [1.0 + 10.0, 1.0 + 10.0]])
 
     def test_clamp_contract(self):
         rng = RandomStream(6)
@@ -81,29 +99,34 @@ class TestUpdateVelocity:
         x = 10 * (rng.uniform((100, 3)) - 0.5)
         p = 10 * (rng.uniform((100, 3)) - 0.5)
         g = 10 * (rng.uniform(3) - 0.5)
-        out = swarm_velocity(v, x, p, g, 0.9, 2.0, 2.0, rng, -1.5, 2.0)
-        assert np.all(out <= 2.0) and np.all(out >= -1.5)
-        assert np.any(out == 2.0) and np.any(out == -1.5)
+        engine = step_once(sphere_problem(3), x, v, rng, p, g, 0.9, a1=2.0, a2=2.0, lam=1.0, v_frac=0.075)
+        out, hi = engine.state.V, engine.v_hi  # +/-1.5 on the 20-wide box
+        assert np.all(out <= hi) and np.all(out >= -hi)
+        assert np.any(out == hi) and np.any(out == -hi)
 
 
 class TestBeetleIncrement:
+    # the first three cases step at lam = 0, where the position moves by the antenna increment alone: X' = X + xi
+
     def test_zero_on_constant_fitness(self):
-        xi = antenna_increment(constant_problem(2), np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), 0.5, 0.1, None, *NO_CLAMP)
-        assert np.array_equal(xi, [[0.0, 0.0]])
+        x = [[1.0, 1.0], [-3.0, 2.0]]
+        engine = step_once(constant_problem(2), x, [[2.0, 0.0], [0.5, -1.0]], RandomStream(0), lam=0.0, delta0=0.5)
+        assert np.array_equal(engine.state.X, x)
 
     def test_one_dimensional_oracle(self):
         # f(x) = x^2 at X=1 with V=+2: right probe 1.1 is worse than left
         # probe 0.9, so the increment is -delta * V; at X=-1 it is +delta * V
-        xi = antenna_increment(sphere_problem(1), np.array([[1.0], [-1.0]]), np.array([[2.0], [2.0]]), 0.7, 0.1, None, *NO_CLAMP)
-        assert np.allclose(xi, [[-1.4], [1.4]])
+        x, v = [[1.0], [-1.0]], [[2.0], [2.0]]
+        engine = step_once(sphere_problem(1), x, v, RandomStream(0), lam=0.0, delta0=0.7, c2_ratio=7.0)
+        assert np.allclose(engine.state.X, [[1.0 - 1.4], [-1.0 + 1.4]])
 
     def test_parallel_to_velocity(self):
         rng = RandomStream(21)
         x = 8 * (rng.uniform((50, 4)) - 0.5)
         v = 2 * (rng.uniform((50, 4)) - 0.5)
         delta = 0.1 + rng.uniform()
-        xi = antenna_increment(sphere_problem(4), x, v, delta, 0.2, None, *NO_CLAMP)
-        norm_xi = np.linalg.norm(xi, axis=1)
+        engine = step_once(sphere_problem(4), x, v, rng, lam=0.0, delta0=delta)
+        norm_xi = np.linalg.norm(engine.state.X - x, axis=1)  # no beetle reaches the box's edge
         assert np.all((norm_xi == 0.0) | np.isclose(norm_xi, delta * np.linalg.norm(v, axis=1), rtol=1e-12))
 
     def test_requires_positive_scales(self):
@@ -138,28 +161,31 @@ class TestBeetleIncrement:
 
 
 class TestUpdatePosition:
-    def setup_method(self):
-        space = SearchSpace.box(2, -10.0, 10.0)
-        self.bounds = (space.lower, space.upper)
+    # the box is [-10, 10]^2
 
     def test_pure_swarm_move(self):
-        out = blend_position(np.array([[1.0, 1.0]]), np.array([[0.5, -0.5]]), np.array([[9.0, 9.0]]), 1.0, 0.0, *self.bounds)
-        assert np.array_equal(out, [[1.5, 0.5]])
+        engine = step_once(sphere_problem(2), [[1.0, 1.0]] * 2, [[0.5, -0.5]] * 2, RandomStream(0), lam=1.0, **STILL)
+        assert np.array_equal(engine.state.X, [[1.5, 0.5]] * 2)
 
     def test_pure_antenna_move(self):
-        out = blend_position(np.array([[1.0, 1.0]]), np.array([[9.0, 9.0]]), np.array([[0.5, -0.5]]), 0.0, 1.0, *self.bounds)
-        assert np.array_equal(out, [[1.5, 0.5]])
+        # the right probe wins along V = (0.5, -0.5), so xi = delta * V
+        x, v = [[1.0, 1.0]] * 2, [[0.5, -0.5]] * 2
+        engine = step_once(slope_problem(-1.0, 0.0), x, v, RandomStream(0), lam=0.0, delta0=1.0, v_frac=100.0)
+        assert np.array_equal(engine.state.X, [[1.5, 0.5]] * 2)
 
     def test_even_blend(self):
-        out = blend_position(np.zeros((1, 2)), np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, 0.5, *self.bounds)
-        assert np.array_equal(out, [[1.0, 1.0]])
+        # V' = (1 * 1) * (P - X) = (2, 0), while the antenna moves along the pre-update V = (0, 2)
+        zeros, stream = np.zeros((2, 2)), FixedStream(*[1.0] * 8)
+        engine = step_once(slope_problem(0.0, -1.0), zeros, [[0.0, 2.0]] * 2, stream, [[2.0, 0.0]] * 2,
+                           omega=0.0, a1=1.0, a2=0.0, lam=0.5, delta0=1.0, v_frac=100.0)
+        assert np.array_equal(engine.state.X, [[1.0, 1.0]] * 2)
 
     def test_clamps_to_box(self):
-        out = blend_position(np.array([[9.0, -9.0]]), np.array([[5.0, -5.0]]), np.zeros((1, 2)), 1.0, 0.0, *self.bounds)
-        assert np.array_equal(out, [[10.0, -10.0]])
+        engine = step_once(sphere_problem(2), [[9.0, -9.0]] * 2, [[5.0, -5.0]] * 2, RandomStream(0), lam=1.0, **STILL)
+        assert np.array_equal(engine.state.X, [[10.0, -10.0]] * 2)
 
     def test_rejects_bad_blend(self):
-        # the blend weight reaches the kernel only through a validated config
+        # the blend weight reaches the engine only through a validated config
         for lam in (1.5, -0.1):
             with pytest.raises(ValueError, match="lam"):
                 BsoConfig(lam=lam)
@@ -272,24 +298,6 @@ engine._check_invariants()
         result = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 1
         assert "AssertionError: debug check failed at iteration 1: every position lies in the box" in result.stderr
-
-    @pytest.mark.parametrize("pid", ["F7", "PV"])
-    def test_step_is_the_three_kernels(self, pid):
-        # replaying the kernels on a copy of the stream reproduces step() bit
-        # for bit, noise draws (F7) and probe clamping (PV) included, and the
-        # box given as (dim,) bounds matches the engine's (n, dim) copies
-        cfg = BsoConfig(n=6, max_iters=5, seed=11)
-        engine = BsoEngine(get_problem(pid), cfg)
-        bounds = (engine.space.lower, engine.space.upper)
-        for _ in range(3):
-            st, rng = engine.state, copy.deepcopy(engine.rng)
-            omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
-            xi = antenna_increment(engine.problem, st.X, st.V, st.delta, st.delta / cfg.c2_ratio, rng, *bounds)
-            V = swarm_velocity(st.V, st.X, st.P, st.G, omega, cfg.a1, cfg.a2, rng, engine.v_lo, engine.v_hi)
-            X = blend_position(st.X, V, xi, cfg.lam, 1.0 - cfg.lam, *bounds)
-            engine.step()
-            assert np.array_equal(engine.state.V, V)
-            assert np.array_equal(engine.state.X, X)
 
     def test_curve_monotone_nonincreasing(self):
         for pid in ("F9", "F16", "F21"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -189,6 +190,34 @@ class TestRunTrials:
                 run_matrix(["bso"], ["F16"], {"bso": cfg}, **counts)
             else:
                 getattr(beetleswarm.harness, entry)("bso", sphere_problem(2), cfg, **counts)
+
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pooled"])
+    @pytest.mark.parametrize(
+        "algorithms,configs,error,message",
+        [
+            (["bso"], {"bso": BsoConfig(v_frac=1e306, max_iters=200)}, ValueError, r"^F1: 2 \* v_frac \* w is inf, "),
+            (["bso", "xyz"], {"bso": BsoConfig(max_iters=200), "xyz": BsoConfig()}, KeyError,
+             "unknown algorithm 'xyz'"),
+            (["bso", "pso"], {"bso": BsoConfig(max_iters=200), "pso": BsoConfig()}, ValueError,
+             "^pso needs a PsoConfig, got a BsoConfig$"),
+        ],
+        ids=["box", "algorithm", "config-type"],
+    )
+    def test_plan_that_cannot_run_fails_before_any_trial(
+        self, monkeypatch, two_cpus, threads, algorithms, configs, error, message
+    ):
+        # each of these used to run the trials of the cells before the failing one, then raise in its first trial
+        def no_trial(*job):
+            raise AssertionError(f"a trial ran: {job}")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(beetleswarm.harness, "run_one", no_trial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("BSO_THREADS", threads)
+        with pytest.raises(error, match=message):
+            run_matrix(algorithms, ["F16", "F1"], configs, 5, 0)
 
     def test_parallel_matches_serial(self, monkeypatch, two_cpus):
         cfgs = {"bso": BsoConfig(n=5, max_iters=8), "pso": PsoConfig(n=5, max_iters=8)}
