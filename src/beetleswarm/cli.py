@@ -115,16 +115,16 @@ def _algo_list(names: list[str]) -> list[str]:
     return list(dict.fromkeys(_check_algorithm(a) for a in names))
 
 
-def _check_problem(problem_id: str) -> str:
+def _check_problem(problem_id: str) -> catalog.Problem:
     try:
-        return catalog.get_problem(problem_id).id
+        return catalog.get_problem(problem_id)
     except KeyError:
         raise UsageError(f"unknown problem {problem_id}") from None
 
 
-def _expand_problems(parts: list[str]) -> list[str]:
-    """Problem ids with F-range support: ["F1..F4", "F16"] -> F1 F2 F3 F4 F16; repeats dropped."""
-    out: list[str] = []
+def _expand_problems(parts: list[str]) -> list[catalog.Problem]:
+    """Catalog problems with F-range support: ["F1..F4", "F16"] -> F1 F2 F3 F4 F16; repeats dropped."""
+    out: list[catalog.Problem] = []
     for part in parts:
         if ".." in part:
             left, right = part.split("..", 1)
@@ -145,7 +145,7 @@ def _expand_problems(parts: list[str]) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def _build_config(algo: str, settings: dict, pop: int | None, seed: int, problem_ids: list[str]):
+def _build_config(algo: str, settings: dict, pop: int | None, seed: int, problems: list[catalog.Problem]):
     """One algorithm's config from the merged settings, with --pop where it has a population, checked on each box."""
     cfg_type = ALGORITHMS[algo][0]
     tunables = {k: v for k, v in settings.items() if k not in _RUN_LEVEL_KEYS}
@@ -154,8 +154,8 @@ def _build_config(algo: str, settings: dict, pop: int | None, seed: int, problem
     tunables["seed"] = seed
     try:
         config = cfg_type.from_dict(tunables)
-        for problem_id in problem_ids:
-            config.check_box(catalog.get_problem(problem_id))
+        for problem in problems:
+            config.check_box(problem)
     except ValueError as exc:
         raise UsageError(f"bad {algo} config: {exc}")
     return config
@@ -200,11 +200,10 @@ def _make_out_dir(out: str, *files: str) -> list[Path]:
 def cmd_run(args) -> int:
     settings = _settings(args)
     algo = _check_algorithm(_setting(settings, "run", "algorithm"))
-    problem_id = _check_problem(_setting(settings, "run", "problem"))
-    config = _build_config(algo, settings, args.pop, _setting(settings, "run", "seed"), [problem_id])
+    problem = _check_problem(_setting(settings, "run", "problem"))
+    config = _build_config(algo, settings, args.pop, _setting(settings, "run", "seed"), [problem])
     out_dir, curve_path, run_path = _make_out_dir(_setting(settings, "run", "out"), "curve.csv", "run.json")
 
-    problem = catalog.get_problem(problem_id)
     record = run_one(algo, problem, config, config.seed)
 
     export_convergence(record, curve_path)
@@ -212,7 +211,7 @@ def cmd_run(args) -> int:
     run_path.write_text(json.dumps(doc, indent=2) + "\n")
 
     print(
-        f"{algo} on {problem_id}: best_f={record.best_f:.6g} "
+        f"{algo} on {problem.id}: best_f={record.best_f:.6g} "
         f"after {record.curve.size - 1} iterations ({record.wall_time_s:.3f}s) -> {out_dir}"
     )
     return 0
@@ -230,7 +229,7 @@ def cmd_bench(args) -> int:
     _check_workers()
     out_dir = _make_out_dir(_setting(settings, "bench", "out"), *REPORT_FILES)[0]
 
-    summaries = run_matrix(algos, problems, configs, n_trials, base_seed)
+    summaries = run_matrix(algos, [p.id for p in problems], configs, n_trials, base_seed)
     json_path, text_path = compare_report(summaries, out_dir)
     sys.stdout.write(text_path.read_text())
     print(f"report written to {json_path} and {text_path}")
@@ -239,20 +238,20 @@ def cmd_bench(args) -> int:
 
 def cmd_constrained(args) -> int:
     settings = _settings(args)
-    problem_id = _setting(settings, "constrained", "problem").upper()
-    if problem_id not in CONSTRAINED_IDS:
-        raise UsageError(
-            f"unknown constrained problem {problem_id!r} (choose from {', '.join(CONSTRAINED_IDS).lower()})"
-        )
+    problem_id = _setting(settings, "constrained", "problem")
+    try:
+        cp = constrained_problem(problem_id)
+    except KeyError:
+        choices = ", ".join(CONSTRAINED_IDS).lower()
+        raise UsageError(f"unknown constrained problem {problem_id.upper()!r} (choose from {choices})") from None
+    problem = catalog.get_problem(cp.id)
     algo = _check_algorithm(_setting(settings, "constrained", "algorithm"))
     n_trials, base_seed = _trial_settings(settings, "constrained")
-    config = _build_config(algo, settings, args.pop, base_seed, [problem_id])
+    config = _build_config(algo, settings, args.pop, base_seed, [problem])
     _check_workers()
     out = _setting(settings, "constrained", "out") if "out" in settings else None
     json_path = None if out is None else _make_out_dir(out, "constrained.json")[1]
 
-    cp = constrained_problem(problem_id)
-    problem = catalog.get_problem(problem_id)
     records = run_trial_records(algo, problem, config, n_trials, base_seed)
     summary = summarize(records)
 
@@ -271,7 +270,7 @@ def cmd_constrained(args) -> int:
 
     doc = {
         "schema": CONSTRAINED_SCHEMA,
-        "problem": problem_id,
+        "problem": cp.id,
         "algorithm": algo,
         "n_trials": n_trials,
         "feasible_trials": len(feasible),
@@ -285,9 +284,9 @@ def cmd_constrained(args) -> int:
     xs = "  ".join(f"x{i + 1}={v:.6f}" for i, v in enumerate(best["x"]))
     gs = "  ".join(f"g{i + 1}={v:.6f}" for i, v in enumerate(best["g"]))
     if feasible:
-        print(f"{problem_id} best feasible solution over {n_trials} trials ({len(feasible)} feasible):")
+        print(f"{cp.id} best feasible solution over {n_trials} trials ({len(feasible)} feasible):")
     else:
-        print(f"{problem_id}: no feasible solution found in {n_trials} trials; best infeasible point:")
+        print(f"{cp.id}: no feasible solution found in {n_trials} trials; best infeasible point:")
     print(f"  {xs}")
     print(f"  {gs}")
     print(f"  objective={best['raw_objective']:.6f}  penalized={best['penalized']:.6f}")

@@ -114,9 +114,9 @@ def check_fields(config) -> None:
             object.__setattr__(config, f.name, int(value) if isinstance(value, numbers.Integral) else float(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpace:
-    """Axis-aligned box of feasible positions."""
+    """Axis-aligned box of feasible positions. A box, like a Problem, equals only itself and hashes by identity."""
 
     lower: Array
     upper: Array
@@ -157,7 +157,7 @@ class SearchSpace:
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A minimization problem over a box.
 

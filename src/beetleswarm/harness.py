@@ -185,6 +185,8 @@ def run_matrix(
     keeps the summaries identical to a serial run.
     """
     seeds = _seeds(n_trials, base_seed)
+    if missing := [algo for algo in algorithms if algo not in configs]:
+        raise KeyError(f"configs has no config for {', '.join(missing)}")
     problems = [catalog.get_problem(pid) for pid in problem_ids]
     records = _run_jobs([(algo, p, configs[algo], s) for algo in algorithms for p in problems for s in seeds])
     return [summarize(records[i : i + len(seeds)]) for i in range(0, len(records), len(seeds))]

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from beetleswarm import cli, harness
+from beetleswarm import catalog, cli, harness
 from beetleswarm.cli import main
 
 
@@ -492,6 +492,27 @@ class TestOutDir:
         (tmp_path / "od" / written).mkdir(parents=True)
         assert run_cli(*argv, "--out", str(tmp_path / "od")) == 2
         assert f"cannot write {tmp_path / 'od' / written}: it is a directory" in capsys.readouterr().err
+
+
+class TestLookups:
+    @pytest.mark.parametrize(
+        "argv, looked_up",
+        [
+            (("run", "--problem", "f16", "--iters", "2", "--pop", "4"), ["f16"]),
+            # two from the command, then run_matrix's own two, by the ids the command passes it
+            (("bench", "--algos", "bso,pso", "--problems", "F16,F18", "--iters", "2", "--pop", "4", "--trials", "1"),
+             ["F16", "F18", "F16", "F18"]),
+            (("constrained", "--problem", "pv", "--iters", "2", "--pop", "4", "--trials", "1"), ["PV"]),
+        ],
+        ids=["run", "bench", "constrained"],
+    )
+    def test_each_problem_id_is_looked_up_once_per_command(self, tmp_path, monkeypatch, argv, looked_up):
+        # run looked its problem up 3 times, constrained 2 and this bench 8: once more per config and per run
+        calls = []
+        get_problem = catalog.get_problem
+        monkeypatch.setattr(catalog, "get_problem", lambda pid: calls.append(pid) or get_problem(pid))
+        assert run_cli(*argv, "--out", str(tmp_path)) in (0, 3)
+        assert calls == looked_up
 
 
 class TestTopLevel:

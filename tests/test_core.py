@@ -64,6 +64,12 @@ class TestSearchSpace:
         assert lower.flags.writeable and upper.flags.writeable
         assert np.array_equal(space.lower, [0.0, 0.0]) and not space.lower.flags.writeable
 
+    def test_equals_only_itself_without_raising(self):
+        # == compared the bound arrays and raised "truth value of an array ... is ambiguous"
+        space = SearchSpace.box(2, 0.0, 1.0)
+        assert (space == SearchSpace.box(2, 0.0, 1.0)) is False
+        assert space == space and hash(space) == hash(space)
+
     def test_rejects_bounds_of_unequal_length(self):
         with pytest.raises(ValueError, match="^lower and upper must be 1-D arrays of equal length$"):
             SearchSpace(np.zeros(2), np.ones(3))
@@ -208,6 +214,13 @@ class TestUniformInSpace:
 
 
 class TestProblem:
+    def test_catalog_problem_hashes_by_identity(self):
+        # hash() raised TypeError on the unhashable bound arrays; the catalog shares one Problem per id
+        problem = get_problem("F1")
+        assert {problem: 1}[get_problem("f1")] == 1
+        assert problem == get_problem("F1") and problem != get_problem("F2")
+        assert (problem == Problem("F1", problem.space, problem.batch, problem.known_fmin)) is False
+
     def test_evaluate_checks_dimension(self):
         p = sphere_problem(3)
         with pytest.raises(ValueError):

@@ -200,8 +200,11 @@ class TestRunTrials:
              "unknown algorithm 'xyz'"),
             (["bso", "pso"], {"bso": BsoConfig(max_iters=200), "pso": BsoConfig()}, ValueError,
              "^pso needs a PsoConfig, got a BsoConfig$"),
+            # a bare KeyError: 'pso' from configs[algo], raised while the jobs were built
+            (["bso", "pso", "bas"], {"bso": BsoConfig(max_iters=200)}, KeyError,
+             "^'configs has no config for pso, bas'$"),
         ],
-        ids=["box", "algorithm", "config-type"],
+        ids=["box", "algorithm", "config-type", "missing-config"],
     )
     def test_plan_that_cannot_run_fails_before_any_trial(
         self, monkeypatch, two_cpus, threads, algorithms, configs, error, message
