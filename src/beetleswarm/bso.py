@@ -22,11 +22,11 @@ step. Random draws happen in a fixed order (one r1 batch then one r2
 batch per iteration, in beetle index order), so runs are reproducible
 from the seed alone.
 
-Objective batches: an iteration makes three (n, dim) objective calls: the
-right and the left probes, the two halves of one fresh (2, n, dim) array
-from ``core.antennae`` (BAS's builder), then the moved swarm, a fresh array;
-with lam = 1 or a zero (or underflowed) spacing only the last. A
-stochastic objective draws its noise in row order (as F7 does).
+Objective batches: an iteration makes one fresh (3n, dim) call: the moved
+swarm, then the next iteration's right and left probes (``core.antennae``,
+BAS's builder), which need no fitness value; the initial swarm comes with
+iteration 1's probes. The last iteration, lam = 1 and a zero (or
+underflowed) spacing send the swarm alone. Noise is drawn in row order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, constants, uniform_population
+    ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, constants, frozen,
+    uniform_population,
 )
 
 Array = np.ndarray
@@ -113,8 +114,8 @@ class BsoConfig(ConfigDict):
 class SwarmState:
     """Mutable swarm snapshot: positions, velocities, bests and schedules."""
 
-    X: Array  # (n, dim) positions
-    V: Array  # (n, dim) velocities
+    X: Array  # (n, dim) positions, read-only
+    V: Array  # (n, dim) velocities, read-only
     P: Array  # (n, dim) personal-best positions
     Pf: Array  # (n,) personal-best fitnesses
     G: Array  # (dim,) global-best position
@@ -138,11 +139,15 @@ class BsoEngine:
     ``run_bso`` drives it to completion; tests can step it manually and
     inspect the swarm between iterations. ``debug_checks`` re-validates the
     core invariants (bounds containment, best-fitness bookkeeping) after
-    every step. The box is stored at the probes' (2, n, dim) shape (its [0]
-    half bounds the swarm) and the velocity bounds at (n, dim), so no clamp
-    broadcasts (dim,) bounds, which can return the bound on a tie of signed
-    zeros (see ``clip_in_place``). Constant coefficients
-    are ``core.constants``; per-step values stay floats.
+    every step. Stepping by hand is exact: the probe values that came with the
+    last evaluation serve only while ``state.X`` and ``state.V`` are the same
+    objects, ``state.delta`` is equal and ``rng`` is the same stream; else the
+    step evaluates its own probes in one (2n, dim) call. ``state.X`` and
+    ``state.V`` are read-only (``core.frozen``): assign an edited copy. The box
+    is stored at the probes' (2, n, dim) shape (its [0] half bounds the swarm)
+    and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds,
+    which can return the bound on a tie of signed zeros (see ``clip_in_place``).
+    Constant coefficients are ``core.constants``; per-step values stay floats.
     """
 
     def __init__(
@@ -164,9 +169,9 @@ class BsoEngine:
         self.v_lo = -self.v_hi
         self._coef = constants(config.a1, config.a2, config.lam, 1.0 - config.lam)
 
-        X = uniform_population(self.rng, self.space, config.n)
-        V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
-        F = problem.evaluate_many(X, self.rng)
+        X = frozen(uniform_population(self.rng, self.space, config.n))
+        V = frozen(self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo))
+        F = self._evaluate(X, V, float(config.delta0), 0)
         gi = int(F.argmin())
         self.state = SwarmState(
             X=X,
@@ -187,16 +192,15 @@ class BsoEngine:
         a1, a2, lam, rest = self._coef
 
         # 1. Antenna increment xi = -delta * V * sign(f(right) - f(left)) from probes at X +/- V*d/2 (pre-update V),
-        # one objective call per half. Where it cannot influence the move (lam == 1, or a zero or underflowed
-        # spacing: coincident probes) the probes are skipped outright, consuming neither evaluations nor noise
-        # draws, so the lam=1/delta0=0 configuration is draw-for-draw plain PSO.
-        xi = None
-        d = st.delta / cfg.c2_ratio
-        if cfg.lam < 1.0 and d > 0.0:
-            probes = antennae(st.X, st.V, d)
-            if self.problem.clamp_probes:
-                clip_in_place(probes, self.lower, self.upper)
-            f_right, f_left = self.problem.evaluate_many(probes[0], rng), self.problem.evaluate_many(probes[1], rng)
+        # their values kept from the last evaluation while X, V, delta and the stream are those they came from, else
+        # one (2n, dim) call, right rows first. Where they cannot influence the move (lam == 1, or a zero or
+        # underflowed spacing: coincident probes) no probe is evaluated and no noise drawn: lam=1/delta0=0 is PSO.
+        xi, (kept_X, kept_V, kept_delta, kept_rng, f) = None, self._kept
+        if not (kept_X is st.X and kept_V is st.V and kept_delta == st.delta and kept_rng is rng):
+            probes = self._probes(st.X, st.V, st.delta)
+            f = None if probes is None else self.problem.evaluate_many(probes.reshape(-1, st.X.shape[1]), rng)
+        if f is not None:
+            f_right, f_left = f.reshape(2, -1)
             # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
             # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
             sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
@@ -215,17 +219,18 @@ class BsoEngine:
         np.multiply(st.V, omega, out=V)
         V += pull_p
         V += pull_g
-        st.V = clip_in_place(V, self.v_lo, self.v_hi)
+        st.V = frozen(clip_in_place(V, self.v_lo, self.v_hi))
 
         # 3. Position clip((X + lam*V) + (1 - lam)*xi), the swarm move blended with the antenna move.
         X = np.multiply(st.V, lam)
         X += st.X
         if xi is not None:
             X += np.multiply(xi, rest)
-        st.X = clip_in_place(X, self.lower[0], self.upper[0])
+        st.X = frozen(clip_in_place(X, self.lower[0], self.upper[0]))
 
-        # 4. Evaluation, bests and the schedule.
-        F = self.problem.evaluate_many(st.X, self.rng)
+        # 4. Evaluation (with the next step's probes), bests and the schedule.
+        delta = cfg.eta * st.delta
+        F = self._evaluate(st.X, st.V, delta, st.k + 1)
         improved = F < st.Pf
         if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are
             np.copyto(st.P, st.X, where=improved[:, None])
@@ -234,11 +239,28 @@ class BsoEngine:
             st.G = st.P[gi].copy()
             st.Gf = float(st.Pf[gi])
 
-        st.delta = cfg.eta * st.delta
+        st.delta = delta
         st.k += 1
         self.curve.append(st.Gf)
         if self.debug_checks:
             self._check_invariants()
+
+    def _probes(self, X: Array, V: Array, delta: float) -> Array | None:
+        """The (2, n, dim) probes at spacing d = delta / c2_ratio, clamped if asked; None if lam == 1 or d is 0."""
+        d = delta / self.config.c2_ratio
+        probes = antennae(X, V, d) if self.config.lam < 1.0 and d > 0.0 else None
+        if probes is not None and self.problem.clamp_probes:
+            clip_in_place(probes, self.lower, self.upper)
+        return probes
+
+    def _evaluate(self, X: Array, V: Array, delta: float, k: int) -> Array:
+        """Fitness of the swarm X after k iterations. If step k + 1 probes, its probes from X, V and delta follow the
+        swarm in one fresh (3n, dim) batch, and their values are kept with what they came from."""
+        probes = self._probes(X, V, delta) if k < self.config.max_iters else None
+        batch = X if probes is None else np.concatenate((X[None], probes)).reshape(-1, X.shape[1])
+        F = self.problem.evaluate_many(batch, self.rng)
+        self._kept = (X, V, delta, self.rng, F[len(X):]) if probes is not None else (None,) * 5  # matches no state
+        return F[: len(X)]
 
     def run(self) -> tuple[list[float], Array, float]:
         """Step to the iteration budget; returns the curve, the global-best position and its fitness."""

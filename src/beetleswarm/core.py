@@ -169,10 +169,10 @@ class Problem:
     order (this is how noisy objectives stay reproducible). ``batch`` gets
     a read-only view, so an objective that writes into its input raises
     ValueError; the optimizers pass a fresh array on every call and never
-    modify it afterwards. BSO sends its right probes, left probes and moved
-    swarm as three (n, dim) batches, the probes the halves of one (2, n, dim)
-    ``antennae`` array (the swarm alone once the antenna spacing is 0); BAS
-    sends its (2, dim) ``antennae`` pair, right row first, then one row.
+    modify it afterwards. BSO sends one (3n, dim) batch per iteration: the
+    moved swarm, then the next iteration's right and left ``antennae``
+    probes (the swarm alone in the last iteration or once the spacing is 0);
+    BAS sends its (2, dim) ``antennae`` pair, right row first, then one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -228,9 +228,9 @@ def checked_config(problem: Problem, algorithm: str, config_type: type, config):
     return config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Everything one optimizer run produced.
+    """Everything one optimizer run produced. A record, like a Problem, equals only itself and hashes by identity.
 
     ``curve`` holds the best fitness seen so far at each iteration,
     including the initial population (length = iterations + 1), and is

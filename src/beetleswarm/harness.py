@@ -150,7 +150,8 @@ def summarize(records: list[RunRecord]) -> TrialSummary:
         raise ValueError("no records to summarize")
     finals = np.array([r.best_f for r in records], dtype=float)
     times = np.array([r.wall_time_s for r in records], dtype=float)
-    std = float(np.std(finals, ddof=1)) if finals.size > 1 else 0.0
+    finite = np.isfinite(finals).all()  # np.std over an infinite value warns, and its result is NaN all the same
+    std = 0.0 if finals.size == 1 else float(np.std(finals, ddof=1)) if finite else math.nan
     return TrialSummary(
         problem_id=records[0].problem_id,
         algorithm=records[0].algorithm,

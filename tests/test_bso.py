@@ -66,6 +66,13 @@ def step_once(problem, X, V, stream, P=None, G=None, omega=0.9, **config):
     return engine
 
 
+def poked(a, value):
+    """A copy of a with value at [0, 0]: the swarm's X and V are read-only, so an edit goes into a copy."""
+    a = a.copy()
+    a[0, 0] = value
+    return a
+
+
 def slope_problem(*w):
     """f(x) = w . x over [-10, 10]^dim: the right probe wins wherever w . V < 0."""
     w = np.array(w)
@@ -155,9 +162,9 @@ class TestBeetleIncrement:
         calls.clear()
         engine.step()
         assert calls == [(4, 2)]
-        engine.state.delta = 1e-322  # spacing 2e-323, still positive: both probe halves are evaluated
-        engine.step()
-        assert calls == [(4, 2)] * 4
+        engine.state.delta = 1e-322  # spacing 2e-323, still positive: the probes are evaluated in a call of their
+        engine.step()  # own, then the move with the next step's probes
+        assert calls == [(4, 2), (8, 2), (12, 2)]
 
 
 class TestUpdatePosition:
@@ -257,8 +264,8 @@ class TestEngine:
     @pytest.mark.parametrize(
         "break_it,name",
         [
-            (lambda eng: eng.state.V.__setitem__((0, 0), np.nan), "every velocity is finite"),
-            (lambda eng: eng.state.X.__setitem__((0, 0), 1e9), "every position lies in the box"),
+            (lambda eng: setattr(eng.state, "V", poked(eng.state.V, np.nan)), "every velocity is finite"),
+            (lambda eng: setattr(eng.state, "X", poked(eng.state.X, 1e9)), "every position lies in the box"),
             (lambda eng: setattr(eng.state, "Gf", eng.state.Gf - 1.0), "Gf is the least personal best"),
             (lambda eng: setattr(eng.state, "G", eng.state.G + 1.0), "G is the position of the least personal best"),
             (lambda eng: eng.curve.append(eng.curve[-1] + 1.0), "the curve does not rise"),
@@ -290,7 +297,9 @@ from beetleswarm import BsoConfig, BsoEngine, get_problem
 assert sys.flags.optimize and not __debug__
 engine = BsoEngine(get_problem("F16"), BsoConfig(n=4, max_iters=3), debug_checks=True)
 engine.step()
-engine.state.X[0, 0] = 1e9
+X = engine.state.X.copy()
+X[0, 0] = 1e9
+engine.state.X = X
 engine._check_invariants()
 """
         src = str(Path(beetleswarm.__file__).parents[1])
@@ -350,6 +359,62 @@ engine._check_invariants()
         assert rec.config["n"] == 5
         assert rec.config["seed"] == 9
         assert rec.wall_time_s > 0
+
+
+class TestProbeBatches:
+    """Each evaluation of the swarm carries the next step's antenna probes; a step whose state was replaced by hand
+    evaluates its own."""
+
+    @staticmethod
+    def counted(rows, pid="F16", **config):
+        base = get_problem(pid)
+        problem = Problem(base.id, base.space, lambda X, rng=None: rows.append(X.shape[0]) or base.batch(X, rng),
+                          base.known_fmin, base.stochastic, base.clamp_probes)
+        return BsoEngine(problem, BsoConfig(**{"n": 4, "max_iters": 3, "lam": 0.5, "seed": 1, **config}))
+
+    def test_no_iterations_evaluate_no_probes(self):
+        rows = []
+        self.counted(rows, max_iters=0).run()
+        assert rows == [4]
+
+    @pytest.mark.parametrize("name", ["X", "V"])
+    def test_swarm_is_read_only(self, name):
+        engine = self.counted([])
+        for _ in range(2):  # the initial swarm, then the moved one
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(engine.state, name)[0, 0] = 0.0
+            engine.step()
+
+    @pytest.mark.parametrize(
+        "replace",
+        [
+            lambda eng: setattr(eng.state, "X", eng.state.X.copy()),
+            lambda eng: setattr(eng.state, "V", eng.state.V.copy()),
+            lambda eng: setattr(eng.state, "delta", eng.state.delta / 2),
+            lambda eng: setattr(eng, "rng", RandomStream(1)),
+        ],
+        ids=["X", "V", "delta", "rng"],
+    )
+    def test_a_replaced_state_evaluates_fresh_probes(self, replace):
+        rows = []
+        engine = self.counted(rows)
+        engine.step()
+        replace(engine)
+        rows.clear()
+        engine.step()
+        assert rows == [8, 12]  # its own (2n, dim) probes, then the move with the next step's probes
+
+    @pytest.mark.parametrize("pid", ["F16", "PV"])
+    def test_fresh_probes_give_the_kept_bits(self, pid):
+        # a copy of X before every step forces fresh probes; a deterministic objective then gives the same run
+        kept, fresh = self.counted([], pid, max_iters=20), self.counted([], pid, max_iters=20)
+        for _ in range(20):
+            kept.step()
+            fresh.state.X = fresh.state.X.copy()
+            fresh.step()
+        assert kept.curve == fresh.curve
+        for name in ("X", "V", "P", "Pf", "G"):
+            assert np.array_equal(getattr(kept.state, name), getattr(fresh.state, name))
 
 
 class TestPsoEquivalence:

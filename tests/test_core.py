@@ -519,6 +519,13 @@ class TestRunPath:
         with pytest.raises(ValueError, match=f"^{algo} needs a {cfg_type.__name__}, got a {other.__name__}$"):
             runner(sphere_problem(2), other(max_iters=2), seed=0)
 
+    def test_a_record_equals_only_itself(self):
+        # the generated __eq__ compared the array fields and raised on the truth value of an array
+        a, b = (run_bso(get_problem("F16"), BsoConfig(n=4, max_iters=2, seed=0)) for _ in range(2))
+        assert np.array_equal(a.curve, b.curve) and np.array_equal(a.best_x, b.best_x)
+        assert a == a and a != b and not (a == b)
+        assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
+
 
 def _counted(problem: Problem, calls: list) -> Problem:
     return replace(problem, batch=lambda X, rng=None: calls.append(X.shape) or problem.batch(X, rng))

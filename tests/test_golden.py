@@ -107,8 +107,9 @@ def test_objective_call_counts(algo):
     cfg = cfg_type(max_iters=K) if algo == "bas" else cfg_type(n=n, max_iters=K)
     run_one(algo, counting(sphere_problem(3), rows), cfg, 0)
     expected = {
-        # initial swarm, then per iteration right probes, left probes and the moved swarm
-        "bso": [n] + [n, n, n] * K,
+        # the initial swarm with iteration 1's right and left probes, then each moved swarm with the next
+        # iteration's probes, the last one alone: n + 3nK rows, as in three calls per iteration
+        "bso": [3 * n] * K + [n],
         "pso": [n] * (1 + K),
         # initial point, then per iteration the (right, left) probe pair and the move
         "bas": [1] + [2, 1] * K,

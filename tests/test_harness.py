@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @pytest.mark.parametrize("finals", [(np.inf, np.inf), (1.0, np.inf), (-np.inf, -np.inf)])
+    def test_non_finite_trials_give_nan_std_without_a_warning(self, finals):
+        # np.std over [inf, inf] warned "invalid value encountered in subtract" and gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize([_record(v, seed=i) for i, v in enumerate(finals)])
+        assert np.isnan(s.std) and s.best == min(finals)
 
 
 class TestTrialSummaryInvariants:
