@@ -6,9 +6,12 @@ distance delta toward the antenna that smelled better (lower fitness,
 everything here minimizes). Both the step length and the antenna spacing
 shrink geometrically over the run.
 
-Objective batches: an iteration makes two ``evaluate_many`` calls on fresh
-arrays: the (2, dim) probes ``antennae`` returns, right row then left, then
-the new position as one row; noisy objectives draw right, left, move.
+Objective batches, each a fresh array: ``run_bas`` evaluates each new
+position with the next iteration's ``antennae`` probes, right row then left,
+as one (3, dim) call (the start point with iteration 1's, the last point
+alone: 1 + 3K rows in K + 1 calls). A stochastic problem, and ``bas_step``,
+take two calls, the (2, dim) probes then the new point, so that the next
+direction is not drawn ahead of the move's noise.
 The best takes a probe only if it lies in the box, so ``best_x`` always does.
 """
 
@@ -90,25 +93,23 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
             return raw / math.sqrt(raw.dot(raw))  # the norm as np.linalg.norm computes it for a real 1-D array
 
 
-def _bas_move(x, delta, d, best_x, best_f, problem: Problem, rng: RandomStream) -> tuple[Array, Array, float]:
-    """New position and best-so-far after one iteration; see ``bas_step``."""
+def _probes(x, d, problem: Problem, rng: RandomStream) -> tuple[Array, Array]:
+    """A fresh direction b and the (2, dim) ``antennae`` probes along it, clamped into the box if the problem asks."""
     b = sample_direction(rng, problem.space.dim)
     probes = antennae(x, b, d)
     if problem.clamp_probes:
         probes.clip(problem.space.lower, problem.space.upper, out=probes)
-    f_right, f_left = problem.evaluate_many(probes, rng).tolist()
+    return b, probes
 
+
+def _move(x, delta, b, probes, f_right, f_left, best_x, best_f, space) -> tuple[Array, Array, float]:
+    """The clamped step toward the better antenna, and the best-so-far with right, then left, folded in."""
     # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN.
     x_new = x - delta * ((f_right > f_left) - (f_right < f_left)) * b  # scaling by the sign first is exact
-    clip_in_place(x_new, problem.space.lower, problem.space.upper)  # bounds of x_new's shape: clip's bits
-    [f_new] = problem.evaluate_many(x_new[None, :], rng).tolist()
-
-    lower, upper = problem.space.lower, problem.space.upper
+    clip_in_place(x_new, space.lower, space.upper)  # bounds of x_new's shape: clip's bits
     for cand_x, cand_f in ((probes[0], f_right), (probes[1], f_left)):  # only an improving probe pays for the box test
-        if cand_f < best_f and np.count_nonzero((lower <= cand_x) & (cand_x <= upper)) == cand_x.size:
+        if cand_f < best_f and np.count_nonzero((space.lower <= cand_x) & (cand_x <= space.upper)) == cand_x.size:
             best_x, best_f = cand_x, cand_f
-    if f_new < best_f:  # x_new is clamped, so always in the box
-        best_x, best_f = x_new, f_new
     return x_new, best_x, best_f
 
 
@@ -122,8 +123,15 @@ def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
     right, left, then new, by strict ``<``. Probes are evaluated unclamped
     unless the problem asks otherwise; they are sensors, so the best takes
     one only if it lies in the box. The schedules are left unchanged.
+    The step by hand keeps these two calls; ``run_bas`` merges the new
+    position into the next iteration's probe call, on the same bits.
     """
-    x_new, best_x, best_f = _bas_move(state.x, state.delta, state.d, state.best_x, state.best_f, problem, rng)
+    b, probes = _probes(state.x, state.d, problem, rng)
+    f = problem.evaluate_many(probes, rng).tolist()
+    x_new, best_x, best_f = _move(state.x, state.delta, b, probes, *f, state.best_x, state.best_f, problem.space)
+    [f_new] = problem.evaluate_many(x_new[None, :], rng).tolist()
+    if f_new < best_f:  # x_new is clamped, so always in the box
+        best_x, best_f = x_new, f_new
     return BasState(x_new, state.delta, state.d, state.t + 1, best_x, best_f)
 
 
@@ -146,14 +154,25 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
     def optimize(config: BasConfig, seed: int) -> tuple[list[float], Array, float]:
         rng = RandomStream(seed)
         delta = config.start_step(problem)
-        x = uniform_in_space(rng, problem.space)
-        best_x, best_f = x, problem.evaluate(x, rng)
         d = delta / config.c2_ratio
-        curve = [best_f]
-        for _ in range(config.max_iters):
-            x, best_x, best_f = _bas_move(x, delta, d, best_x, best_f, problem, rng)
-            delta, d = update_schedules(delta, config)
+        x = uniform_in_space(rng, problem.space)
+        best_x, best_f, curve = x, math.inf, []
+        for t in range(config.max_iters + 1):  # x is the position after t iterations
+            rows = x[None, :]
+            if t < config.max_iters and not problem.stochastic:  # iteration t + 1's probes ride with x
+                b, probes = _probes(x, d, problem, rng)
+                rows = np.concatenate((rows, probes))
+            f_x, *f = problem.evaluate_many(rows, rng).tolist()
+            if f_x < best_f:  # best_f starts at inf, where best_x already is x
+                best_x, best_f = x, f_x
             curve.append(best_f)
+            if t == config.max_iters:
+                break
+            if not f:  # noise is drawn in call order, so a noisy objective sees the next direction after the move
+                b, probes = _probes(x, d, problem, rng)
+                f = problem.evaluate_many(probes, rng).tolist()
+            x, best_x, best_f = _move(x, delta, b, probes, *f, best_x, best_f, problem.space)
+            delta, d = update_schedules(delta, config)
         return curve, best_x, best_f
 
     return RunRecord.from_run(problem, "bas", BasConfig, config, seed, optimize)

@@ -34,6 +34,7 @@ from .harness import (
     run_matrix,
     run_one,
     run_trial_records,
+    strict_json,
     summarize,
     worker_count,
 )
@@ -208,7 +209,7 @@ def cmd_run(args) -> int:
 
     export_convergence(record, curve_path)
     doc = {"schema": RUN_SCHEMA, **record.to_dict()}
-    run_path.write_text(json.dumps(doc, indent=2) + "\n")
+    run_path.write_text(strict_json(doc) + "\n")
 
     print(
         f"{algo} on {problem.id}: best_f={record.best_f:.6g} "
@@ -219,7 +220,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.list:
-        print(json.dumps(catalog.list_problems(), indent=2))
+        print(strict_json(catalog.list_problems()))
         return 0
     settings = _settings(args)
     algos = _algo_list(_setting(settings, "bench", "algorithms"))
@@ -279,7 +280,7 @@ def cmd_constrained(args) -> int:
         "config": {**config.to_dict(), "base_seed": base_seed},
     }
     if json_path is not None:
-        json_path.write_text(json.dumps(doc, indent=2) + "\n")
+        json_path.write_text(strict_json(doc) + "\n")
 
     xs = "  ".join(f"x{i + 1}={v:.6f}" for i, v in enumerate(best["x"]))
     gs = "  ".join(f"g{i + 1}={v:.6f}" for i, v in enumerate(best["g"]))

@@ -157,7 +157,7 @@ class ConstrainedProblem:
         }
 
 
-@lru_cache(maxsize=8)  # a process meets few batch sizes per problem: n, 2 and 1, plus 50 and 1500 in perfbench
+@lru_cache(maxsize=8)  # a process meets few batch sizes per problem: 3n, n, 3 and 1, plus 50 and 1500 in perfbench
 def _layout(problem: ConstrainedProblem, shape: tuple[int, ...]) -> tuple:
     """The gridded columns (a slice when adjacent, so no gather; None without grids), then the grid steps, k
     bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts. A batch shape

@@ -172,7 +172,9 @@ class Problem:
     modify it afterwards. BSO sends one (3n, dim) batch per iteration: the
     moved swarm, then the next iteration's right and left ``antennae``
     probes (the swarm alone in the last iteration or once the spacing is 0);
-    BAS sends its (2, dim) ``antennae`` pair, right row first, then one row.
+    BAS sends its point with the next right and left probes as one (3, dim)
+    batch (the last point alone), and, on a stochastic problem, its (2, dim)
+    ``antennae`` pair, right row first, then the point as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective

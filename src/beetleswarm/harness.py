@@ -213,6 +213,19 @@ def export_convergence(record: RunRecord, destination) -> Path:
     return path
 
 
+def strict_json(doc) -> str:
+    """``doc`` as indented strict JSON, each non-finite float written as null; a finite doc keeps json.dumps' bytes."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(doc), indent=2, allow_nan=False)
+
+
 def _format_table(problems: list[str], algorithms: list[str], cells: dict) -> str:
     headers = ["problem"]
     for algo in algorithms:
@@ -267,6 +280,6 @@ def compare_report(summaries: list[TrialSummary], destination) -> tuple[Path, Pa
         "cells": cells,
     }
     json_path, text_path = (dest / name for name in REPORT_FILES)
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
+    json_path.write_text(strict_json(doc) + "\n")
     text_path.write_text(_format_table(problems, algorithms, cells))
     return json_path, text_path

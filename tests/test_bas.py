@@ -293,10 +293,11 @@ class TestRunBas:
 
 
 class TestStepMatchesRun:
-    @pytest.mark.parametrize("pid", ["F7", "F18", "HB"])
+    @pytest.mark.parametrize("pid", ["F7", "F16", "F18", "HB"])
     def test_repeated_steps_reproduce_run_bas(self, pid):
         # the public one-step view and run_bas's loop make the same moves bit
-        # for bit: F7 draws noise, HB clamps its probes into the box
+        # for bit: F7 draws noise, HB clamps its probes into the box, and
+        # run_bas evaluates each move with the next probes on all but F7
         problem, cfg, seed = get_problem(pid), BasConfig(max_iters=150), 4
         rec = run_bas(problem, cfg, seed=seed)
 

@@ -9,12 +9,13 @@ SIMD math routines of a numpy build; the digests are still only as
 portable as IEEE double arithmetic on numpy's elementwise loops.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from beetleswarm import Problem, get_problem
+from beetleswarm import BasConfig, Problem, get_problem
 from beetleswarm.harness import ALGORITHMS, run_one
 
 from .conftest import sphere_problem
@@ -111,7 +112,22 @@ def test_objective_call_counts(algo):
         # iteration's probes, the last one alone: n + 3nK rows, as in three calls per iteration
         "bso": [3 * n] * K + [n],
         "pso": [n] * (1 + K),
-        # initial point, then per iteration the (right, left) probe pair and the move
-        "bas": [1] + [2, 1] * K,
+        # the start point with iteration 1's (right, left) probe pair, then each move with the next pair, the
+        # last move alone: 1 + 3K rows, as in the probe pair and the move of each iteration
+        "bas": [3] * K + [1],
     }[algo]
     assert rows == expected
+
+
+def test_bas_keeps_two_calls_per_iteration_on_a_stochastic_problem():
+    # merged, the next direction would be drawn ahead of the move's noise, so a noisy objective sees the
+    # (right, left) pair, then the move, after the start point
+    K, rows = 5, []
+    run_one("bas", counting(dataclasses.replace(sphere_problem(3), stochastic=True), rows), BasConfig(max_iters=K), 0)
+    assert rows == [1] + [2, 1] * K
+
+
+def test_bas_without_iterations_sends_the_start_point_alone():
+    rows = []
+    rec = run_one("bas", counting(sphere_problem(3), rows), BasConfig(max_iters=0), 0)
+    assert rows == [1] and rec.curve.size == 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import beetleswarm
+from beetleswarm import cli
 from beetleswarm import (
     BsoConfig,
     PenaltyConfig,
@@ -485,6 +486,20 @@ class TestCompareReport:
         doc = json.loads(json_path.read_text())
         assert doc["cells"]["F14"]["bso"]["ave"] == pytest.approx(0.998, abs=1e-3)
         assert doc["cells"]["F14"]["pso"]["ave"] == pytest.approx(0.998, abs=1e-3)
+
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path, monkeypatch):
+        # report.json and run.json carried NaN and Infinity tokens, which strict JSON parsers reject
+        def strict(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        records = [_record(np.inf, seed=i, curve=[np.inf, np.inf]) for i in range(2)]
+        json_path, _ = compare_report([summarize(records)], tmp_path / "report")
+        cell = json.loads(json_path.read_text(), parse_constant=strict)["cells"]["P"]["bso"]
+        assert (cell["ave"], cell["std"], cell["best"], cell["ave_time_s"]) == (None, None, None, 0.25)
+        monkeypatch.setattr(cli, "run_one", lambda *job: records[0])
+        assert cli.main(["run", "--problem", "F16", "--iters", "2", "--out", str(tmp_path / "run")]) == 0
+        doc = json.loads((tmp_path / "run" / "run.json").read_text(), parse_constant=strict)
+        assert doc["best_f"] is None and doc["best_x"] == [0.0, 0.0]
 
     def test_literature_rows_join_report(self, tmp_path):
         summaries = [
