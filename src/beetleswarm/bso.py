@@ -16,11 +16,11 @@ explore.
 The whole iteration lives in ``BsoEngine.step``, which, in order: computes
 the inertia weight, derives the antenna spacing from the current step,
 probes both antennae per beetle (using the pre-update velocity), updates
-velocities (clamped), updates and clamps positions, evaluates the moved
-swarm, refreshes personal and global bests, and finally contracts the
-step. Random draws happen in a fixed order (one r1 batch then one r2
-batch per iteration, in beetle index order), so runs are reproducible
-from the seed alone.
+velocities (clamped), updates and clamps positions, contracts the step,
+then evaluates the moved swarm and refreshes personal and global bests
+(``_settle``, which settles the initial swarm too). Random draws happen
+in a fixed order (one r1 batch then one r2 batch per iteration, in beetle
+index order), so runs are reproducible from the seed alone.
 
 Objective batches: an iteration makes one fresh (3n, dim) call: the moved
 swarm, then the next iteration's right and left probes (``core.antennae``,
@@ -139,10 +139,12 @@ class BsoEngine:
     ``run_bso`` drives it to completion; tests can step it manually and
     inspect the swarm between iterations. ``debug_checks`` re-validates the
     core invariants (bounds containment, best-fitness bookkeeping) after
-    every step. Stepping by hand is exact: the probe values that came with the
-    last evaluation serve only while ``state.X`` and ``state.V`` are the same
-    objects, ``state.delta`` is equal and ``rng`` is the same stream; else the
-    step evaluates its own probes in one (2n, dim) call. ``state.X`` and
+    every step. One method, ``_settle``, evaluates every swarm, the initial one
+    and each moved one, and folds it into the bests. Stepping by hand is exact:
+    the probe values (or None) that came with the last settle serve only while
+    ``state.X`` and ``state.V`` are the same objects, ``state.delta`` is equal
+    and ``rng`` is the same stream; only a state replaced by hand fails that,
+    and its step evaluates its own probes in one (2n, dim) call. ``state.X`` and
     ``state.V`` are read-only (``core.frozen``): assign an edited copy. The box
     is stored at the probes' (2, n, dim) shape (its [0] half bounds the swarm)
     and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds,
@@ -171,30 +173,22 @@ class BsoEngine:
 
         X = frozen(uniform_population(self.rng, self.space, config.n))
         V = frozen(self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo))
-        F = self._evaluate(X, V, float(config.delta0), 0)
-        gi = int(F.argmin())
-        self.state = SwarmState(
-            X=X,
-            V=V,
-            P=X.copy(),
-            Pf=F,
-            G=X[gi].copy(),
-            Gf=float(F[gi]),
-            delta=float(config.delta0),
-            k=0,
-        )
-        self.curve = [self.state.Gf]
+        # bests no swarm improves on: the first settle folds the initial swarm in as it folds each moved one
+        self.state = SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0)
+        self.curve = []
+        self._settle()
 
     def step(self) -> None:
-        """One full swarm iteration: probes, velocity, position, then evaluation, bests and the schedule."""
+        """One full swarm iteration: probes, velocity, position and the schedule, then evaluation and bests."""
         st, cfg, rng = self.state, self.config, self.rng
         omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
         a1, a2, lam, rest = self._coef
 
         # 1. Antenna increment xi = -delta * V * sign(f(right) - f(left)) from probes at X +/- V*d/2 (pre-update V),
-        # their values kept from the last evaluation while X, V, delta and the stream are those they came from, else
-        # one (2n, dim) call, right rows first. Where they cannot influence the move (lam == 1, or a zero or
-        # underflowed spacing: coincident probes) no probe is evaluated and no noise drawn: lam=1/delta0=0 is PSO.
+        # their values (or None) kept by the last settle while X, V, delta and the stream are those they came from;
+        # only a state replaced by hand gets one (2n, dim) call, right rows first. Where they cannot influence the move
+        # (lam == 1, or a zero or underflowed spacing: coincident probes) no probe is evaluated and no noise drawn:
+        # lam=1/delta0=0 is PSO.
         xi, (kept_X, kept_V, kept_delta, kept_rng, f) = None, self._kept
         if not (kept_X is st.X and kept_V is st.V and kept_delta == st.delta and kept_rng is rng):
             probes = self._probes(st.X, st.V, st.delta)
@@ -228,20 +222,10 @@ class BsoEngine:
             X += np.multiply(xi, rest)
         st.X = frozen(clip_in_place(X, self.lower[0], self.upper[0]))
 
-        # 4. Evaluation (with the next step's probes), bests and the schedule.
-        delta = cfg.eta * st.delta
-        F = self._evaluate(st.X, st.V, delta, st.k + 1)
-        improved = F < st.Pf
-        if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are
-            np.copyto(st.P, st.X, where=improved[:, None])
-            np.copyto(st.Pf, F, where=improved)
-            gi = int(st.Pf.argmin())
-            st.G = st.P[gi].copy()
-            st.Gf = float(st.Pf[gi])
-
-        st.delta = delta
+        # 4. The schedule, then the one settle of every swarm: evaluation (with the next step's probes) and bests.
+        st.delta = cfg.eta * st.delta
         st.k += 1
-        self.curve.append(st.Gf)
+        self._settle()
         if self.debug_checks:
             self._check_invariants()
 
@@ -253,14 +237,24 @@ class BsoEngine:
             clip_in_place(probes, self.lower, self.upper)
         return probes
 
-    def _evaluate(self, X: Array, V: Array, delta: float, k: int) -> Array:
-        """Fitness of the swarm X after k iterations. If step k + 1 probes, its probes from X, V and delta follow the
-        swarm in one fresh (3n, dim) batch, and their values are kept with what they came from."""
-        probes = self._probes(X, V, delta) if k < self.config.max_iters else None
+    def _settle(self) -> None:
+        """Evaluate the swarm ``state.X`` after ``state.k`` iterations and fold it into the bests and the curve. If
+        step k + 1 probes, its probes from X, V and delta follow the swarm in one fresh (3n, dim) batch, and their
+        values are kept with what they came from (None if it does not probe)."""
+        st, X = self.state, self.state.X
+        probes = self._probes(X, st.V, st.delta) if st.k < self.config.max_iters else None
         batch = X if probes is None else np.concatenate((X[None], probes)).reshape(-1, X.shape[1])
         F = self.problem.evaluate_many(batch, self.rng)
-        self._kept = (X, V, delta, self.rng, F[len(X):]) if probes is not None else (None,) * 5  # matches no state
-        return F[: len(X)]
+        F, f = F[: len(X)], None if probes is None else F[len(X):]
+        self._kept = (X, st.V, st.delta, self.rng, f)
+        improved = F < st.Pf
+        if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are
+            np.copyto(st.P, X, where=improved[:, None])
+            np.copyto(st.Pf, F, where=improved)
+            gi = int(st.Pf.argmin())
+            st.G = st.P[gi].copy()
+            st.Gf = float(st.Pf[gi])
+        self.curve.append(st.Gf)
 
     def run(self) -> tuple[list[float], Array, float]:
         """Step to the iteration budget; returns the curve, the global-best position and its fitness."""

@@ -257,12 +257,15 @@ class RunRecord:
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:
         """The one run path of every optimizer: the config is ``checked_config``'s, a seed of None ``config.seed``,
-        and ``wall_time_s`` times all of ``optimize(config, seed) -> (curve, best_x, best_f)``, set-up included."""
+        and ``wall_time_s`` times all of ``optimize(config, seed) -> (curve, best_x, best_f)``, set-up included. A
+        ``best_f`` of -inf raises a ValueError naming the problem, the algorithm and the seed."""
         config = checked_config(problem, algorithm, config_type, config)
         seed = check_int(config.seed if seed is None else seed, "seed")
         start = time.perf_counter()
         curve, best_x, best_f = optimize(config, seed)
         elapsed = time.perf_counter() - start
+        if best_f == -np.inf:  # no value improves on -inf, so the rest of the run could not move the best
+            raise ValueError(f"{problem.id}: {algorithm}, seed {seed}, reached -inf; an objective must not return -inf")
         return cls(problem.id, algorithm, seed, {**config.to_dict(), "seed": seed}, curve, best_x, best_f, elapsed)
 
     def to_dict(self) -> dict:

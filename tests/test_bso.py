@@ -404,6 +404,23 @@ class TestProbeBatches:
         engine.step()
         assert rows == [8, 12]  # its own (2n, dim) probes, then the move with the next step's probes
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p: run_pso(p, PsoConfig(n=4, max_iters=5)),
+            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, lam=1.0)),
+            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, delta0=1e-323)),  # the spacing underflows to 0
+            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5)),
+        ],
+        ids=["pso", "lam-1", "underflowed", "bso"],
+    )
+    def test_each_settle_builds_the_probes_once(self, run, monkeypatch):
+        # a record of no probes used to match no state, so each step of the first three rebuilt them: 10 calls
+        calls, probes = [], BsoEngine._probes
+        monkeypatch.setattr(BsoEngine, "_probes", lambda self, *args: calls.append(1) or probes(self, *args))
+        run(get_problem("F16"))
+        assert len(calls) == 5  # one per settle that a step follows: the initial swarm and the first four moves
+
     @pytest.mark.parametrize("pid", ["F16", "PV"])
     def test_fresh_probes_give_the_kept_bits(self, pid):
         # a copy of X before every step forces fresh probes; a deterministic objective then gives the same run

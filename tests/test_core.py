@@ -334,6 +334,14 @@ def _holed_problem(cut: float, bad: float) -> Problem:
     return Problem(id="holed", space=SearchSpace.box(2, -10.0, 10.0), batch=partial(_holed_sphere, cut=cut, bad=bad))
 
 
+def _minus_inf_sphere(X, rng=None):
+    """Sphere over [-1, 1]^2 that reads -inf wherever x0 > 0."""
+    return np.where(X[:, 0] > 0.0, -np.inf, (X * X).sum(axis=1))
+
+
+MINUS_INF = Problem(id="minus-inf", space=SearchSpace.box(2, -1.0, 1.0), batch=_minus_inf_sphere)
+
+
 class TestConfigFields:
     """Every config dataclass rejects non-finite numbers and negative integers when built."""
 
@@ -661,3 +669,19 @@ class TestNonFiniteObjective:
             assert np.array_equal(a.curve, b.curve)
             assert np.array_equal(a.best_x, b.best_x)
             assert a.best_f == b.best_f
+
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_minus_inf_raises_naming_the_run(self, algo, seed):
+        # -inf had no treatment: a run ended at best_f = -inf with every debug check passing
+        cfg_type, runner = ALGORITHMS[algo]
+        cfg = cfg_type(max_iters=20) if algo == "bas" else cfg_type(n=6, max_iters=20)
+        checks = {} if algo == "bas" else {"debug_checks": True}
+        with pytest.raises(ValueError, match=rf"^minus-inf: {algo}, seed {seed}, reached -inf; an objective must not"):
+            runner(MINUS_INF, cfg, seed=seed, **checks)
+
+    def test_pooled_minus_inf_raises_with_the_trial_note(self, monkeypatch, two_cpus):
+        monkeypatch.setenv("BSO_THREADS", "2")
+        with pytest.raises(ValueError, match=r"^minus-inf: bso, seed 0, reached -inf") as caught:
+            run_trial_records("bso", MINUS_INF, BsoConfig(n=6, max_iters=20), n_trials=2, base_seed=0)
+        assert caught.value.__notes__ == ["bso on minus-inf, seed 0"]
