@@ -9,9 +9,11 @@ shrink geometrically over the run.
 Objective batches, each a fresh array: ``run_bas`` evaluates each new
 position with the next iteration's ``antennae`` probes, right row then left,
 as one (3, dim) call (the start point with iteration 1's, the last point
-alone: 1 + 3K rows in K + 1 calls). A stochastic problem, and ``bas_step``,
-take two calls, the (2, dim) probes then the new point, so that the next
-direction is not drawn ahead of the move's noise.
+alone: 1 + 3K rows in K + 1 calls); on a deterministic problem it draws a
+block of directions at once, and a batch is one add of the point and its
+offsets, on the same bits. A stochastic problem, and ``bas_step``, take two
+calls, the (2, dim) probes then the new point, so that the next direction
+is not drawn ahead of the move's noise.
 The best takes a probe only if it lies in the box, so ``best_x`` always does.
 """
 
@@ -28,6 +30,7 @@ from .core import ConfigDict, Problem, RandomStream, RunRecord, antennae, check_
 Array = np.ndarray
 
 MIN_STEP = 1e-12
+_BLOCK = 256  # iterations whose directions and offsets run_bas draws at once on a deterministic problem
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,28 @@ def sample_direction(rng: RandomStream, dim: int) -> Array:
             return raw / math.sqrt(raw.dot(raw))  # the norm as np.linalg.norm computes it for a real 1-D array
 
 
+def _block(rng: RandomStream, dim: int, spacings: list[float]) -> tuple[Array, Array]:
+    """One unit direction per spacing d, those of as many ``sample_direction`` calls (an all-zero row is skipped and
+    the next dim uniforms stand in), and each iteration's (3, dim) offsets [-0.0, o, -o], o = b * (d / 2): x plus
+    them is x, then ``antennae``'s right and left probes, bit for bit (x + -0.0 is x, and x + -o is x - o)."""
+    B = np.empty((0, dim))
+    while len(B) < len(spacings):
+        raw = 2.0 * rng.uniform((len(spacings) - len(B), dim)) - 1.0
+        B = np.concatenate((B, raw[raw.any(axis=1)]))
+    B /= np.sqrt(np.vecdot(B, B))[:, None]  # sample_direction's bits at any dim
+    o = B * np.divide(spacings, 2.0)[:, None]
+    return B, np.stack((np.full_like(o, -0.0), o, -o), axis=1)
+
+
+def _clamped(probes: Array, problem: Problem) -> Array:
+    """``probes``, clamped into the box in place if the problem asks (``ndarray.clip`` against the (dim,) bounds)."""
+    return probes.clip(problem.space.lower, problem.space.upper, out=probes) if problem.clamp_probes else probes
+
+
 def _probes(x, d, problem: Problem, rng: RandomStream) -> tuple[Array, Array]:
     """A fresh direction b and the (2, dim) ``antennae`` probes along it, clamped into the box if the problem asks."""
     b = sample_direction(rng, problem.space.dim)
-    probes = antennae(x, b, d)
-    if problem.clamp_probes:
-        probes.clip(problem.space.lower, problem.space.upper, out=probes)
-    return b, probes
+    return b, _clamped(antennae(x, b, d), problem)
 
 
 def _move(x, delta, b, probes, f_right, f_left, best_x, best_f, space) -> tuple[Array, Array, float]:
@@ -158,10 +176,16 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
         x = uniform_in_space(rng, problem.space)
         best_x, best_f, curve = x, math.inf, []
         for t in range(config.max_iters + 1):  # x is the position after t iterations
+            if (i := t % _BLOCK) == 0 and t < config.max_iters:  # the block's steps and spacings: K updates in all
+                schedule = [(delta, d)]
+                for _ in range(min(_BLOCK, config.max_iters - t)):
+                    schedule.append(update_schedules(schedule[-1][0], config))
             rows = x[None, :]
             if t < config.max_iters and not problem.stochastic:  # iteration t + 1's probes ride with x
-                b, probes = _probes(x, d, problem, rng)
-                rows = np.concatenate((rows, probes))
+                if i == 0:  # the stream feeds only the directions, so the block's are drawn at once
+                    B, O = _block(rng, problem.space.dim, [s for _, s in schedule[:-1]])
+                rows = np.add(x, O[i])  # one fresh (3, dim) batch: x, then the right and left probes
+                b, probes = B[i], _clamped(rows[1:], problem)
             f_x, *f = problem.evaluate_many(rows, rng).tolist()
             if f_x < best_f:  # best_f starts at inf, where best_x already is x
                 best_x, best_f = x, f_x
@@ -172,7 +196,7 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
                 b, probes = _probes(x, d, problem, rng)
                 f = problem.evaluate_many(probes, rng).tolist()
             x, best_x, best_f = _move(x, delta, b, probes, *f, best_x, best_f, problem.space)
-            delta, d = update_schedules(delta, config)
+            delta, d = schedule[i + 1]
         return curve, best_x, best_f
 
     return RunRecord.from_run(problem, "bas", BasConfig, config, seed, optimize)

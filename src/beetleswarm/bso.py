@@ -171,12 +171,14 @@ class BsoEngine:
         self.v_lo = -self.v_hi
         self._coef = constants(config.a1, config.a2, config.lam, 1.0 - config.lam)
 
-        X = frozen(uniform_population(self.rng, self.space, config.n))
+        B = np.empty((3, config.n, self.space.dim))  # block 0 of its settle's batch, as a BSO step's moved swarm is
+        B[0] = uniform_population(self.rng, self.space, config.n)
+        X = frozen(B[0])
         V = frozen(self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo))
         # bests no swarm improves on: the first settle folds the initial swarm in as it folds each moved one
         self.state = SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0)
         self.curve = []
-        self._settle()
+        self._settle(B)
 
     def step(self) -> None:
         """One full swarm iteration: probes, velocity, position and the schedule, then evaluation and bests."""
@@ -215,36 +217,40 @@ class BsoEngine:
         V += pull_g
         st.V = frozen(clip_in_place(V, self.v_lo, self.v_hi))
 
-        # 3. Position clip((X + lam*V) + (1 - lam)*xi), the swarm move blended with the antenna move.
-        X = np.multiply(st.V, lam)
+        # 3. Position clip((X + lam*V) + (1 - lam)*xi), the swarm move blended with the antenna move; where lam < 1,
+        # it is block 0 of a fresh (3, n, dim) batch B, whose blocks 1 and 2 the settle's probes fill.
+        B = np.empty((3,) + st.V.shape) if cfg.lam < 1.0 else None
+        X = np.multiply(st.V, lam, out=None if B is None else B[0])
         X += st.X
         if xi is not None:
-            X += np.multiply(xi, rest)
+            xi *= rest
+            X += xi
         st.X = frozen(clip_in_place(X, self.lower[0], self.upper[0]))
 
         # 4. The schedule, then the one settle of every swarm: evaluation (with the next step's probes) and bests.
         st.delta = cfg.eta * st.delta
         st.k += 1
-        self._settle()
+        self._settle(B)
         if self.debug_checks:
             self._check_invariants()
 
-    def _probes(self, X: Array, V: Array, delta: float) -> Array | None:
-        """The (2, n, dim) probes at spacing d = delta / c2_ratio, clamped if asked; None if lam == 1 or d is 0."""
+    def _probes(self, X: Array, V: Array, delta: float, B: Array | None = None) -> Array | None:
+        """The (2, n, dim) probes at spacing d = delta / c2_ratio (blocks 1 and 2 of B if given), clamped if asked;
+        None if lam == 1 or d is 0."""
         d = delta / self.config.c2_ratio
-        probes = antennae(X, V, d) if self.config.lam < 1.0 and d > 0.0 else None
+        probes = antennae(X, V, d, None if B is None else B[1:]) if self.config.lam < 1.0 and d > 0.0 else None
         if probes is not None and self.problem.clamp_probes:
             clip_in_place(probes, self.lower, self.upper)
         return probes
 
-    def _settle(self) -> None:
-        """Evaluate the swarm ``state.X`` after ``state.k`` iterations and fold it into the bests and the curve. If
-        step k + 1 probes, its probes from X, V and delta follow the swarm in one fresh (3n, dim) batch, and their
-        values are kept with what they came from (None if it does not probe)."""
+    def _settle(self, B: Array | None) -> None:
+        """Evaluate the swarm ``state.X`` after ``state.k`` iterations, block 0 of the fresh (3, n, dim) array B (a
+        step with lam == 1 makes none), and fold it into the bests and the curve. If step k + 1 probes, its probes
+        from X, V and delta fill blocks 1 and 2 and go with the swarm as one (3n, dim) batch, and their values are
+        kept with what they came from (None if it does not probe)."""
         st, X = self.state, self.state.X
-        probes = self._probes(X, st.V, st.delta) if st.k < self.config.max_iters else None
-        batch = X if probes is None else np.concatenate((X[None], probes)).reshape(-1, X.shape[1])
-        F = self.problem.evaluate_many(batch, self.rng)
+        probes = self._probes(X, st.V, st.delta, B) if st.k < self.config.max_iters else None
+        F = self.problem.evaluate_many(X if probes is None else B.reshape(-1, X.shape[1]), self.rng)
         F, f = F[: len(X)], None if probes is None else F[len(X):]
         self._kept = (X, st.V, st.delta, self.rng, f)
         improved = F < st.Pf

@@ -169,12 +169,12 @@ class Problem:
     order (this is how noisy objectives stay reproducible). ``batch`` gets
     a read-only view, so an objective that writes into its input raises
     ValueError; the optimizers pass a fresh array on every call and never
-    modify it afterwards. BSO sends one (3n, dim) batch per iteration: the
-    moved swarm, then the next iteration's right and left ``antennae``
-    probes (the swarm alone in the last iteration or once the spacing is 0);
-    BAS sends its point with the next right and left probes as one (3, dim)
-    batch (the last point alone), and, on a stochastic problem, its (2, dim)
-    ``antennae`` pair, right row first, then the point as one row.
+    modify it afterwards. BSO sends one (3n, dim) batch per iteration, the
+    moved swarm and the next right and left ``antennae`` probes written into
+    one fresh array (the swarm alone in the last iteration or once the
+    spacing is 0); BAS sends its point plus the next (3, dim) offsets drawn a
+    block ahead, itself then the right and left probes (the last point alone),
+    and, on a stochastic problem, its (2, dim) pair, then the point as one row.
 
     ``clamp_probes`` asks optimizers to project antenna probe points into
     the box before evaluating them; it is set on problems whose objective
@@ -282,12 +282,12 @@ class RunRecord:
         }
 
 
-def antennae(x: Array, b: Array, d: float) -> Array:
-    """Right and left probes x +/- b*d/2 at antenna spacing d, the halves of one fresh (2,) + x.shape array."""
+def antennae(x: Array, b: Array, d: float, out: Array | None = None) -> Array:
+    """Right and left probes x +/- b*d/2 at antenna spacing d, the halves of ``out`` or a fresh (2,) + x.shape array."""
     if not d > 0:
         raise ValueError("antenna spacing d must be positive")
     offset = np.multiply(b, d / 2.0)
-    probes = np.empty((2,) + x.shape)
+    probes = np.empty((2,) + x.shape) if out is None else out
     np.add(x, offset, out=probes[0])
     np.subtract(x, offset, out=probes[1])
     return probes

@@ -152,11 +152,12 @@ def summarize(records: list[RunRecord]) -> TrialSummary:
     times = np.array([r.wall_time_s for r in records], dtype=float)
     finite = np.isfinite(finals).all()  # np.std over an infinite value warns, and its result is NaN all the same
     std = 0.0 if finals.size == 1 else float(np.std(finals, ddof=1)) if finite else math.nan
+    mixed = not finite and np.inf in finals and -np.inf in finals  # np.mean over +inf and -inf warns, and gives NaN
     return TrialSummary(
         problem_id=records[0].problem_id,
         algorithm=records[0].algorithm,
         n_trials=len(records),
-        ave=float(np.mean(finals)),
+        ave=math.nan if mixed else float(np.mean(finals)),
         std=std,
         ave_time_s=float(np.mean(times)),
         best=float(np.min(finals)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, get_problem, run_bas, uniform_in_space
-from beetleswarm.bas import antennae, bas_step, sample_direction, update_schedules
+from beetleswarm.bas import _BLOCK, _block, antennae, bas_step, sample_direction, update_schedules
 
 from .conftest import FixedStream, constant_problem, sphere_problem
 
@@ -35,6 +35,21 @@ class TestSampleDirection:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             sample_direction(RandomStream(0), 0)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_block_draw_matches_repeated_draws(self, dim):
+        # run_bas draws a block of directions at once: an all-zero row (u = 0.5) is skipped and the next dim
+        # uniforms stand in, so the block consumes the stream as the per-iteration draws do
+        before, after = [0.9, 0.2, 0.65, 0.1, 0.35, 0.8], [0.3, 0.95, 0.6, 0.05, 0.45, 0.75]
+        values = before[: 2 * dim] + [0.5] * dim + after[: 2 * dim]
+        values += [0.7] * dim  # not reached: the stream holds one row more than the block needs
+        one, block = FixedStream(*values), FixedStream(*values)
+        x, spacings = np.array([-0.0, 0.0, 1.5])[:dim], [0.5, 0.3, 1e-3, 7.0]  # x + -0.0 keeps either zero
+        directions = [sample_direction(one, dim) for _ in spacings]
+        B, O = _block(block, dim, spacings)
+        assert B.tobytes() == np.array(directions).tobytes() and block.cursor == one.cursor == 5 * dim
+        for b, d, offsets in zip(directions, spacings, O):  # x plus the offsets is x, then antennae's probes
+            assert np.add(x, offsets).tobytes() == np.concatenate((x[None], antennae(x, b, d))).tobytes()
 
 
 class TestAntennae:
@@ -293,12 +308,17 @@ class TestRunBas:
 
 
 class TestStepMatchesRun:
-    @pytest.mark.parametrize("pid", ["F7", "F16", "F18", "HB"])
-    def test_repeated_steps_reproduce_run_bas(self, pid):
+    @pytest.mark.parametrize(
+        "pid, max_iters",
+        [pytest.param(pid, 150, id=pid) for pid in ("F7", "F16", "F18", "HB", "PV")]
+        + [pytest.param(pid, _BLOCK + 1, id=f"{pid}-block+1") for pid in ("F16", "PV")],
+    )
+    def test_repeated_steps_reproduce_run_bas(self, pid, max_iters):
         # the public one-step view and run_bas's loop make the same moves bit
-        # for bit: F7 draws noise, HB clamps its probes into the box, and
-        # run_bas evaluates each move with the next probes on all but F7
-        problem, cfg, seed = get_problem(pid), BasConfig(max_iters=150), 4
+        # for bit: F7 draws noise, HB and PV clamp their probes into the box
+        # (PV on its grid), and run_bas evaluates each move with the next
+        # probes on all but F7, drawing a block of directions at once
+        problem, cfg, seed = get_problem(pid), BasConfig(max_iters=max_iters), 4
         rec = run_bas(problem, cfg, seed=seed)
 
         rng = RandomStream(seed)

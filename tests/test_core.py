@@ -292,6 +292,23 @@ class TestProblem:
         with pytest.raises(ValueError, match="read-only"):
             runner(p, cfg, seed=0)
 
+    @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
+    @pytest.mark.parametrize("pid", ["F16", "PV"])
+    def test_every_batch_is_fresh_and_never_changed(self, algo, pid):
+        # the optimizers pass a fresh array on every call and never modify it afterwards: BSO writes its moved swarm
+        # and the next probes into one batch, and BAS adds its point to offsets drawn a block ahead
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        base, kept = get_problem(pid), []
+        p = replace(base, batch=lambda X, rng=None: kept.append((X, X.copy())) or base.batch(X, rng))
+        cfg_type, runner = ALGORITHMS[algo]
+        runner(p, cfg_type(max_iters=300) if algo == "bas" else cfg_type(n=6, max_iters=40), seed=3)
+        assert len({id(owner(X)) for X, _ in kept}) == len(kept)  # no two calls share memory
+        assert all(X.tobytes() == copy.tobytes() for X, copy in kept)
+
     def test_callers_batch_stays_writable(self):
         X = np.ones((3, 2))
         assert sphere_problem(2).evaluate_many(X).tolist() == [2.0, 2.0, 2.0]

@@ -31,7 +31,9 @@ from beetleswarm import (
 )
 from beetleswarm.bas import BasConfig
 from beetleswarm.constrained import PRESSURE_VESSEL
-from beetleswarm.harness import _run_jobs, run_matrix, run_one, run_trial_records, run_trials, summarize, worker_count
+from beetleswarm.harness import (
+    _run_jobs, run_matrix, run_one, run_trial_records, run_trials, strict_json, summarize, worker_count,
+)
 
 from .conftest import sphere_problem
 
@@ -99,6 +101,14 @@ class TestSummarize:
             warnings.simplefilter("error")
             s = summarize([_record(v, seed=i) for i, v in enumerate(finals)])
         assert np.isnan(s.std) and s.best == min(finals)
+
+    def test_plus_and_minus_inf_give_nan_ave_without_a_warning(self):
+        # np.mean over [inf, -inf] warned "invalid value encountered in reduce" and gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize([_record(np.inf), _record(-np.inf, seed=1)])
+        assert np.isnan(s.ave) and np.isnan(s.std) and s.best == -np.inf
+        assert json.loads(strict_json(s.to_dict()))["ave"] is None
 
 
 class TestTrialSummaryInvariants:
