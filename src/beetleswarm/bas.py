@@ -54,8 +54,8 @@ class BasConfig(ConfigDict):
             raise ValueError("eta must lie in (0, 1]")
         if not self.c2_ratio > 0:
             raise ValueError("c2_ratio must be positive")
-        if self.delta0 is not None and not 0 < (d := self.delta0 / self.c2_ratio) < math.inf:  # under- or overflows
-            rule = "positive" if d == 0 else "finite"
+        if self.delta0 is not None and not 0 < (d := self.delta0 / self.c2_ratio) < math.inf:  # <= 0, or overflows
+            rule = "finite" if d == math.inf else "positive"
             raise ValueError(f"delta0 and delta0 / c2_ratio must be {rule}, got {self.delta0!r} / {self.c2_ratio!r}")
 
     def start_step(self, problem: Problem) -> float:
@@ -82,31 +82,20 @@ class BasState:
     best_f: float
 
 
-def sample_direction(rng: RandomStream, dim: int) -> Array:
-    """Random unit vector with components i.i.d. symmetric about zero.
+def sample_directions(rng: RandomStream, dim: int, m: int) -> Array:
+    """``m`` random unit vectors as an (m, dim) array, components i.i.d. symmetric about zero.
 
-    Draws ``dim`` uniforms, maps them to [-1, 1) and normalizes. The
-    all-zero draw (probability zero, but representable) is redrawn.
+    Draws ``m`` rows of ``dim`` uniforms, maps them to [-1, 1) and divides each row by its norm. An all-zero row
+    (probability zero, but representable) is skipped and the next ``dim`` uniforms stand in, so one m-row draw is
+    m one-row draws, bits and stream alike.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    while True:
-        raw = 2.0 * rng.uniform(dim) - 1.0
-        if np.count_nonzero(raw):  # ndarray.any's Python-level wrapper costs about 5x more
-            return raw / math.sqrt(raw.dot(raw))  # the norm as np.linalg.norm computes it for a real 1-D array
-
-
-def _block(rng: RandomStream, dim: int, spacings: list[float]) -> tuple[Array, Array]:
-    """One unit direction per spacing d, those of as many ``sample_direction`` calls (an all-zero row is skipped and
-    the next dim uniforms stand in), and each iteration's (3, dim) offsets [-0.0, o, -o], o = b * (d / 2): x plus
-    them is x, then ``antennae``'s right and left probes, bit for bit (x + -0.0 is x, and x + -o is x - o)."""
-    B = np.empty((0, dim))
-    while len(B) < len(spacings):
-        raw = 2.0 * rng.uniform((len(spacings) - len(B), dim)) - 1.0
-        B = np.concatenate((B, raw[raw.any(axis=1)]))
-    B /= np.sqrt(np.vecdot(B, B))[:, None]  # sample_direction's bits at any dim
-    o = B * np.divide(spacings, 2.0)[:, None]
-    return B, np.stack((np.full_like(o, -0.0), o, -o), axis=1)
+    B = 2.0 * rng.uniform((m, dim)) - 1.0
+    while (kept := np.count_nonzero(sq := np.vecdot(B, B))) < m:  # only an all-zero 2u - 1 row squares to 0
+        B = np.concatenate((B[sq > 0], 2.0 * rng.uniform((m - kept, dim)) - 1.0))
+    B /= np.sqrt(sq)[:, None]
+    return B
 
 
 def _clamped(probes: Array, problem: Problem) -> Array:
@@ -116,7 +105,7 @@ def _clamped(probes: Array, problem: Problem) -> Array:
 
 def _probes(x, d, problem: Problem, rng: RandomStream) -> tuple[Array, Array]:
     """A fresh direction b and the (2, dim) ``antennae`` probes along it, clamped into the box if the problem asks."""
-    b = sample_direction(rng, problem.space.dim)
+    [b] = sample_directions(rng, problem.space.dim, 1)
     return b, _clamped(antennae(x, b, d), problem)
 
 
@@ -183,7 +172,9 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
             rows = x[None, :]
             if t < config.max_iters and not problem.stochastic:  # iteration t + 1's probes ride with x
                 if i == 0:  # the stream feeds only the directions, so the block's are drawn at once
-                    B, O = _block(rng, problem.space.dim, [s for _, s in schedule[:-1]])
+                    B = sample_directions(rng, problem.space.dim, len(schedule) - 1)
+                    o = B * np.divide([s for _, s in schedule[:-1]], 2.0)[:, None]  # antennae's b * (d / 2)
+                    O = np.stack((np.full_like(o, -0.0), o, -o), axis=1)  # x + -0.0 is x, and x + -o is x - o
                 rows = np.add(x, O[i])  # one fresh (3, dim) batch: x, then the right and left probes
                 b, probes = B[i], _clamped(rows[1:], problem)
             f_x, *f = problem.evaluate_many(rows, rng).tolist()

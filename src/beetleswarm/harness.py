@@ -181,7 +181,9 @@ def run_matrix(
 ) -> list[TrialSummary]:
     """Full algorithms x problems matrix, one summary per cell.
 
-    Each problem id is looked up once, here. All (algorithm, problem,
+    Each problem id is looked up once, here; an algorithm or problem named
+    twice (``F16`` and ``f16`` are one problem) raises before any job runs,
+    as its cell would run twice. All (algorithm, problem,
     trial) jobs are independent, so with BSO_THREADS > 1 they share one
     process pool; aggregation happens here, in submission order, which
     keeps the summaries identical to a serial run.
@@ -190,6 +192,9 @@ def run_matrix(
     if missing := [algo for algo in algorithms if algo not in configs]:
         raise KeyError(f"configs has no config for {', '.join(missing)}")
     problems = [catalog.get_problem(pid) for pid in problem_ids]
+    lists = (("algorithm", algorithms), ("problem", [p.id for p in problems]))
+    if repeats := [f"{kind} {name}" for kind, names in lists for name in dict.fromkeys(names) if names.count(name) > 1]:
+        raise ValueError(f"repeated {', '.join(repeats)}: each cell runs once")
     records = _run_jobs([(algo, p, configs[algo], s) for algo in algorithms for p in problems for s in seeds])
     return [summarize(records[i : i + len(seeds)]) for i in range(0, len(records), len(seeds))]
 

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, get_problem, run_bas, uniform_in_space
-from beetleswarm.bas import _BLOCK, _block, antennae, bas_step, sample_direction, update_schedules
+import beetleswarm.bas
+from beetleswarm.bas import _BLOCK, antennae, bas_step, sample_directions, update_schedules
 
 from .conftest import FixedStream, constant_problem, sphere_problem
+
+
+def _direction(rng, dim):
+    """One direction, the one row of a one-row draw (bas_step's and F7's draw)."""
+    [b] = sample_directions(rng, dim, 1)
+    return b
 
 
 class TestSampleDirection:
@@ -14,27 +21,27 @@ class TestSampleDirection:
         for dim in (1, 2, 5, 30):
             rng = RandomStream(dim)
             for _ in range(20):
-                b = sample_direction(rng, dim)
+                b = _direction(rng, dim)
                 assert abs(np.linalg.norm(b) - 1.0) < 1e-12
 
     def test_one_dimensional_sign(self):
         # u=0.35 maps to raw -0.3, normalizing to -1
-        assert sample_direction(FixedStream(0.35), 1) == np.array([-1.0])
+        assert _direction(FixedStream(0.35), 1) == np.array([-1.0])
 
     def test_three_four_five_normalization(self):
         # u = (0.65, 0.7) maps to raw (0.3, 0.4), a 3-4-5 triangle
-        assert np.allclose(sample_direction(FixedStream(0.65, 0.7), 2), [0.6, 0.8])
+        assert np.allclose(_direction(FixedStream(0.65, 0.7), 2), [0.6, 0.8])
 
     def test_zero_vector_redrawn(self):
         # first two draws map to raw (0, 0); the redraw then succeeds
         stream = FixedStream(0.5, 0.5, 0.9, 0.9)
-        b = sample_direction(stream, 2)
+        b = _direction(stream, 2)
         assert np.allclose(b, [np.sqrt(0.5), np.sqrt(0.5)])
         assert stream.cursor == 4
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
-            sample_direction(RandomStream(0), 0)
+            _direction(RandomStream(0), 0)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_block_draw_matches_repeated_draws(self, dim):
@@ -44,12 +51,29 @@ class TestSampleDirection:
         values = before[: 2 * dim] + [0.5] * dim + after[: 2 * dim]
         values += [0.7] * dim  # not reached: the stream holds one row more than the block needs
         one, block = FixedStream(*values), FixedStream(*values)
-        x, spacings = np.array([-0.0, 0.0, 1.5])[:dim], [0.5, 0.3, 1e-3, 7.0]  # x + -0.0 keeps either zero
-        directions = [sample_direction(one, dim) for _ in spacings]
-        B, O = _block(block, dim, spacings)
-        assert B.tobytes() == np.array(directions).tobytes() and block.cursor == one.cursor == 5 * dim
-        for b, d, offsets in zip(directions, spacings, O):  # x plus the offsets is x, then antennae's probes
-            assert np.add(x, offsets).tobytes() == np.concatenate((x[None], antennae(x, b, d))).tobytes()
+        rows = [_direction(one, dim) for _ in range(4)]
+        B = sample_directions(block, dim, 4)
+        assert B.shape == (4, dim) and B.tobytes() == np.array(rows).tobytes()
+        assert block.cursor == one.cursor == 5 * dim
+
+    def test_bas_step_and_run_bas_draw_through_it(self, monkeypatch):
+        # bas_step and F7 draw one row per iteration; run_bas on a deterministic problem draws its 256-row
+        # blocks, the last one short
+        calls = []
+
+        def counted(rng, dim, m):
+            calls.append((dim, m))
+            return sample_directions(rng, dim, m)
+
+        monkeypatch.setattr(beetleswarm.bas, "sample_directions", counted)
+        bas_step(_state_at([1.0, -2.0]), sphere_problem(2), RandomStream(0))
+        assert calls == [(2, 1)]
+        calls.clear()
+        run_bas(get_problem("F7"), BasConfig(max_iters=3))
+        assert calls == [(30, 1)] * 3
+        calls.clear()
+        run_bas(get_problem("F16"), BasConfig(max_iters=300))
+        assert calls == [(2, _BLOCK), (2, 300 - _BLOCK)]
 
 
 class TestAntennae:
@@ -67,7 +91,7 @@ class TestAntennae:
         rng = RandomStream(8)
         for _ in range(50):
             x = 10 * (rng.uniform(4) - 0.5)
-            b = sample_direction(rng, 4)
+            b = _direction(rng, 4)
             d = 0.01 + rng.uniform()
             right, left = antennae(x, b, d)
             assert np.allclose((right + left) / 2.0, x, atol=1e-12)
@@ -122,7 +146,7 @@ class TestBasStep:
             rng, twin = RandomStream(seed), RandomStream(seed)
             x = 5 * (rng.uniform(5) - 0.5)  # interior, clamping inactive
             twin.uniform(5)
-            expected_b = sample_direction(twin, 5)
+            expected_b = _direction(twin, 5)
             state = _state_at(x, delta=0.3, d=0.1)
             new = bas_step(state, problem, rng)
             move = new.x - state.x
@@ -212,6 +236,11 @@ class TestBasConfig:
         with pytest.raises(ValueError, match=r"^delta0 and delta0 / c2_ratio must be positive, got 1e-323 / 5\.0$"):
             BasConfig(delta0=1e-323)
         assert BasConfig(delta0=1e-323, c2_ratio=1.0).delta0 == 1e-323
+
+    def test_negative_delta0_rejected_as_not_positive(self):
+        # -1.0 is finite, yet the message used to say "must be finite"
+        with pytest.raises(ValueError, match=r"^delta0 and delta0 / c2_ratio must be positive, got -1\.0 / 5\.0$"):
+            BasConfig(delta0=-1.0)
 
     def test_start_step(self):
         # a delta0 of None derives the first step from the box: 0.3 x its widest side
@@ -336,3 +365,26 @@ class TestStepMatchesRun:
         assert rec.best_x.tobytes() == np.asarray(state.best_x).tobytes()
         assert np.float64(rec.best_f).tobytes() == np.float64(state.best_f).tobytes()
         assert state.t == cfg.max_iters
+
+    def test_objective_sees_the_steps_rows_bit_for_bit(self):
+        # run_bas's batches are x + [-0.0, o, -o]: on [-0.0, 1]^2 the beetle is clamped onto -0.0, which an
+        # offset of +0.0 would turn into +0.0 before the objective saw it
+        def recorded(rows):
+            def corner(X, rng=None):
+                rows.append(X.copy())
+                return X.sum(axis=1)
+
+            return Problem("corner", SearchSpace.box(2, -0.0, 1.0), corner)
+
+        cfg, seed, run_rows, step_rows = BasConfig(max_iters=40), 2, [], []
+        run_bas(recorded(run_rows), cfg, seed=seed)
+        problem, rng = recorded(step_rows), RandomStream(seed)
+        x0, delta0 = uniform_in_space(rng, problem.space), cfg.start_step(problem)
+        state = BasState(x0, delta0, delta0 / cfg.c2_ratio, 0, x0, problem.evaluate(x0, rng))
+        for _ in range(cfg.max_iters):
+            state = bas_step(state, problem, rng)
+            delta, d = update_schedules(state.delta, cfg)
+            state = dataclasses.replace(state, delta=delta, d=d)
+        run_rows, step_rows = np.concatenate(run_rows), np.concatenate(step_rows)
+        assert np.signbit(run_rows[run_rows == 0.0]).any()  # the -0.0 position reached the objective
+        assert run_rows.tobytes() == step_rows.tobytes()

@@ -242,6 +242,32 @@ class TestRunTrials:
         with pytest.raises(error, match=message):
             run_matrix(algorithms, ["F16", "F1"], configs, 5, 0)
 
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pooled"])
+    @pytest.mark.parametrize(
+        "algorithms,problem_ids,message",
+        [(["bso", "bso"], ["F16"], "^repeated algorithm bso: each cell runs once$"),
+         (["bso", "pso"], ["F16", "F18", "f16", "F18"], "^repeated problem F16, problem F18: each cell runs once$"),
+         (["bso", "bso"], ["F16", "f16"], "^repeated algorithm bso, problem F16: each cell runs once$")],
+        ids=["algorithm", "problem", "both"],
+    )
+    def test_repeated_cell_fails_before_any_trial(
+        self, monkeypatch, two_cpus, threads, algorithms, problem_ids, message
+    ):
+        # run_matrix(["bso", "bso"], ["F16", "f16"], ...) used to run each repeated cell and return 4 summaries
+        # of one cell, which compare_report rejected only afterwards
+        def no_trial(*job):
+            raise AssertionError(f"a trial ran: {job}")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(beetleswarm.harness, "run_one", no_trial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("BSO_THREADS", threads)
+        cfgs = {"bso": BsoConfig(n=4, max_iters=2), "pso": PsoConfig(n=4, max_iters=2)}
+        with pytest.raises(ValueError, match=message):
+            run_matrix(algorithms, problem_ids, cfgs, 2, 0)
+
     def test_parallel_matches_serial(self, monkeypatch, two_cpus):
         cfgs = {"bso": BsoConfig(n=5, max_iters=8), "pso": PsoConfig(n=5, max_iters=8)}
         monkeypatch.setenv("BSO_THREADS", "1")
