@@ -196,7 +196,7 @@ class Problem:
     def evaluate_many(self, X, rng: RandomStream | None = None) -> Array:
         """Fitness of each row of an (m, dim) array. A native float64 ndarray from ``batch`` skips the real-number
         check and the float cast that any other output takes; every output gets the shape check and NaN map."""
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X, dtype=float, order="C")
         if X.ndim != 2 or X.shape[1] != self.space.dim:
             raise ValueError(
                 f"{self.id}: expected an (m, {self.space.dim}) array, got shape {X.shape}"

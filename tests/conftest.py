@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -33,6 +34,11 @@ class FixedStream:
             raise IndexError("FixedStream exhausted")
         self.cursor += count
         return out.reshape(shape)
+
+
+def counting(base: Problem, rows: list) -> Problem:
+    """Same problem, recording the row count of every objective call."""
+    return dataclasses.replace(base, batch=lambda X, rng=None: rows.append(X.shape[0]) or base.batch(X, rng))
 
 
 def sphere_problem(dim: int, lo: float = -10.0, hi: float = 10.0) -> Problem:

@@ -324,8 +324,9 @@ class TestRunBas:
         # unclamped probes leave the box here; one that scored best used to become best_x
         problem = get_problem(pid)
         for seed in seeds:
-            best_x = run_bas(problem, BasConfig(max_iters=1000), seed=seed).best_x
-            assert np.all(problem.space.lower <= best_x) and np.all(best_x <= problem.space.upper), (seed, best_x)
+            for max_iters in (200, 1000):
+                best_x = run_bas(problem, BasConfig(max_iters=max_iters), seed=seed).best_x
+                assert np.all(problem.space.lower <= best_x) and np.all(best_x <= problem.space.upper), (seed, best_x)
 
     def test_best_x_lies_in_the_box_on_a_linear_objective(self):
         # the minimum of x1 + x2 over [0, 1]^2 is a corner, so the probe past it always scores lower

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import beetleswarm
 from beetleswarm import RandomStream, constrained_problem, evaluate, get_problem, list_problems, problem_ids, spec
 from beetleswarm.benchmarks import BENCHMARK_IDS, quartic_without_noise
 
@@ -275,6 +276,7 @@ class TestSpecs:
         entries = {e["id"]: e for e in list_problems()}
         for fid in BENCHMARK_IDS:
             assert dataclasses.asdict(spec(fid)) == entries[fid]
+        assert not hasattr(beetleswarm, "problem")  # the catalog has one lookup, get_problem
         for pid in ("PV", "F99"):
             with pytest.raises(KeyError, match="unknown benchmark"):
                 spec(pid)
@@ -355,6 +357,20 @@ class TestEvaluate:
             pairs = np.concatenate([p.evaluate_many(X[i : i + 2]) for i in range(0, len(X), 2)])
             assert np.array_equal(batch, singles), pid
             assert np.array_equal(pairs, singles), pid
+
+    @pytest.mark.parametrize("pid", [pid for pid in problem_ids() if not get_problem(pid).stochastic])
+    def test_batch_size_place_and_memory_order_keep_every_bit(self, pid):
+        # 4,500 rows are a cell engine's batch at the protocol scale (T * 3n); a column-major copy used to sum
+        # its strided rows in another order, which gave other bits on 10 of these problems
+        p = get_problem(pid)
+        X = p.space.lower + RandomStream(11).uniform((4500, p.space.dim)) * p.space.widths
+        whole = p.evaluate_many(X).tobytes()
+        for m in (1, 2, 3, 7, 100, 150, 1500):
+            assert np.concatenate([p.evaluate_many(X[i : i + m]) for i in range(0, len(X), m)]).tobytes() == whole, m
+        shifted = np.empty((len(X) + 1, p.space.dim))
+        shifted[1:] = X
+        assert p.evaluate_many(shifted[1:]).tobytes() == whole
+        assert p.evaluate_many(np.asfortranarray(X)).tobytes() == whole
 
 
 # F16-F18 as written with Python-float literals: the kernels hold their coefficients as 0-d arrays, which must
@@ -444,3 +460,17 @@ class TestProperties:
         )
         assert res.fun >= -1e-12
         assert res.fun < 1e-8
+
+    def test_f19_listed_minimum_lies_outside_its_box(self):
+        # the paper's box for F19 is [1, 3]^3; the standard Hartmann-3 domain, which holds -3.86 and its witness,
+        # is [0, 1]^3, so a converged run ends at the corner (1, 1, 1), 3.56 above the listed minimum
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        p, (witness, _) = get_problem("F19"), WITNESSES["F19"]
+        assert np.all(witness < p.space.lower)
+        corner = evaluate("F19", p.space.lower)
+        assert corner == pytest.approx(-0.3004760740554008, rel=1e-12) and corner > p.known_fmin + 3.5
+        starts = p.space.lower + RandomStream(0).uniform((20, 3)) * p.space.widths
+        bounds = list(zip(p.space.lower, p.space.upper))
+        found = [scipy_opt.minimize(p.evaluate, x0, method="L-BFGS-B", bounds=bounds) for x0 in starts]
+        assert min(r.fun for r in found) == pytest.approx(corner, rel=1e-12)
+        assert all(r.fun >= corner for r in found)

@@ -20,7 +20,7 @@ from beetleswarm import (
     run_pso,
 )
 
-from .conftest import FixedStream, constant_problem, sphere_problem
+from .conftest import FixedStream, constant_problem, counting, sphere_problem
 
 
 class TestInertiaWeight:
@@ -145,9 +145,7 @@ class TestBeetleIncrement:
         with pytest.raises(ValueError):
             BsoConfig(c2_ratio=0.0)
         calls = []
-        base = sphere_problem(2)
-        counting = Problem(base.id, base.space, lambda X, rng=None: calls.append(len(X)) or base.batch(X))
-        engine = BsoEngine(counting, BsoConfig(n=4, max_iters=3, lam=0.5, delta0=0.0, seed=1))
+        engine = BsoEngine(counting(sphere_problem(2), calls), BsoConfig(n=4, max_iters=3, lam=0.5, delta0=0.0, seed=1))
         engine.run()
         assert calls == [4] * 4  # initial population plus one move per step
 
@@ -367,10 +365,8 @@ class TestProbeBatches:
 
     @staticmethod
     def counted(rows, pid="F16", **config):
-        base = get_problem(pid)
-        problem = Problem(base.id, base.space, lambda X, rng=None: rows.append(X.shape[0]) or base.batch(X, rng),
-                          base.known_fmin, base.stochastic, base.clamp_probes)
-        return BsoEngine(problem, BsoConfig(**{"n": 4, "max_iters": 3, "lam": 0.5, "seed": 1, **config}))
+        config = {"n": 4, "max_iters": 3, "lam": 0.5, "seed": 1, **config}
+        return BsoEngine(counting(get_problem(pid), rows), BsoConfig(**config))
 
     def test_no_iterations_evaluate_no_probes(self):
         rows = []

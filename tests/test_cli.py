@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,8 @@ class TestConfigFile:
         assert doc["algorithm"] == "pso"
         assert doc["config"]["max_iters"] == 30
         assert doc["config"]["n"] == 6
-        assert doc["seed"] == 11
+        assert doc["seed"] == doc["config"]["seed"] == 11
+        assert "lam" not in doc["config"]  # PSO's own config, with no BSO key
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -434,6 +436,11 @@ class TestConstrained:
         code = run_cli("constrained", "--problem", "pv", "--iters", "5", "--pop", "5", "--trials", "2")
         assert code == 2
         assert "BSO_THREADS must be a positive integer, got '-3'" in capsys.readouterr().err
+        # one trial never pools, and the count is still checked
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("BSO_THREADS", "5")
+        assert run_cli("constrained", "--problem", "pv", "--iters", "5", "--pop", "4", "--trials", "1") == 2
+        assert "BSO_THREADS must not exceed the CPU count (4), got '5'" in capsys.readouterr().err
 
     def test_negative_base_seed_rejected(self, tmp_path, capsys):
         code = run_cli("constrained", "--problem", "hb", "--trials", "1", "--iters", "3", "--pop", "4",
@@ -443,8 +450,9 @@ class TestConstrained:
         assert not (tmp_path / "o").exists()
 
     def test_unknown_problem(self, capsys):
-        assert run_cli("constrained", "--problem", "F1") == 2
-        assert "unknown constrained problem" in capsys.readouterr().err
+        for given, named in (("F1", "F1"), ("xx", "XX")):
+            assert run_cli("constrained", "--problem", given, "--trials", "1", "--iters", "2") == 2
+            assert f"unknown constrained problem '{named}' (choose from pv, hb)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "value,expected",

@@ -7,6 +7,8 @@ objective calls shows up here. F1, F7, F16, F18 and HB use only +, -,
 noise comes from the PCG64 stream), so their values do not depend on the
 SIMD math routines of a numpy build; the digests are still only as
 portable as IEEE double arithmetic on numpy's elementwise loops.
+``test_every_catalog_problem`` pins a shorter sweep over the whole catalog,
+keyed by the numpy build and the dispatch target of its libm loops.
 """
 
 import dataclasses
@@ -15,10 +17,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from beetleswarm import BasConfig, Problem, get_problem
+from numpy.lib.introspect import opt_func_info
+
+from beetleswarm import BasConfig, BsoConfig, PsoConfig, get_problem, problem_ids
 from beetleswarm.harness import ALGORITHMS, run_one
 
-from .conftest import sphere_problem
+from .conftest import counting, sphere_problem
 
 GOLDEN_ITERS = 200
 
@@ -76,11 +80,12 @@ def golden_config(algo: str):
     return cfg_type(max_iters=GOLDEN_ITERS) if algo == "bas" else cfg_type(n=50, max_iters=GOLDEN_ITERS)
 
 
-def record_digest(rec) -> str:
-    """SHA-256 over the float64 bytes of curve, best_x and best_f, in that order."""
+def record_digest(*records) -> str:
+    """SHA-256 over the float64 bytes of curve, best_x and best_f of each record, in that order."""
     h = hashlib.sha256()
-    for part in (rec.curve, rec.best_x, np.float64(rec.best_f)):
-        h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    for rec in records:
+        for part in (rec.curve, rec.best_x, np.float64(rec.best_f)):
+            h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -90,44 +95,96 @@ def test_seeded_result_matches_golden(algo, pid, seed):
     assert record_digest(rec) == GOLDEN[(algo, pid, seed)]
 
 
-def counting(base: Problem, rows: list) -> Problem:
-    """Same problem, recording the row count of every objective call."""
-
-    def batch(X, rng=None):
-        rows.append(X.shape[0])
-        return base.batch(X, rng)
-
-    return Problem(base.id, base.space, batch, base.known_fmin, base.stochastic, base.clamp_probes)
-
-
 @pytest.mark.parametrize("algo", ["bso", "pso", "bas"])
 def test_objective_call_counts(algo):
-    n, K = 6, 5
-    rows = []
     cfg_type = ALGORITHMS[algo][0]
-    cfg = cfg_type(max_iters=K) if algo == "bas" else cfg_type(n=n, max_iters=K)
-    run_one(algo, counting(sphere_problem(3), rows), cfg, 0)
-    expected = {
-        # the initial swarm with iteration 1's right and left probes, then each moved swarm with the next
-        # iteration's probes, the last one alone: n + 3nK rows, as in three calls per iteration
-        "bso": [3 * n] * K + [n],
-        "pso": [n] * (1 + K),
-        # the start point with iteration 1's (right, left) probe pair, then each move with the next pair, the
-        # last move alone: 1 + 3K rows, as in the probe pair and the move of each iteration
-        "bas": [3] * K + [1],
-    }[algo]
-    assert rows == expected
+    # PV clamps its probes; 300 iterations take BAS past its 256-iteration block of directions drawn at once
+    for problem, n, K in ((sphere_problem(3), 6, 5), (get_problem("F16"), 4, 3), (get_problem("PV"), 4, 3),
+                          (get_problem("F16"), 4, 300)):
+        rows = []
+        cfg = cfg_type(max_iters=K) if algo == "bas" else cfg_type(n=n, max_iters=K)
+        run_one(algo, counting(problem, rows), cfg, 0)
+        expected = {
+            # the initial swarm with iteration 1's right and left probes, then each moved swarm with the next
+            # iteration's probes, the last one alone: n + 3nK rows, as in three calls per iteration
+            "bso": [3 * n] * K + [n],
+            "pso": [n] * (1 + K),
+            # the start point with iteration 1's (right, left) probe pair, then each move with the next pair, the
+            # last move alone: 1 + 3K rows, as in the probe pair and the move of each iteration
+            "bas": [3] * K + [1],
+        }[algo]
+        assert rows == expected, (problem.id, K)
 
 
 def test_bas_keeps_two_calls_per_iteration_on_a_stochastic_problem():
     # merged, the next direction would be drawn ahead of the move's noise, so a noisy objective sees the
     # (right, left) pair, then the move, after the start point
-    K, rows = 5, []
-    run_one("bas", counting(dataclasses.replace(sphere_problem(3), stochastic=True), rows), BasConfig(max_iters=K), 0)
-    assert rows == [1] + [2, 1] * K
+    for problem, K in ((dataclasses.replace(sphere_problem(3), stochastic=True), 5), (get_problem("F7"), 3)):
+        rows = []
+        run_one("bas", counting(problem, rows), BasConfig(max_iters=K), 0)
+        assert rows == [1] + [2, 1] * K, problem.id
 
 
 def test_bas_without_iterations_sends_the_start_point_alone():
     rows = []
     rec = run_one("bas", counting(sphere_problem(3), rows), BasConfig(max_iters=0), 0)
     assert rows == [1] and rec.curve.size == 1
+
+
+def dispatch_record() -> str:
+    """The numpy version and the loop that runs float64 exp, log, sin, cos and power, which seeded bits depend on."""
+    info = opt_func_info(func_name="^(exp|log|sin|cos|power)$", signature="float64.*")  # anchored: not expm1, isinf
+    loops = ", ".join(f"{func} {sig} {loop['current']}" for func, sigs in info.items() for sig, loop in sigs.items())
+    return f"numpy {np.__version__}: {loops}"
+
+
+# one digest per problem over bso and pso (n = 20) and bas, 100 iterations, seeds 0 and 1, taken with numpy 2.4.6
+# on an x86 CPU with AVX-512, at its default dispatch and with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+CATALOG_DIGESTS_X86_V4 = {
+    "F1": "c8d3683e01e98156fbce71e2a74d8ad96b2e5d850b214253023075d5a29bafdd",
+    "F2": "4901dfe41a6edb66e01de24250df937cf71d364edcb55e66fd5f1987ee51a085",
+    "F3": "0195c01ead34f41d5e9a95f9f787d576888cbacc72671f522e7e2e7ee2041569",
+    "F4": "c8b9249ae5a4bfc316555c16e925fa1a6303ccc9ebceb3dff71299a7ec51a985",
+    "F5": "f2b0afec0307e00e389215924e866687c5a8a3f50a2b4b60e29771783d6d52b4",
+    "F6": "2a99f19465874154b166f73a824df2b20f326d6594f0151f75896c2353dc98fe",
+    "F7": "673dd46ac2d560e87ca813ffe9883c7fa94c9576034deca144b0773198b9f371",
+    "F8": "f6a1d3448b83f3bc367a7579ec4f0ef2be5c41767400039366ec7d9e7e564554",
+    "F9": "a8f3a21167adac7db1d56bd0f060af230c5c83950c328193d77485a4071fc645",
+    "F10": "c878f180df2c08bb0ee380c5c866808e30f1c4c6b30de546e8d84e9440d52faa",
+    "F11": "f55b79027711daa080b3702484db1722b0347e92e7e3613e6f1006b82053eba5",
+    "F12": "faaee4ed841cb803fa22fb9b02de5487f389bdc43faab2dcde5d8b3a07bb7d59",
+    "F13": "33e14c8da3a1b0edb7d8b17b143d089f9c3fc61055cc87c38aad9b2ed19b6ab5",
+    "F14": "dcb9711edae703dc5588e0aabb7ddefdd379511c9477e4c74d12b90642a2e60f",
+    "F15": "ee1da3f4897ed63720c0a75bdc150d5b1bd9530924805044b0080e72336fcf8e",
+    "F16": "001c5f71c1afbf01c9161daa54571c7b3afaf6d59afe2de826337fb2cc31c880",
+    "F17": "dcf8b51901fb73ca03d7e94db1f5f6f3a144b4db967e7138d6d3004f612cd072",
+    "F18": "ff1ef126a5c10ddcdf63a47b9c4902530106ce7b4e707f5d807a0345e27aeb68",
+    "F19": "6c0b2792c55eaf6ab312e846736a2e37f3ed0c615e152d4318c7f96724d0307a",
+    "F20": "8c494de048bf0967d0a2066768a0473f936440ea8117de25187eecdaecd1ddcf",
+    "F21": "b93fb5a3635c69dd46d8b9d23fafff4c01eb470043a584c248c67436228ff59b",
+    "F22": "b368f0739a3354bd8ab6ed222f4e16b41afa80c56e919757e7148ff70c53e596",
+    "F23": "cd119dc3595811623e6c40c92e4524aae979ef25e3836ecb5bcd82c842beac4c",
+    "PV": "7e5a1ee2a472d8a4d89b85bed89290a58c14b9b8cfa55d11cc25263ad307807f",
+    "HB": "e12084ecb66e630401c0a7e68d9c01e4f07b8266c59bc0400b93f70dae81596b",
+}
+CATALOG_DIGESTS = {
+    "numpy 2.4.6: cos dd X86_V4, exp dd X86_V4, log dd X86_V4, sin dd X86_V4, power ddd X86_V4": CATALOG_DIGESTS_X86_V4,
+    "numpy 2.4.6: cos dd X86_V3, exp dd X86_V3, log dd X86_V3, sin dd X86_V3, power ddd baseline(X86_V2)": {
+        **CATALOG_DIGESTS_X86_V4,
+        "F10": "97f29253dcd60dc5961ae53d59a667d69429a3d4bb30e9810919e3121d8365a8",
+        "F20": "6463f353408e464ad4bfb8881b7200d4af5b6cd22a00e9618ce944f034033536",
+    },
+}
+# these reach numpy's libm loops (PV through x3**3); the others use only +, -, *, / and PCG64 draws
+REACHES_LIBM = {"F8", "F9", "F10", "F11", "F12", "F13", "F17", "F19", "F20", "PV"}
+
+
+@pytest.mark.parametrize("pid", problem_ids())
+def test_every_catalog_problem(pid):
+    record = dispatch_record()
+    if record not in CATALOG_DIGESTS and pid in REACHES_LIBM:
+        pytest.skip(f"no digests recorded for {record}")
+    configs = {"bso": BsoConfig(n=20, max_iters=100), "pso": PsoConfig(n=20, max_iters=100),
+               "bas": BasConfig(max_iters=100)}
+    records = [run_one(algo, get_problem(pid), cfg, seed) for algo, cfg in configs.items() for seed in (0, 1)]
+    assert record_digest(*records) == CATALOG_DIGESTS.get(record, CATALOG_DIGESTS_X86_V4)[pid]

@@ -223,8 +223,9 @@ class TestRunTrials:
             # a bare KeyError: 'pso' from configs[algo], raised while the jobs were built
             (["bso", "pso", "bas"], {"bso": BsoConfig(max_iters=200)}, KeyError,
              "^'configs has no config for pso, bas'$"),
+            (["bso", "pso"], {"bso": BsoConfig(max_iters=200)}, KeyError, "^'configs has no config for pso'$"),
         ],
-        ids=["box", "algorithm", "config-type", "missing-config"],
+        ids=["box", "algorithm", "config-type", "missing-config", "one-missing-config"],
     )
     def test_plan_that_cannot_run_fails_before_any_trial(
         self, monkeypatch, two_cpus, threads, algorithms, configs, error, message
