@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, shown
+from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, real, shown
 
 Array = np.ndarray
 
@@ -101,12 +101,12 @@ class ConstrainedProblem:
         if len(self.grids) != self.space.dim:
             raise ValueError(f"{self.id}: {len(self.grids)} grids for {self.space.dim} dimensions, not one each")
         for name in ("g_lower", "g_upper"):
-            object.__setattr__(self, name, frozen(np.array(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, frozen(np.array(real(getattr(self, name), f"{self.id} {name}"))))
 
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
-        X = np.array(X, dtype=float, order="F")
-        cols, step, k_min, k_max = _layout(self, X.shape)[:4]
+        X = np.array(self.space.rows(X, self.id), order="F")
+        cols, step, k_min, k_max = _layout(self, X.shape[0])[:4]
         if cols is not None:
             k = X[:, cols]
             k /= step
@@ -126,12 +126,13 @@ class ConstrainedProblem:
         return self.constraint_batch(self.space.row(x, self.id))[0]
 
     def violations_many(self, X: Array) -> Array:
-        """(m, n_constraints) array of interval violations, zero when satisfied."""
-        X = np.asarray(X, dtype=float)
-        g_lower, g_upper = _layout(self, X.shape)[4:]
+        """(m, n_constraints) array of interval violations of an (m, dim) batch, which meets the ``real`` rule: zero
+        when satisfied, also where g meets a one-sided bound at -inf or +inf (g = -inf against g_lower = -inf)."""
+        X = self.space.rows(X, self.id)
+        g_lower, g_upper = _layout(self, X.shape[0])[4:]
         g = self.constraint_batch(X)
         below = np.subtract(g_lower, g)
-        np.maximum(below, np.subtract(g, g_upper), out=below)
+        np.fmax(below, np.subtract(g, g_upper), out=below)
         return np.maximum(_ZERO, below, out=below)
 
     def feasible(self, x, tol: float = 1e-6) -> bool:
@@ -158,19 +159,19 @@ class ConstrainedProblem:
 
 
 @lru_cache(maxsize=8)  # a process meets few batch sizes per problem: 3n, n, 3 and 1, plus 50 and 1500 in perfbench
-def _layout(problem: ConstrainedProblem, shape: tuple[int, ...]) -> tuple:
+def _layout(problem: ConstrainedProblem, m: int) -> tuple:
     """The gridded columns (a slice when adjacent, so no gather; None without grids), then the grid steps, k
-    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts. A batch shape
-    other than (m, dim) is an error, raised here and so never cached."""
-    if len(shape) != 2 or shape[1] != problem.space.dim:
-        raise ValueError(f"{problem.id}: expected an (m, {problem.space.dim}) array, got shape {shape}")
+    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts. An infinite bound
+    facing a finite one tiles as NaN, which fmax passes over, so no inf - inf (and its warning) is ever taken."""
+    lo, hi, inf = problem.g_lower, problem.g_upper, np.inf
+    lo, hi = np.where((lo == -inf) & (hi < inf), np.nan, lo), np.where((hi == inf) & (lo > -inf), np.nan, hi)
     cols = [j for j, g in enumerate(problem.grids) if g is not None] or None
     if cols and cols[-1] - cols[0] == len(cols) - 1:
         cols = slice(cols[0], cols[-1] + 1)
     elif cols:
         cols = frozen(np.array(cols, dtype=np.intp))
     table = np.array([(g.step, g.k_min, g.k_max) for g in problem.grids if g is not None], dtype=float).reshape(-1, 3)
-    tiles = (frozen(np.asfortranarray(np.tile(r, (shape[0], 1)))) for r in (*table.T, problem.g_lower, problem.g_upper))
+    tiles = (frozen(np.asfortranarray(np.tile(r, (m, 1)))) for r in (*table.T, lo, hi))
     return (cols, *tiles)
 
 

@@ -35,6 +35,17 @@ _INF, _ZERO = constants(np.inf, 0.0)
 _FLOAT64 = np.dtype(np.float64)  # the native float64 dtype
 
 
+def real(a, name: str, expected: str = "expected real numbers") -> Array:
+    """``a`` by the one rule for every array a caller hands in or an objective returns: a native float64 ndarray as
+    it is, integers and other float widths cast to float64, any other dtype a ValueError naming ``name``."""
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+        a = np.asarray(a)
+        if a.dtype.kind not in "fiu":
+            raise ValueError(f"{name}: {expected}, got dtype {a.dtype}")
+        a = a.astype(_FLOAT64, copy=False)
+    return a
+
+
 def lookup(table: dict, name, kind: str):
     """``table[str(name).upper()]``, the one id rule of every registry: a table keyed by upper-case ids, any case in."""
     if (key := str(name).upper()) not in table:
@@ -122,8 +133,8 @@ class SearchSpace:
     upper: Array
 
     def __post_init__(self):
-        lower = np.array(self.lower, dtype=float, ndmin=1)  # copies, so the caller's arrays stay writable
-        upper = np.array(self.upper, dtype=float, ndmin=1)
+        lower = np.array(real(self.lower, "lower bound"), ndmin=1)  # copies, so the caller's arrays stay writable
+        upper = np.array(real(self.upper, "upper bound"), ndmin=1)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
@@ -145,16 +156,23 @@ class SearchSpace:
         return self.upper - self.lower
 
     def row(self, x, name: str) -> Array:
-        """Point x as a (1, dim) float batch; anything but a vector of length dim is an error naming ``name``."""
-        x = np.asarray(x, dtype=float)
+        """Point x by ``real``, as a (1, dim) batch; anything but a vector of length dim is an error naming ``name``."""
+        x = real(x, name)
         if x.ndim != 1 or x.size != self.dim:
             raise ValueError(f"{name}: expected a vector of length {self.dim}, got shape {x.shape}")
         return x[None, :]
 
+    def rows(self, X, name: str) -> Array:
+        """Batch X by ``real``; anything but an (m, dim) array is an error naming ``name``."""
+        X = real(X, name)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"{name}: expected an (m, {self.dim}) array, got shape {X.shape}")
+        return X
+
     @classmethod
     def box(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
         """Cube with the same bounds in every dimension."""
-        return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
+        return cls(np.full(dim, lower), np.full(dim, upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,28 +212,17 @@ class Problem:
         return float(self.evaluate_many(self.space.row(x, self.id), rng)[0])
 
     def evaluate_many(self, X, rng: RandomStream | None = None) -> Array:
-        """Fitness of each row of an (m, dim) array. A native float64 ndarray from ``batch`` skips the real-number
-        check and the float cast that any other output takes; every output gets the shape check and NaN map."""
-        X = np.asarray(X, dtype=float, order="C")
-        if X.ndim != 2 or X.shape[1] != self.space.dim:
-            raise ValueError(
-                f"{self.id}: expected an (m, {self.space.dim}) array, got shape {X.shape}"
-            )
+        """Fitness of each row of an (m, dim) array, handed to ``batch`` in C order. The batch and the output both meet
+        the ``real`` rule, errors naming the problem; every output gets the shape check and NaN map."""
+        X = np.asarray(self.space.rows(X, self.id), order="C")
         if self.stochastic and rng is None:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
         X = X.view()
         X.setflags(write=False)  # the objective sees a read-only view; the caller's array stays writable
-        F = self.batch(X, rng)
-        if type(F) is not np.ndarray or F.dtype is not _FLOAT64:
-            F = np.asarray(F)
-            if F.dtype.kind not in "fiu":
-                raise ValueError(f"{self.id}: objective must return real numbers, got dtype {F.dtype}")
-            F = F.astype(float, copy=False)
+        F = real(self.batch(X, rng), self.id, "objective must return real numbers")
         if F.shape != (X.shape[0],):
-            raise ValueError(
-                f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
-                f"got shape {F.shape}"
-            )
+            raise ValueError(f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
+                             f"got shape {F.shape}")
         # NaN ranks as +inf, so it never wins a comparison; other values keep their bits.
         return np.fmin(F, _INF)
 
@@ -251,8 +258,8 @@ class RunRecord:
     wall_time_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "curve", frozen(np.asarray(self.curve, dtype=float)))
-        object.__setattr__(self, "best_x", frozen(np.asarray(self.best_x, dtype=float)))
+        object.__setattr__(self, "curve", frozen(real(self.curve, f"{self.problem_id} curve")))
+        object.__setattr__(self, "best_x", frozen(real(self.best_x, f"{self.problem_id} best_x")))
 
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:
@@ -294,12 +301,9 @@ def antennae(x: Array, b: Array, d: float, out: Array | None = None) -> Array:
 
 
 def clamp_to_bounds(x, space: SearchSpace) -> Array:
-    """Project a point (or an (m, dim) batch of points) onto the box.
-
-    Components already inside keep their exact values; outside components
-    land on the nearest bound. Idempotent.
-    """
-    x = np.asarray(x, dtype=float)
+    """Point x, or an (m, dim) batch, by ``real``, projected onto the box: components already inside keep their
+    exact values, outside ones land on the nearest bound. Idempotent."""
+    x = real(x, "clamp_to_bounds")
     if x.shape[-1] != space.dim:
         raise ValueError(f"expected trailing dimension {space.dim}, got shape {x.shape}")
     return x.clip(space.lower, space.upper)

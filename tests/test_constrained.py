@@ -341,6 +341,27 @@ class TestPenalty:
         integer = replace(cp, constraint_batch=lambda X: np.rint(X[:, :2]).astype(int))
         assert np.array_equal(integer.violations_many(X), [[2.0, 1.0], [0.0, 0.0]])
 
+    def test_met_one_sided_bound_at_infinity_reads_zero(self):
+        # g4 = -inf meets g4 <= 0, but -inf - (-inf) used to read NaN, with numpy's invalid-value warning
+        assert PRESSURE_VESSEL.violations_many([[1, 1, 50, -np.inf]]).tolist() == [[0.0, 0.0, np.inf, 0.0]]
+        cp = ConstrainedProblem(
+            id="open",
+            space=SearchSpace.box(2, -1.0, 1.0),
+            raw_batch=lambda X: X.sum(axis=1),
+            constraint_batch=lambda X: X,
+            g_lower=np.array([-np.inf, 0.0]),
+            g_upper=np.array([0.0, np.inf]),
+            grids=(None, None),
+        )
+        inf, nan = np.inf, np.nan
+        X = np.array([[-inf, inf], [inf, -inf], [nan, nan], [2.0, -3.0], [-2.0, 3.0], [-0.0, 0.0]])
+        viol = cp.violations_many(X)
+        expected = [[0.0, 0.0], [inf, inf], [nan, nan], [2.0, 3.0], [0.0, 0.0], [0.0, 0.0]]
+        assert np.array_equal(viol, expected, equal_nan=True)
+        # a constraint bounded on neither side is never violated, and a NaN g still reads NaN
+        free = replace(cp, g_lower=np.array([-inf, -inf]), g_upper=np.array([inf, inf]))
+        assert np.array_equal(free.violations_many(X[2:]), [[nan, nan]] + [[0.0, 0.0]] * 3, equal_nan=True)
+
     def test_penalty_config_validation(self):
         with pytest.raises(ValueError):
             PenaltyConfig(weight=-1.0)

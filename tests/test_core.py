@@ -23,7 +23,7 @@ from beetleswarm import (
     run_bso,
     uniform_in_space,
 )
-from beetleswarm import benchmarks, constrained, core
+from beetleswarm import benchmarks, catalog, constrained, core
 from beetleswarm.bas import BasConfig, run_bas
 from beetleswarm.core import clip_in_place, constants, frozen, uniform_population
 from beetleswarm.harness import ALGORITHMS, run_trial_records
@@ -702,3 +702,70 @@ class TestNonFiniteObjective:
         with pytest.raises(ValueError, match=r"^minus-inf: bso, seed 0, reached -inf") as caught:
             run_trial_records("bso", MINUS_INF, BsoConfig(n=6, max_iters=20), n_trials=2, base_seed=0)
         assert caught.value.__notes__ == ["bso on minus-inf, seed 0"]
+
+
+_LOWER, _UPPER = np.array([-1.0, 2.0, 3.0]), np.array([5.0, 6.0, 7.0])
+_F16, _PV, _HB = get_problem("F16"), constrained.PRESSURE_VESSEL, constrained.HIMMELBLAU
+_F16_BATCH = np.array([[0.0, 1.0], [-1.0, 2.0], [3.0, -7.0]])
+_PV_BATCH = np.array([[1.0, 2.0, 50.0, 100.0], [3.0, 1.0, 10.0, 240.0], [6.0, 6.0, 200.0, 10.0]])
+_HB_BATCH = np.array([[78.0, 33.0, 27.0, 45.0, 37.0], [102.0, 45.0, 45.0, 45.0, 45.0]])
+
+
+def _returning(F):
+    """evaluate_many of a one-column problem named "out" whose objective returns F."""
+    return Problem(id="out", space=SearchSpace.box(1, -1.0, 1.0), batch=lambda X, rng=None: F).evaluate_many(
+        np.zeros((len(F), 1)))
+
+
+# every place that takes an array from a caller: (call on the array, the array as C-order float64, the name
+# its ValueError starts with)
+REAL_ENTRIES = {
+    "SearchSpace-lower": (lambda a: SearchSpace(a, _UPPER).lower, _LOWER, "lower bound"),
+    "SearchSpace-upper": (lambda a: SearchSpace(_LOWER, a).upper, _UPPER, "upper bound"),
+    "SearchSpace.box": (lambda a: SearchSpace.box(3, a, 9.0).lower, np.array(-1.0), "lower bound"),
+    "SearchSpace.row": (lambda a: _F16.space.row(a, "F16"), _F16_BATCH[1], "F16"),
+    "Problem.evaluate": (_F16.evaluate, _F16_BATCH[1], "F16"),
+    "catalog.evaluate": (partial(catalog.evaluate, "F16"), _F16_BATCH[1], "F16"),
+    "snap": (_PV.snap, _PV_BATCH[1], "PV"),
+    "raw": (_PV.raw, _PV_BATCH[1], "PV"),
+    "constraints": (_PV.constraints, _PV_BATCH[1], "PV"),
+    "feasible": (_PV.feasible, _PV_BATCH[0], "PV"),
+    "report": (_PV.report, _PV_BATCH[1], "PV"),
+    "penalized_fitness": (lambda a: constrained.penalized_fitness(_PV, a, PenaltyConfig()), _PV_BATCH[1], "PV"),
+    "evaluate_many": (_F16.evaluate_many, _F16_BATCH, "F16"),
+    "evaluate_many-output": (_returning, np.array([1.0, 2.0, -7.0]), "out"),
+    "snap_many": (_PV.snap_many, _PV_BATCH, "PV"),
+    "violations_many": (_PV.violations_many, _PV_BATCH, "PV"),
+    "clamp_to_bounds": (lambda a: clamp_to_bounds(a, _F16.space), _F16_BATCH, "clamp_to_bounds"),
+    "g_lower": (lambda a: replace(_HB, g_lower=a).violations_many(_HB_BATCH), _HB.g_lower, "HB g_lower"),
+    "g_upper": (lambda a: replace(_HB, g_upper=a).violations_many(_HB_BATCH), _HB.g_upper, "HB g_upper"),
+}
+REAL_FORMS = {  # the first four are rejected, the last three keep the float64 bits
+    "complex128": lambda a: a + 0j,
+    "bool": lambda a: a > 0,
+    "str": lambda a: a.astype(str),
+    "Fraction": lambda a: np.array([Fraction(v) for v in a.flat], dtype=object).reshape(a.shape),
+    "int64": lambda a: a.astype(np.int64),
+    "float32": lambda a: a.astype(np.float32),
+    "F-order": lambda a: np.asarray(a, order="F"),
+}
+
+
+def _bits(value):
+    return (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else repr(value)
+
+
+@pytest.mark.parametrize("form", list(REAL_FORMS))
+@pytest.mark.parametrize("entry", list(REAL_ENTRIES))
+def test_every_caller_array_meets_the_real_number_rule(entry, form):
+    # only the objective's output was checked: a complex point was evaluated at its real part with a ComplexWarning,
+    # strings were parsed, booleans read as 1 and 0, and Fractions cast one by one
+    call, a, name = REAL_ENTRIES[entry]
+    assert a.dtype == np.float64 and a.flags.c_contiguous and np.array_equal(a, a.astype(np.int64))
+    converted = REAL_FORMS[form](a)
+    if form in ("int64", "float32", "F-order"):
+        assert _bits(call(converted)) == _bits(call(a))
+    else:
+        message = rf"^{re.escape(name)}: (expected|objective must return) real numbers, got dtype {converted.dtype}$"
+        with pytest.raises(ValueError, match=message):
+            call(converted)
