@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, real, shown
+from .core import returned
 
 Array = np.ndarray
 
@@ -75,14 +76,13 @@ class DiscreteGrid:
 class ConstrainedProblem:
     """Raw objective, interval constraints and per-dimension variable kinds.
 
-    ``g_lower``/``g_upper`` give the feasible interval per constraint;
-    one-sided "g <= 0" constraints use lower = -inf, upper = 0. The problem
-    keeps read-only float copies of both (a variant comes from
-    ``dataclasses.replace``). ``grids`` has one entry per dimension: a
-    DiscreteGrid for snapped variables, None for continuous ones. Through
-    ``as_problem``, ``raw_batch`` and ``constraint_batch`` receive the
-    snapped copy in column-major order, so they must not assume a
-    C-contiguous input.
+    ``g_lower``/``g_upper`` give the feasible interval per constraint, 1-D and of one length (a scalar is one
+    constraint); one-sided "g <= 0" constraints use lower = -inf, upper = 0. The problem keeps read-only float copies
+    of both (a variant comes from ``dataclasses.replace``). ``grids`` has one entry per dimension: a DiscreteGrid for
+    snapped variables, None for continuous ones. ``raw_batch`` maps an (m, dim) batch to (m,) values and
+    ``constraint_batch`` to (m, k), k = ``g_lower.size``; both results meet ``core.returned``, so a complex or
+    misshapen one is a ValueError naming the problem and the callable, and NaN stays NaN. Through ``as_problem``
+    they receive the snapped copy in column-major order, so they must not assume a C-contiguous input.
 
     A problem is plain data that equals only itself (``eq=False``), so it
     hashes by identity: the arrays derived from it for a batch shape are
@@ -100,8 +100,12 @@ class ConstrainedProblem:
     def __post_init__(self):
         if len(self.grids) != self.space.dim:
             raise ValueError(f"{self.id}: {len(self.grids)} grids for {self.space.dim} dimensions, not one each")
+        if bad := [grid for grid in self.grids if grid is not None and not isinstance(grid, DiscreteGrid)]:
+            raise ValueError(f"{self.id}: each grid must be a DiscreteGrid or None, got {shown(bad[0])}")
         for name in ("g_lower", "g_upper"):
-            object.__setattr__(self, name, frozen(np.array(real(getattr(self, name), f"{self.id} {name}"))))
+            object.__setattr__(self, name, frozen(np.array(real(getattr(self, name), f"{self.id} {name}"), ndmin=1)))
+        if self.g_lower.ndim != 1 or self.g_lower.shape != self.g_upper.shape:
+            raise ValueError(f"{self.id}: g_lower and g_upper must be 1-D arrays of equal length")
 
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
@@ -119,18 +123,24 @@ class ConstrainedProblem:
     def snap(self, x) -> Array:
         return self.snap_many(self.space.row(x, self.id))[0]
 
+    def _raw(self, X: Array) -> Array:
+        return returned(self.raw_batch(X), (X.shape[0],), self.id, "raw_batch")
+
+    def _g(self, X: Array) -> Array:
+        return returned(self.constraint_batch(X), (X.shape[0], self.g_lower.size), self.id, "constraint_batch")
+
     def raw(self, x) -> float:
-        return float(self.raw_batch(self.space.row(x, self.id))[0])
+        return float(self._raw(self.space.row(x, self.id))[0])
 
     def constraints(self, x) -> Array:
-        return self.constraint_batch(self.space.row(x, self.id))[0]
+        return self._g(self.space.row(x, self.id))[0]
 
     def violations_many(self, X: Array) -> Array:
         """(m, n_constraints) array of interval violations of an (m, dim) batch, which meets the ``real`` rule: zero
         when satisfied, also where g meets a one-sided bound at -inf or +inf (g = -inf against g_lower = -inf)."""
         X = self.space.rows(X, self.id)
         g_lower, g_upper = _layout(self, X.shape[0])[4:]
-        g = self.constraint_batch(X)
+        g = self._g(X)
         below = np.subtract(g_lower, g)
         np.fmax(below, np.subtract(g, g_upper), out=below)
         return np.maximum(_ZERO, below, out=below)
@@ -181,7 +191,7 @@ def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Arr
     viol *= viol
     penalty = np.add.reduce(viol, axis=1)
     penalty *= weight
-    return np.add(problem.raw_batch(X), penalty, out=penalty)
+    return np.add(problem._raw(X), penalty, out=penalty)
 
 
 def penalized_fitness(problem: ConstrainedProblem, x, config: PenaltyConfig) -> float:

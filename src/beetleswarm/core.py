@@ -46,6 +46,14 @@ def real(a, name: str, expected: str = "expected real numbers") -> Array:
     return a
 
 
+def returned(F, shape: tuple, name: str, what: str = "objective") -> Array:
+    """``F``, what user code ``what`` returned, by the ``real`` rule and at shape ``shape``; errors name ``name``."""
+    F = real(F, name, f"{what} must return real numbers")
+    if F.shape != shape:
+        raise ValueError(f"{name}: {what} must return shape {shape} for {shape[0]} points, got shape {F.shape}")
+    return F
+
+
 def lookup(table: dict, name, kind: str):
     """``table[str(name).upper()]``, the one id rule of every registry: a table keyed by upper-case ids, any case in."""
     if (key := str(name).upper()) not in table:
@@ -213,16 +221,13 @@ class Problem:
 
     def evaluate_many(self, X, rng: RandomStream | None = None) -> Array:
         """Fitness of each row of an (m, dim) array, handed to ``batch`` in C order. The batch and the output both meet
-        the ``real`` rule, errors naming the problem; every output gets the shape check and NaN map."""
+        the ``real`` rule, errors naming the problem; the output meets ``returned`` at shape (m,), then the NaN map."""
         X = np.asarray(self.space.rows(X, self.id), order="C")
         if self.stochastic and rng is None:
             raise ValueError(f"{self.id} is stochastic and needs a RandomStream to evaluate")
         X = X.view()
         X.setflags(write=False)  # the objective sees a read-only view; the caller's array stays writable
-        F = real(self.batch(X, rng), self.id, "objective must return real numbers")
-        if F.shape != (X.shape[0],):
-            raise ValueError(f"{self.id}: objective must return shape ({X.shape[0]},) for {X.shape[0]} points, "
-                             f"got shape {F.shape}")
+        F = returned(self.batch(X, rng), (X.shape[0],), self.id)
         # NaN ranks as +inf, so it never wins a comparison; other values keep their bits.
         return np.fmin(F, _INF)
 
@@ -304,7 +309,7 @@ def clamp_to_bounds(x, space: SearchSpace) -> Array:
     """Point x, or an (m, dim) batch, by ``real``, projected onto the box: components already inside keep their
     exact values, outside ones land on the nearest bound. Idempotent."""
     x = real(x, "clamp_to_bounds")
-    if x.shape[-1] != space.dim:
+    if x.ndim == 0 or x.shape[-1] != space.dim:
         raise ValueError(f"expected trailing dimension {space.dim}, got shape {x.shape}")
     return x.clip(space.lower, space.upper)
 

@@ -11,6 +11,7 @@ directly computed value is pinned instead.
 """
 
 import hashlib
+import math
 import re
 from dataclasses import fields, replace
 
@@ -26,7 +27,16 @@ from beetleswarm import (
     list_problems,
     penalized_fitness,
 )
-from beetleswarm.constrained import HIMMELBLAU, PRESSURE_VESSEL, DiscreteGrid, as_problem
+from beetleswarm.constrained import (
+    HIMMELBLAU,
+    PRESSURE_VESSEL,
+    DiscreteGrid,
+    _hb_constraints,
+    _hb_objective,
+    _pv_constraints,
+    _pv_cost,
+    as_problem,
+)
 
 from beetleswarm import RandomStream
 
@@ -129,6 +139,39 @@ def test_himmelblau_kernels_digest():
     assert h.hexdigest() == "3551cdb2bba6deae90f884fcf7d2d1e8812c5fe5507caca15752bd9965f0a214"
 
 
+# PV and HB as written with Python-float literals (HB with the 37.29329 of the statement implemented here), each
+# sum taken left to right as the kernels take it. The kernels hold their coefficients as 0-d arrays and HB's
+# constraints fuse their nine products into one pass, which must change no bit. Should a case ever differ, this
+# formula is rewritten in the kernel's order, and the kernel keeps its bits.
+def _textbook(pid, X):
+    x1, x2, x3, x4 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+    if pid == "PV":
+        f = 0.6224 * x1 * x3 * x4 + 1.7781 * x2 * x3**2 + 3.1661 * x1**2 * x4 + 19.84 * x1**2 * x3
+        g3 = -math.pi * x3**2 * x4 - (4.0 / 3.0) * math.pi * x3**3 + 1296000.0
+        return f, np.stack([-x1 + 0.0193 * x3, -x2 + 0.00954 * x3, g3, x4 - 240.0], axis=1)
+    x5 = X[:, 4]
+    f = 5.3578547 * x3**2 + 0.8356891 * x1 * x5 + 37.29329 * x1 - 40792.141
+    g1 = 85.334407 + 0.0056858 * x2 * x5 + 0.00026 * x1 * x4 - 0.0022053 * x3 * x5
+    g2 = 80.51249 + 0.0071317 * x2 * x5 + 0.0029955 * x1 * x2 + 0.0021813 * x3**2
+    g3 = 9.300961 + 0.0047026 * x3 * x5 + 0.0012547 * x1 * x3 + 0.0019085 * x3 * x4
+    return f, np.stack([g1, g2, g3], axis=1)
+
+
+@pytest.mark.parametrize("pid", ["PV", "HB"])
+@pytest.mark.parametrize("m", [1, 2, 50, 1500])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kernels_match_textbook_bit_for_bit(pid, m, order):
+    kernels = {"PV": (_pv_cost, _pv_constraints), "HB": (_hb_objective, _hb_constraints)}[pid]
+    dim = {"PV": 4, "HB": 5}[pid]
+    rng = np.random.default_rng(m)
+    X = rng.choice([-1.0, 1.0], size=(m, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, dim))
+    X[rng.uniform(size=(m, dim)) < 0.1] = 0.0
+    X[rng.uniform(size=(m, dim)) < 0.1] = -0.0
+    X[0] = [-0.0, 0.0] * (dim // 2) + [0.0] * (dim % 2)
+    for got, expected in zip((kernel(np.asarray(X, order=order)) for kernel in kernels), _textbook(pid, X)):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestSnapDiscrete:
     def test_rounds_to_nearest_multiple(self):
         out = PRESSURE_VESSEL.snap([0.80, 0.30, 42.0, 176.0])
@@ -207,6 +250,13 @@ class TestSnapDiscrete:
         with pytest.raises(ValueError, match="3 grids for 4 dimensions"):
             replace(PRESSURE_VESSEL, grids=PRESSURE_VESSEL.grids[:3])
 
+    @pytest.mark.parametrize("grid", [0.5, (0.0625, 1, 99), "0.0625"], ids=["float", "tuple", "str"])
+    def test_grids_must_be_grids_or_none(self, grid):
+        # grids=(0.5,) * 5 used to build and fail at the first snap with an AttributeError
+        message = rf"^HB: each grid must be a DiscreteGrid or None, got {re.escape(repr(grid))}$"
+        with pytest.raises(ValueError, match=message):
+            replace(HIMMELBLAU, grids=(None, grid, None, None, None))
+
 
 class TestPlainData:
     def test_evaluation_leaves_only_the_dataclass_fields(self):
@@ -248,6 +298,24 @@ class TestReadOnlyBounds:
         assert cp.g_upper.dtype == np.float64 and not cp.g_upper.flags.writeable
         g_upper[2] = 10**6
         assert np.array_equal(cp.g_upper, np.zeros(4)) and PRESSURE_VESSEL.g_upper is not cp.g_upper
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"g_lower": np.zeros(2)}, {"g_upper": np.ones(4)}, {"g_lower": np.zeros((3, 1)), "g_upper": np.ones((3, 1))}],
+        ids=["short-lower", "long-upper", "2-D"],
+    )
+    def test_bounds_must_be_one_vector_each(self, bounds):
+        # a two-entry g_lower used to build, and the first violations_many failed on numpy's broadcast error
+        with pytest.raises(ValueError, match=r"^HB: g_lower and g_upper must be 1-D arrays of equal length$"):
+            replace(HIMMELBLAU, **bounds)
+
+    def test_scalar_bounds_are_one_constraint(self):
+        cp = replace(HIMMELBLAU, constraint_batch=lambda X: X[:, :1], g_lower=80, g_upper=90.0)
+        assert cp.g_lower.shape == cp.g_upper.shape == (1,)
+        X = np.tile(HIMMELBLAU.space.lower, (3, 1))
+        X[:, 0] = [78.0, 85.0, 95.0]
+        assert cp.violations_many(X).tolist() == [[2.0], [0.0], [5.0]]
+        assert [cp.feasible(x) for x in X] == [False, True, False]
 
     def test_relaxed_variant_agrees_across_batch_sizes(self):
         # a variant with the volume constraint relaxed: rows keep their violations in a 49- and a 50-row batch,
@@ -443,3 +511,45 @@ class TestShapes:
         with pytest.raises(ValueError, match=message):
             getattr(cp, method)(X)
         assert getattr(cp, method)(np.ones((1, dim))).shape[0] == 1  # a good batch still passes after a bad one
+
+
+class TestUserResults:
+    """What raw_batch and constraint_batch return meets the rule an objective's result meets, errors naming the
+    problem and the callable."""
+
+    @pytest.mark.parametrize("entry", ["violations_many", "constraints", "feasible", "report", "evaluate"])
+    def test_complex_constraints_rejected(self, entry):
+        # violations_many gave complex violations, constraints a complex vector and feasible a verdict by complex
+        # comparison; report stopped only on numpy's ComplexWarning
+        cp = replace(HIMMELBLAU, constraint_batch=lambda X: HIMMELBLAU.constraint_batch(X) + 0j)
+        x = HIMMELBLAU.space.lower
+        message = r"^HB: constraint_batch must return real numbers, got dtype complex128$"
+        with pytest.raises(ValueError, match=message):
+            cp.violations_many(x[None, :]) if entry == "violations_many" else _SINGLE_POINT[entry](cp, x)
+
+    @pytest.mark.parametrize("m", [2, 4, 50])
+    def test_one_raw_value_for_many_rows_rejected(self, m):
+        # every row of the batch used to get the first row's objective
+        cp = replace(PRESSURE_VESSEL, raw_batch=lambda X: PRESSURE_VESSEL.raw_batch(X)[:1])
+        X = PRESSURE_VESSEL.space.lower + RandomStream(m).uniform((m, 4)) * PRESSURE_VESSEL.space.widths
+        message = rf"^PV: raw_batch must return shape \({m},\) for {m} points, got shape \(1,\)$"
+        with pytest.raises(ValueError, match=message):
+            as_problem(cp).evaluate_many(X)
+
+    @pytest.mark.parametrize("entry", ["violations_many", "evaluate_many"])
+    def test_one_constraint_column_for_three_rejected(self, entry):
+        # the one column used to be broadcast over all three constraints
+        cp = replace(HIMMELBLAU, constraint_batch=lambda X: HIMMELBLAU.constraint_batch(X)[:, :1])
+        X = np.tile(HIMMELBLAU.space.lower, (4, 1))
+        call = cp.violations_many if entry == "violations_many" else as_problem(cp).evaluate_many
+        message = r"^HB: constraint_batch must return shape \(4, 3\) for 4 points, got shape \(4, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            call(X)
+
+    def test_nan_results_keep_their_treatment(self):
+        # a guard: a NaN raw value reads +inf through the wrapper and NaN from raw, and a NaN g stays NaN
+        X = np.tile(HIMMELBLAU.space.lower, (3, 1))
+        nan_raw = replace(HIMMELBLAU, raw_batch=lambda X: np.full(len(X), np.nan))
+        assert as_problem(nan_raw).evaluate_many(X).tolist() == [np.inf] * 3 and math.isnan(nan_raw.raw(X[0]))
+        nan_g = replace(HIMMELBLAU, constraint_batch=lambda X: np.full((len(X), 3), np.nan))
+        assert np.isnan(nan_g.violations_many(X)).all() and not nan_g.feasible(X[0])

@@ -107,6 +107,11 @@ class TestClampToBounds:
         with pytest.raises(ValueError):
             clamp_to_bounds([0.0, 0.0], space)
 
+    def test_scalar_rejected_like_a_wrong_length(self):
+        # a 0-d input used to raise IndexError from x.shape[-1]
+        with pytest.raises(ValueError, match=r"^expected trailing dimension 1, got shape \(\)$"):
+            clamp_to_bounds(5.0, SearchSpace.box(1, 0.0, 1.0))
+
     def test_batch_rows(self):
         space = SearchSpace.box(2, -1.0, 1.0)
         out = clamp_to_bounds(np.array([[2.0, 0.5], [-3.0, 0.0]]), space)
@@ -717,8 +722,18 @@ def _returning(F):
         np.zeros((len(F), 1)))
 
 
-# every place that takes an array from a caller: (call on the array, the array as C-order float64, the name
-# its ValueError starts with)
+def _raw_returning(F):
+    """The penalized fitness of _PV_BATCH, through as_problem, where PV's raw_batch returns F."""
+    return constrained.as_problem(replace(_PV, raw_batch=lambda X: F)).evaluate_many(_PV_BATCH)
+
+
+def _g_returning(G):
+    """violations_many of _HB_BATCH where HB's constraint_batch returns G."""
+    return replace(_HB, constraint_batch=lambda X: G).violations_many(_HB_BATCH)
+
+
+# every place that takes an array from a caller or from user code: (call on the array, the array as C-order
+# float64, the name its ValueError starts with[, the words before "real numbers" where they are its own])
 REAL_ENTRIES = {
     "SearchSpace-lower": (lambda a: SearchSpace(a, _UPPER).lower, _LOWER, "lower bound"),
     "SearchSpace-upper": (lambda a: SearchSpace(_LOWER, a).upper, _UPPER, "upper bound"),
@@ -739,6 +754,9 @@ REAL_ENTRIES = {
     "clamp_to_bounds": (lambda a: clamp_to_bounds(a, _F16.space), _F16_BATCH, "clamp_to_bounds"),
     "g_lower": (lambda a: replace(_HB, g_lower=a).violations_many(_HB_BATCH), _HB.g_lower, "HB g_lower"),
     "g_upper": (lambda a: replace(_HB, g_upper=a).violations_many(_HB_BATCH), _HB.g_upper, "HB g_upper"),
+    "raw_batch-output": (_raw_returning, np.array([1.0, 2.0, -7.0]), "PV", "raw_batch must return"),
+    "constraint_batch-output": (_g_returning, np.array([[85.0, 120.0, 22.0], [-3.0, 95.0, 30.0]]), "HB",
+                                "constraint_batch must return"),
 }
 REAL_FORMS = {  # the first four are rejected, the last three keep the float64 bits
     "complex128": lambda a: a + 0j,
@@ -760,12 +778,14 @@ def _bits(value):
 def test_every_caller_array_meets_the_real_number_rule(entry, form):
     # only the objective's output was checked: a complex point was evaluated at its real part with a ComplexWarning,
     # strings were parsed, booleans read as 1 and 0, and Fractions cast one by one
-    call, a, name = REAL_ENTRIES[entry]
+    # nor was a raw_batch or constraint_batch result: a complex g gave complex violations
+    call, a, name, *said = REAL_ENTRIES[entry]
     assert a.dtype == np.float64 and a.flags.c_contiguous and np.array_equal(a, a.astype(np.int64))
     converted = REAL_FORMS[form](a)
     if form in ("int64", "float32", "F-order"):
         assert _bits(call(converted)) == _bits(call(a))
     else:
-        message = rf"^{re.escape(name)}: (expected|objective must return) real numbers, got dtype {converted.dtype}$"
+        said = re.escape(said[0]) if said else "(expected|objective must return)"
+        message = rf"^{re.escape(name)}: {said} real numbers, got dtype {converted.dtype}$"
         with pytest.raises(ValueError, match=message):
             call(converted)
