@@ -256,18 +256,9 @@ def cmd_constrained(args) -> int:
     records = run_trial_records(algo, problem, config, n_trials, base_seed)
     summary = summarize(records)
 
-    evaluations = []
-    for r in records:
-        rep = cp.report(r.best_x)
-        rep["penalized"] = r.best_f
-        rep["seed"] = r.seed
-        evaluations.append(rep)
+    evaluations = [{**cp.report(r.best_x), "penalized": r.best_f, "seed": r.seed} for r in records]
     feasible = [e for e in evaluations if e["feasible"]]
-    best = (
-        min(feasible, key=lambda e: e["raw_objective"])
-        if feasible
-        else min(evaluations, key=lambda e: e["penalized"])
-    )
+    best = min(feasible or evaluations, key=lambda e: e["raw_objective" if feasible else "penalized"])
 
     doc = {
         "schema": CONSTRAINED_SCHEMA,

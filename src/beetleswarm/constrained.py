@@ -77,11 +77,12 @@ class ConstrainedProblem:
     """Raw objective, interval constraints and per-dimension variable kinds.
 
     ``g_lower``/``g_upper`` give the feasible interval per constraint, 1-D and of one length (a scalar is one
-    constraint); one-sided "g <= 0" constraints use lower = -inf, upper = 0. The problem keeps read-only float copies
-    of both (a variant comes from ``dataclasses.replace``). ``grids`` has one entry per dimension: a DiscreteGrid for
-    snapped variables, None for continuous ones. ``raw_batch`` maps an (m, dim) batch to (m,) values and
-    ``constraint_batch`` to (m, k), k = ``g_lower.size``; both results meet ``core.returned``, so a complex or
-    misshapen one is a ValueError naming the problem and the callable, and NaN stays NaN. Through ``as_problem``
+    constraint), each holding a real g (no NaN, lower <= upper, lower < inf, upper > -inf); one-sided "g <= 0"
+    constraints use lower = -inf, upper = 0. The problem keeps read-only float copies of both (a variant comes from
+    ``dataclasses.replace``). ``grids`` has one entry per dimension: a DiscreteGrid with a point in the box, which
+    snapping keeps, for snapped variables, None for continuous ones. ``raw_batch`` maps an (m, dim) batch to (m,)
+    values and ``constraint_batch`` to (m, k), k = ``g_lower.size``; both results meet ``core.returned``, so a complex
+    or misshapen one is a ValueError naming the problem and the callable, and NaN stays NaN. Through ``as_problem``
     they receive the snapped copy in column-major order, so they must not assume a C-contiguous input.
 
     A problem is plain data that equals only itself (``eq=False``), so it
@@ -106,9 +107,13 @@ class ConstrainedProblem:
             object.__setattr__(self, name, frozen(np.array(real(getattr(self, name), f"{self.id} {name}"), ndmin=1)))
         if self.g_lower.ndim != 1 or self.g_lower.shape != self.g_upper.shape:
             raise ValueError(f"{self.id}: g_lower and g_upper must be 1-D arrays of equal length")
+        for i, (lo, hi) in enumerate(zip(self.g_lower.tolist(), self.g_upper.tolist())):
+            if not (lo <= hi and lo < math.inf and hi > -math.inf):
+                raise ValueError(f"{self.id}: constraint {i} has no real g in its interval [{lo}, {hi}]")
+        _grid_table(self)
 
     def snap_many(self, X: Array) -> Array:
-        """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_min, k_max) * step."""
+        """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_lo, k_hi) * step."""
         X = np.array(self.space.rows(X, self.id), order="F")
         cols, step, k_min, k_max = _layout(self, X.shape[0])[:4]
         if cols is not None:
@@ -135,37 +140,34 @@ class ConstrainedProblem:
     def constraints(self, x) -> Array:
         return self._g(self.space.row(x, self.id))[0]
 
-    def violations_many(self, X: Array) -> Array:
-        """(m, n_constraints) array of interval violations of an (m, dim) batch, which meets the ``real`` rule: zero
-        when satisfied, also where g meets a one-sided bound at -inf or +inf (g = -inf against g_lower = -inf)."""
-        X = self.space.rows(X, self.id)
-        g_lower, g_upper = _layout(self, X.shape[0])[4:]
-        g = self._g(X)
+    def _outside(self, g: Array) -> Array:
+        """Fresh (m, k) violations max(0, g_lower - g, g - g_upper) of an (m, k) g, the one reading of the
+        intervals: zero when satisfied, also where g meets a one-sided bound at -inf or +inf, and NaN where g is."""
+        g_lower, g_upper = _layout(self, g.shape[0])[4:]
         below = np.subtract(g_lower, g)
         np.fmax(below, np.subtract(g, g_upper), out=below)
         return np.maximum(_ZERO, below, out=below)
 
-    def feasible(self, x, tol: float = 1e-6) -> bool:
-        """Whether every constraint holds, within ``tol`` absolute slack.
+    def _holds(self, g: Array, tol: float) -> bool:
+        if not tol >= 0:
+            raise ValueError(f"{self.id}: tol must be a nonnegative number, got {shown(tol)}")
+        return bool(np.all(self._outside(g) <= tol))
 
-        Both problems' optima sit exactly on constraint boundaries, so a
-        converged solution lands within floating-point noise of g = bound;
-        the default slack accepts those boundary points (set tol=0 for the
-        exact check).
-        """
-        g = self.constraints(x)
-        return bool(np.all(g >= self.g_lower - tol) and np.all(g <= self.g_upper + tol))
+    def violations_many(self, X: Array) -> Array:
+        """(m, n_constraints) array of interval violations of an (m, dim) batch, which meets the ``real`` rule."""
+        return self._outside(self._g(self.space.rows(X, self.id)))
+
+    def feasible(self, x, tol: float = 1e-6) -> bool:
+        """Whether every violation of x, unsnapped, is at most ``tol`` (nonnegative, else a ValueError). Both problems'
+        optima sit on constraint boundaries, and the default slack accepts a converged point's float noise there."""
+        return self._holds(self._g(self.space.row(x, self.id)), tol)
 
     def report(self, x, tol: float = 1e-6) -> dict:
-        """Snapped point, raw objective, constraint values and feasibility."""
-        xs = self.snap(x)
-        g = self.constraints(xs)
-        return {
-            "x": [float(v) for v in xs],
-            "raw_objective": self.raw(xs),
-            "g": [float(v) for v in g],
-            "feasible": self.feasible(xs, tol),
-        }
+        """Snapped point, raw objective, g and ``feasible`` verdict, from one snap and one call of each callable."""
+        xs = self.snap_many(self.space.row(x, self.id))
+        g = self._g(xs)
+        return {"x": xs[0].tolist(), "raw_objective": float(self._raw(xs)[0]), "g": g[0].tolist(),
+                "feasible": self._holds(g, tol)}
 
 
 @lru_cache(maxsize=8)  # a process meets few batch sizes per problem: 3n, n, 3 and 1, plus 50 and 1500 in perfbench
@@ -180,14 +182,31 @@ def _layout(problem: ConstrainedProblem, m: int) -> tuple:
         cols = slice(cols[0], cols[-1] + 1)
     elif cols:
         cols = frozen(np.array(cols, dtype=np.intp))
-    table = np.array([(g.step, g.k_min, g.k_max) for g in problem.grids if g is not None], dtype=float).reshape(-1, 3)
+    table = np.array(_grid_table(problem), dtype=float).reshape(-1, 3)
     tiles = (frozen(np.asfortranarray(np.tile(r, (m, 1)))) for r in (*table.T, lo, hi))
     return (cols, *tiles)
 
 
+def _grid_table(problem: ConstrainedProblem) -> list:
+    """(step, k_lo, k_hi) per gridded column: [k_min, k_max] narrowed to the k whose float k * step lies in the box."""
+    table = []
+    for j, (grid, lo, hi) in enumerate(zip(problem.grids, problem.space.lower.tolist(), problem.space.upper.tolist())):
+        if grid is not None:
+            step = float(grid.step)
+            # the rounded quotient may cross an integer either way: start one k outside it and step in while out
+            k_lo, k_hi = math.ceil(lo / step) - 1, math.floor(hi / step) + 1
+            k_lo += sum(k * step < lo for k in (k_lo, k_lo + 1))
+            k_hi -= sum(k * step > hi for k in (k_hi, k_hi - 1))
+            k_lo, k_hi = max(grid.k_min, k_lo), min(grid.k_max, k_hi)
+            if k_lo > k_hi:
+                raise ValueError(f"{problem.id}: dimension {j} has no point of its grid in its box [{lo}, {hi}]")
+            table.append((step, k_lo, k_hi))
+    return table
+
+
 def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Array:
-    """Raw objective plus the exterior penalty, at a 0-d array ``weight``, for each row of X, unsnapped."""
-    viol = problem.violations_many(X)
+    """Raw objective plus the exterior penalty, at a 0-d array ``weight``, for each row of X, checked and unsnapped."""
+    viol = problem._outside(problem._g(X))
     viol *= viol
     penalty = np.add.reduce(viol, axis=1)
     penalty *= weight

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from . import catalog
 from .bas import BasConfig, run_bas
 from .bso import BsoConfig, PsoConfig, run_bso, run_pso
-from .core import Problem, RunRecord, check_int, checked_config
+from .core import Problem, RunRecord, check_int, checked_config, shown
 
 # name -> (config type, runner(problem, config, seed=...))
 ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}
@@ -44,8 +45,9 @@ class TrialSummary:
     ``std`` is the sample standard deviation (divisor n-1); a single trial
     reports 0 by convention. ``source`` is "computed" for cells produced
     by this harness; externally supplied literature rows use
-    "literature" and may omit seeds. Any other source, or fewer than one
-    trial, is an error.
+    "literature" and may omit seeds. Any other source, fewer than one
+    trial, or a statistic that is not a real number (NaN is one) is an
+    error.
     """
 
     problem_id: str
@@ -64,6 +66,9 @@ class TrialSummary:
             raise ValueError("n_trials must be at least 1")
         if self.source not in ("computed", "literature"):
             raise ValueError(f"source must be 'computed' or 'literature', got {self.source!r}")
+        for name in ("ave", "std", "ave_time_s", "best"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {shown(value)}")
         if self.std < 0:
             raise ValueError("std must be nonnegative")
         if self.best > self.ave and not math.isclose(self.best, self.ave, rel_tol=1e-12, abs_tol=1e-12):

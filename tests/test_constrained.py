@@ -14,9 +14,12 @@ import hashlib
 import math
 import re
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beetleswarm import (
     ConstrainedProblem,
@@ -31,8 +34,10 @@ from beetleswarm.constrained import (
     HIMMELBLAU,
     PRESSURE_VESSEL,
     DiscreteGrid,
+    _PV_GRID,
     _hb_constraints,
     _hb_objective,
+    _layout,
     _pv_constraints,
     _pv_cost,
     as_problem,
@@ -257,6 +262,55 @@ class TestSnapDiscrete:
         with pytest.raises(ValueError, match=message):
             replace(HIMMELBLAU, grids=(None, grid, None, None, None))
 
+    def test_pv_keeps_its_grid_range(self):
+        # PV's box holds k = 1..99 of its grid exactly, so narrowing the k bounds to the box moves no bit
+        assert [tile[0].tolist() for tile in _layout(PRESSURE_VESSEL, 1)[2:4]] == [[1.0, 1.0], [99.0, 99.0]]
+
+    def test_box_edge_off_the_grid_snaps_inward(self):
+        # the upper corner 6.21875 = 99.5 steps used to round out to 100 steps, 6.25, outside the box; report showed
+        # that point and the objective was evaluated there
+        space = SearchSpace([0.0625, 0.0625, 10.0, 10.0], [6.21875, 6.21875, 200.0, 200.0])
+        cp = replace(PRESSURE_VESSEL, space=space, grids=(DiscreteGrid(0.0625, 1, 200),) * 2 + (None, None))
+        assert cp.snap(space.upper).tolist() == [6.1875, 6.1875, 200.0, 200.0]
+        assert cp.report(space.upper)["x"] == [6.1875, 6.1875, 200.0, 200.0]
+
+    @pytest.mark.parametrize("grid", [DiscreteGrid(10.0, 1, 200), DiscreteGrid(0.0625, 100, 300),
+                                      DiscreteGrid(0.0625, -5, 0)], ids=["step-past-the-box", "above", "below"])
+    def test_grid_with_no_point_in_the_box_rejected(self, grid):
+        # each used to build and snap every point to a grid value outside the box
+        message = r"^PV: dimension 1 has no point of its grid in its box \[0\.0625, 6\.1875\]$"
+        with pytest.raises(ValueError, match=message):
+            replace(PRESSURE_VESSEL, grids=(_PV_GRID, grid, None, None))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(1e-3, 100.0),
+        step=st.floats(1e-3, 10.0),
+        k_min=st.integers(-20_000, 20_000),
+        k_span=st.integers(0, 40_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_snapped_rows_lie_on_their_grid_and_in_their_box(self, lo, width, step, k_min, k_span, seed):
+        hi = lo + width
+        grid = DiscreteGrid(step, k_min, k_min + k_span)
+        ks = np.arange(grid.k_min, grid.k_max + 1)
+        inside = ks[(ks * step >= lo) & (ks * step <= hi)]  # the grid points snapping may reach
+        build = partial(replace, HIMMELBLAU, id="box", space=SearchSpace([lo, 0.0], [hi, 1.0]),
+                        constraint_batch=lambda X: X[:, :1], g_lower=-np.inf, g_upper=np.inf, grids=(grid, None))
+        if inside.size == 0:
+            with pytest.raises(ValueError, match="^box: dimension 0 has no point of its grid in its box"):
+                build()
+            return
+        cp = build()
+        X = np.random.default_rng(seed).uniform(lo - width, hi + width, size=(64, 2))
+        X[:2, 0] = lo, hi  # the box corners
+        col = cp.snap_many(X)[:, 0]
+        k = np.rint(col / step)
+        assert np.array_equal(col, k * step)
+        assert np.all((inside[0] <= k) & (k <= inside[-1]))
+        assert np.all((lo <= col) & (col <= hi))
+
 
 class TestPlainData:
     def test_evaluation_leaves_only_the_dataclass_fields(self):
@@ -316,6 +370,29 @@ class TestReadOnlyBounds:
         X[:, 0] = [78.0, 85.0, 95.0]
         assert cp.violations_many(X).tolist() == [[2.0], [0.0], [5.0]]
         assert [cp.feasible(x) for x in X] == [False, True, False]
+
+    @pytest.mark.parametrize(
+        "lower,upper,message",
+        [([np.nan, 90, 20], [92, 110, 25], r"0 has no real g in its interval \[nan, 92\.0\]"),
+         ([0, 90, 20], [92, np.nan, 25], r"1 has no real g in its interval \[90\.0, nan\]"),
+         ([200, 90, 20], [0, 110, 25], r"0 has no real g in its interval \[200\.0, 0\.0\]"),
+         ([0, np.inf, 20], [92, np.inf, 25], r"1 has no real g in its interval \[inf, inf\]"),
+         ([0, 90, -np.inf], [92, 110, -np.inf], r"2 has no real g in its interval \[-inf, -inf\]")],
+        ids=["nan-lower", "nan-upper", "lower-above-upper", "lower-at-plus-inf", "upper-at-minus-inf"],
+    )
+    def test_interval_must_hold_a_real_g(self, lower, upper, message):
+        # a NaN bound was no bound to the penalty but made every point infeasible; an empty interval built without a
+        # word, and only the penalty showed that no point met it
+        with pytest.raises(ValueError, match=f"^HB: constraint {message}$"):
+            replace(HIMMELBLAU, g_lower=lower, g_upper=upper)
+
+    def test_free_and_equality_intervals_build(self):
+        # a guard: a constraint bounded on neither side, and one pinned to a single value, each hold a real g
+        inf = np.inf
+        free = replace(HIMMELBLAU, g_lower=[-inf, 90, 20], g_upper=[inf, 110, 25])
+        pinned = replace(HIMMELBLAU, g_lower=[0, 100, 20], g_upper=[92, 100, 25])
+        x = HIMMELBLAU.space.lower
+        assert free.violations_many([x])[0, 0] == 0.0 and pinned.violations_many([x])[0, 1] > 0.0
 
     def test_relaxed_variant_agrees_across_batch_sizes(self):
         # a variant with the volume constraint relaxed: rows keep their violations in a 49- and a 50-row batch,
@@ -553,3 +630,75 @@ class TestUserResults:
         assert as_problem(nan_raw).evaluate_many(X).tolist() == [np.inf] * 3 and math.isnan(nan_raw.raw(X[0]))
         nan_g = replace(HIMMELBLAU, constraint_batch=lambda X: np.full((len(X), 3), np.nan))
         assert np.isnan(nan_g.violations_many(X)).all() and not nan_g.feasible(X[0])
+
+
+# PV and HB, and a problem with one constraint bounded above only and one below only; every g is a free value
+_OPEN = ConstrainedProblem(
+    id="open",
+    space=SearchSpace.box(2, -1.0, 1.0),
+    raw_batch=lambda X: X.sum(axis=1),
+    constraint_batch=lambda X: X,
+    g_lower=np.array([-np.inf, 0.0]),
+    g_upper=np.array([0.0, np.inf]),
+    grids=(None, None),
+)
+_READING_PROBLEMS = {"PV": PRESSURE_VESSEL, "HB": HIMMELBLAU, "open": _OPEN}
+
+
+@st.composite
+def _g_row(draw, cp, tol):
+    """One g per constraint: any float, an infinity, NaN, or within an ulp of a bound widened by tol."""
+    row = []
+    for lo, hi in zip(cp.g_lower.tolist(), cp.g_upper.tolist()):
+        edges = [b for b in (lo - tol, hi + tol) if math.isfinite(b)]
+        near = st.sampled_from(edges).flatmap(
+            lambda b: st.sampled_from([np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]))
+        row.append(draw(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-np.inf, np.inf, np.nan]), near)))
+    return row
+
+
+class TestOneReading:
+    """feasible, report, violations_many and the penalty read a constraint interval one way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), pid=st.sampled_from(sorted(_READING_PROBLEMS)), tol=st.sampled_from([0.0, 1e-6, 1e-3]))
+    def test_feasible_is_every_violation_within_tol(self, data, pid, tol):
+        cp = _READING_PROBLEMS[pid]
+        g = np.array([data.draw(_g_row(cp, tol)) for _ in range(3)])
+        fixed = replace(cp, constraint_batch=lambda X: g[: len(X)])
+        x = cp.space.lower
+        viol = fixed.violations_many(np.tile(x, (3, 1)))
+        assert fixed.feasible(x, tol) == bool(np.all(viol[0] <= tol))
+        assert fixed.report(x, tol)["feasible"] == bool(np.all(viol[0] <= tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pid=st.sampled_from(["PV", "HB"]),
+        u=st.lists(st.floats(-0.2, 1.2), min_size=5, max_size=5),
+        tol=st.sampled_from([0.0, 1e-6, 1e-3]),
+    )
+    def test_report_is_snap_raw_and_constraints(self, pid, u, tol):
+        cp = _READING_PROBLEMS[pid]
+        x = cp.space.lower + np.array(u[: cp.space.dim]) * cp.space.widths
+        rep, xs = cp.report(x, tol), cp.snap(x)
+        assert np.array(rep["x"]).tobytes() == xs.tobytes()
+        assert np.float64(rep["raw_objective"]).tobytes() == np.float64(cp.raw(xs)).tobytes()
+        assert np.array(rep["g"]).tobytes() == cp.constraints(xs).tobytes()
+        assert rep["feasible"] == cp.feasible(xs, tol)
+
+    @pytest.mark.parametrize("cp", [PRESSURE_VESSEL, HIMMELBLAU], ids=["PV", "HB"])
+    def test_report_calls_each_callable_once(self, cp):
+        # report used to call constraint_batch twice, once for g and once more inside feasible
+        calls = []
+        counted = replace(cp, raw_batch=lambda X: calls.append("raw") or cp.raw_batch(X),
+                          constraint_batch=lambda X: calls.append("g") or cp.constraint_batch(X))
+        counted.report(cp.space.lower)
+        assert sorted(calls) == ["g", "raw"]
+
+    @pytest.mark.parametrize("entry", ["feasible", "report"])
+    @pytest.mark.parametrize("tol", [-1e-9, -1.0, np.nan], ids=["tiny-negative", "negative", "nan"])
+    def test_tol_must_be_nonnegative(self, entry, tol):
+        # a negative tol silently demanded a margin, and a NaN one made every point infeasible
+        message = f"^PV: tol must be a nonnegative number, got {re.escape(repr(tol))}$"
+        with pytest.raises(ValueError, match=message):
+            getattr(PRESSURE_VESSEL, entry)([1.0, 1.0, 50.0, 100.0], tol)

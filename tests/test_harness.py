@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -148,6 +150,20 @@ class TestTrialSummaryInvariants:
         seeds = tuple(range(int(n_trials))) if source == "computed" else ()
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrialSummary("F1", "bso", n_trials, 1.0, 0.0, 0.0, 1.0, seeds=seeds, source=source)
+
+    @pytest.mark.parametrize("field", ["ave", "std", "ave_time_s", "best"])
+    @pytest.mark.parametrize("value", [True, "1.0", None, 1j], ids=["bool", "str", "none", "complex"])
+    def test_statistics_must_be_real_numbers(self, field, value):
+        # ave=True built and went into report.json as "ave": true; ave="1.0" failed on a TypeError from a comparison
+        stats = {"ave": 1.0, "std": 0.0, "ave_time_s": 0.0, "best": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            TrialSummary("F1", "ga", 30, **stats, source="literature")
+
+    def test_statistics_may_be_nan_or_infinite(self):
+        # a guard: summarize writes NaN, and a best of -inf is a number too
+        s = TrialSummary("F1", "bso", 1, ave=math.nan, std=math.nan, ave_time_s=0.5, best=-math.inf, seeds=(0,))
+        assert math.isnan(s.ave) and s.best == -math.inf
+        assert TrialSummary("F1", "bso", 1, np.float64(2.0), 0, 1, np.int64(2), seeds=(0,)).best == 2
 
     def test_numpy_trial_count_stored_as_int(self):
         # np.int64 passed check_int but was kept, so json.dumps of the summary (and report.json) failed
