@@ -231,7 +231,7 @@ def cmd_bench(args) -> int:
     out_dir = _make_out_dir(_setting(settings, "bench", "out"), *REPORT_FILES)[0]
 
     summaries = run_matrix(algos, [p.id for p in problems], configs, n_trials, base_seed)
-    json_path, text_path = compare_report(summaries, out_dir)
+    json_path, text_path = compare_report(summaries, out_dir, configs)
     sys.stdout.write(text_path.read_text())
     print(f"report written to {json_path} and {text_path}")
     return 0

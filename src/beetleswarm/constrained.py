@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from sys import float_info
 from typing import Callable
@@ -85,9 +85,9 @@ class ConstrainedProblem:
     or misshapen one is a ValueError naming the problem and the callable, and NaN stays NaN. Through ``as_problem``
     they receive the snapped copy in column-major order, so they must not assume a C-contiguous input.
 
-    A problem is plain data that equals only itself (``eq=False``), so it
-    hashes by identity: the arrays derived from it for a batch shape are
-    cached by ``_layout``, keyed on the problem and that shape.
+    Construction reads the grids (each float step positive, with finite box quotients) and intervals once, into the
+    read-only ``_table``, and raises every error they hold, so no batch can. A problem equals only itself (``eq=False``)
+    and hashes by identity: ``_layout`` caches its table tiled to a batch's m rows, keyed on the problem and m.
     """
 
     id: str
@@ -97,6 +97,7 @@ class ConstrainedProblem:
     g_lower: Array
     g_upper: Array
     grids: tuple[DiscreteGrid | None, ...]
+    _table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.grids) != self.space.dim:
@@ -110,7 +111,7 @@ class ConstrainedProblem:
         for i, (lo, hi) in enumerate(zip(self.g_lower.tolist(), self.g_upper.tolist())):
             if not (lo <= hi and lo < math.inf and hi > -math.inf):
                 raise ValueError(f"{self.id}: constraint {i} has no real g in its interval [{lo}, {hi}]")
-        _grid_table(self)
+        object.__setattr__(self, "_table", _table_of(self))
 
     def snap_many(self, X: Array) -> Array:
         """Fresh column-major copy of X, each gridded column set to clip(round(x / step), k_lo, k_hi) * step."""
@@ -140,9 +141,12 @@ class ConstrainedProblem:
     def constraints(self, x) -> Array:
         return self._g(self.space.row(x, self.id))[0]
 
-    def _outside(self, g: Array) -> Array:
+    def _outside(self, g: Array, quiet: bool = False) -> Array:
         """Fresh (m, k) violations max(0, g_lower - g, g - g_upper) of an (m, k) g, the one reading of the
         intervals: zero when satisfied, also where g meets a one-sided bound at -inf or +inf, and NaN where g is."""
+        if self._table[-1] and not quiet:  # a free constraint's g of ±inf takes inf - inf, a NaN that fmax skips
+            with np.errstate(invalid="ignore"):
+                return self._outside(g, quiet=True)
         g_lower, g_upper = _layout(self, g.shape[0])[4:]
         below = np.subtract(g_lower, g)
         np.fmax(below, np.subtract(g, g_upper), out=below)
@@ -172,27 +176,21 @@ class ConstrainedProblem:
 
 @lru_cache(maxsize=8)  # a process meets few batch sizes per problem: 3n, n, 3 and 1, plus 50 and 1500 in perfbench
 def _layout(problem: ConstrainedProblem, m: int) -> tuple:
-    """The gridded columns (a slice when adjacent, so no gather; None without grids), then the grid steps, k
-    bounds and g bounds tiled to m column-major rows, so no snap or violation ufunc broadcasts. An infinite bound
-    facing a finite one tiles as NaN, which fmax passes over, so no inf - inf (and its warning) is ever taken."""
-    lo, hi, inf = problem.g_lower, problem.g_upper, np.inf
-    lo, hi = np.where((lo == -inf) & (hi < inf), np.nan, lo), np.where((hi == inf) & (lo > -inf), np.nan, hi)
-    cols = [j for j, g in enumerate(problem.grids) if g is not None] or None
-    if cols and cols[-1] - cols[0] == len(cols) - 1:
-        cols = slice(cols[0], cols[-1] + 1)
-    elif cols:
-        cols = frozen(np.array(cols, dtype=np.intp))
-    table = np.array(_grid_table(problem), dtype=float).reshape(-1, 3)
-    tiles = (frozen(np.asfortranarray(np.tile(r, (m, 1)))) for r in (*table.T, lo, hi))
-    return (cols, *tiles)
+    """The problem's ``_table`` with each row tiled to m column-major rows, so no snap or violation ufunc broadcasts."""
+    cols, *rows, _ = problem._table
+    return (cols, *(frozen(np.asfortranarray(np.tile(r, (m, 1)))) for r in rows))
 
 
-def _grid_table(problem: ConstrainedProblem) -> list:
-    """(step, k_lo, k_hi) per gridded column: [k_min, k_max] narrowed to the k whose float k * step lies in the box."""
+def _table_of(problem: ConstrainedProblem) -> tuple:
+    """Gridded columns (a slice when adjacent, so no gather), read-only rows of grid steps, k bounds narrowed to the k
+    whose float k * step lies in the box, and g bounds, where an infinite bound facing a finite one is NaN, which fmax
+    passes over (no inf - inf, no warning); last, whether a constraint is bounded on neither side."""
     table = []
     for j, (grid, lo, hi) in enumerate(zip(problem.grids, problem.space.lower.tolist(), problem.space.upper.tolist())):
         if grid is not None:
             step = float(grid.step)
+            if not (step > 0 and math.isfinite(lo / step) and math.isfinite(hi / step)):
+                raise ValueError(f"{problem.id}: dimension {j} grid step {step!r} as a float is too small for its box")
             # the rounded quotient may cross an integer either way: start one k outside it and step in while out
             k_lo, k_hi = math.ceil(lo / step) - 1, math.floor(hi / step) + 1
             k_lo += sum(k * step < lo for k in (k_lo, k_lo + 1))
@@ -201,7 +199,15 @@ def _grid_table(problem: ConstrainedProblem) -> list:
             if k_lo > k_hi:
                 raise ValueError(f"{problem.id}: dimension {j} has no point of its grid in its box [{lo}, {hi}]")
             table.append((step, k_lo, k_hi))
-    return table
+    cols = [j for j, g in enumerate(problem.grids) if g is not None] or None
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        cols = slice(cols[0], cols[-1] + 1)
+    elif cols:
+        cols = frozen(np.array(cols, dtype=np.intp))
+    lo, hi, inf = problem.g_lower, problem.g_upper, np.inf
+    bounds = np.where((lo == -inf) & (hi < inf), np.nan, lo), np.where((hi == inf) & (lo > -inf), np.nan, hi)
+    rows = (*np.array(table, dtype=float).reshape(-1, 3).T, *bounds)
+    return (cols, *map(frozen, rows), bool(np.any((lo == -inf) & (hi == inf))))
 
 
 def _penalized_many(problem: ConstrainedProblem, X: Array, weight: Array) -> Array:

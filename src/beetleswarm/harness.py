@@ -257,11 +257,13 @@ def _format_table(problems: list[str], algorithms: list[str], cells: dict) -> st
     return "\n".join(out) + "\n"
 
 
-def compare_report(summaries: list[TrialSummary], destination) -> tuple[Path, Path]:
+def compare_report(summaries: list[TrialSummary], destination, configs: dict | None = None) -> tuple[Path, Path]:
     """Write report.json and report.txt for a problems x algorithms matrix.
 
     Every algorithm must cover the same problem set; anything missing or
-    extra is an error that names the offending cells.
+    extra is an error that names the offending cells. ``configs`` maps an
+    algorithm to the config its cells ran with; given, report.json ends with
+    their ``to_dict()`` under ``"configs"``, and the other keys keep their bytes.
     """
     if not summaries:
         raise ValueError("no summaries to report")
@@ -290,6 +292,8 @@ def compare_report(summaries: list[TrialSummary], destination) -> tuple[Path, Pa
         "problems": problems,
         "cells": cells,
     }
+    if configs is not None:
+        doc["configs"] = {algo: config.to_dict() for algo, config in configs.items()}
     json_path, text_path = (dest / name for name in REPORT_FILES)
     json_path.write_text(strict_json(doc) + "\n")
     text_path.write_text(_format_table(problems, algorithms, cells))

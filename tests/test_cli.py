@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from beetleswarm import catalog, cli, harness
+from beetleswarm import BsoConfig, PsoConfig, catalog, cli, harness
 from beetleswarm.cli import main
 
 
@@ -237,6 +237,18 @@ class TestBench:
         assert doc["cells"]["F16"]["bso"]["n_trials"] == 2
         assert (out / "report.txt").exists()
         assert "problem" in capsys.readouterr().out
+
+    def test_report_carries_the_configs_it_ran_with(self, tmp_path):
+        configs = []
+        for iters in ("5", "6"):
+            out = tmp_path / iters
+            assert run_cli("bench", "--algos", "bso,pso", "--problems", "F16", "--trials", "2", "--iters", iters,
+                           "--pop", "4", "--seed", "3", "--out", str(out)) == 0
+            configs.append(json.loads((out / "report.json").read_text())["configs"])
+        assert configs[0] != configs[1] and [c["bso"]["max_iters"] for c in configs] == [5, 6]
+        for c in configs:
+            assert c["bso"] == BsoConfig(n=4, max_iters=c["bso"]["max_iters"], seed=3).to_dict()
+            assert c["pso"] == PsoConfig(n=4, max_iters=c["pso"]["max_iters"], seed=3).to_dict()  # the base seed
 
     def test_problem_range_expansion(self, tmp_path):
         out = tmp_path / "rep"

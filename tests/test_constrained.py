@@ -14,6 +14,7 @@ import hashlib
 import math
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -312,6 +313,104 @@ class TestSnapDiscrete:
         assert np.all((lo <= col) & (col <= hi))
 
 
+def _parent_layout(space, grids, g_lower, g_upper, m):
+    """The layout a problem had before it kept one table: _layout's column and NaN rules and _grid_table's k range,
+    all computed per batch size. The reference the one table must reproduce bit for bit."""
+    lo, hi, inf = g_lower, g_upper, np.inf
+    lo, hi = np.where((lo == -inf) & (hi < inf), np.nan, lo), np.where((hi == inf) & (lo > -inf), np.nan, hi)
+    cols = [j for j, g in enumerate(grids) if g is not None] or None
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        cols = slice(cols[0], cols[-1] + 1)
+    elif cols:
+        cols = np.array(cols, dtype=np.intp)
+    table = []
+    for j, (grid, box_lo, box_hi) in enumerate(zip(grids, space.lower.tolist(), space.upper.tolist())):
+        if grid is not None:
+            step = float(grid.step)
+            k_lo, k_hi = math.ceil(box_lo / step) - 1, math.floor(box_hi / step) + 1
+            k_lo += sum(k * step < box_lo for k in (k_lo, k_lo + 1))
+            k_hi -= sum(k * step > box_hi for k in (k_hi, k_hi - 1))
+            k_lo, k_hi = max(grid.k_min, k_lo), min(grid.k_max, k_hi)
+            if k_lo > k_hi:
+                raise ValueError(f"dimension {j} has no point of its grid in its box")
+            table.append((step, k_lo, k_hi))
+    table = np.array(table, dtype=float).reshape(-1, 3)
+    return (cols, *(np.asfortranarray(np.tile(r, (m, 1))) for r in (*table.T, lo, hi)))
+
+
+@st.composite
+def _grid_for(draw, lo, hi):
+    """None, or a grid whose k range lies inside, across or beyond the box [lo, hi], now and then with a float step
+    too small for the box."""
+    if draw(st.booleans()):
+        return None
+    tiny = not draw(st.integers(0, 15))
+    step = draw(st.sampled_from([1e-320, 5e-324])) if tiny else (hi - lo) * draw(st.floats(0.01, 2.0))
+    beyond = draw(st.sampled_from([lo - 3 * (hi - lo), hi + 3 * (hi - lo)]))
+    centre = draw(st.sampled_from([lo, hi, (lo + hi) / 2, (lo + hi) / 2, beyond])) / step
+    k_min = round(centre) - draw(st.integers(0, 20)) if math.isfinite(centre) else draw(st.integers(-99, 99))
+    return DiscreteGrid(step, k_min, k_min + draw(st.integers(0, 40)))
+
+
+_INTERVALS = st.one_of(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)).map(lambda t: (t[0], t[0] + t[1])),  # finite, or one value
+    st.floats(-1e3, 1e3).map(lambda b: (-np.inf, b)),
+    st.floats(-1e3, 1e3).map(lambda b: (b, np.inf)),
+    st.just((-np.inf, np.inf)),
+)
+
+
+class TestOneTable:
+    """A problem reads its grids and intervals once, where it is built; _layout only tiles what it read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), k=st.integers(1, 4), m=st.integers(1, 6))
+    def test_layout_matches_the_per_batch_reading(self, data, dim, k, m):
+        lower = np.array(data.draw(st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)))
+        space = SearchSpace(lower, lower + data.draw(st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim)))
+        grids = tuple(data.draw(_grid_for(lo, hi)) for lo, hi in zip(space.lower.tolist(), space.upper.tolist()))
+        g_lower, g_upper = np.array(data.draw(st.lists(_INTERVALS, min_size=k, max_size=k))).T
+        build = partial(ConstrainedProblem, "drawn", space, lambda X: X[:, 0], lambda X: X[:, :1].repeat(k, axis=1),
+                        g_lower, g_upper, grids)
+        try:
+            expected = _parent_layout(space, grids, g_lower, g_upper, m)
+        except (ValueError, ZeroDivisionError, OverflowError):  # the last two: a float step too small for its box
+            with pytest.raises(ValueError, match="^drawn: dimension "):
+                build()
+            return
+        cp = build()
+        cols, *tiles = _layout(cp, m)
+        if isinstance(expected[0], np.ndarray):
+            assert np.array_equal(cols, expected[0]) and cols.dtype == np.intp and not cols.flags.writeable
+        else:
+            assert cols == expected[0]
+        for got, want in zip(tiles, expected[1:], strict=True):
+            assert got.shape == want.shape and got.tobytes(order="F") == want.tobytes(order="F")
+            assert got.flags.f_contiguous and not got.flags.writeable
+        assert cp._table[-1] == bool(np.any((g_lower == -np.inf) & (g_upper == np.inf)))
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [({"grids": (DiscreteGrid(Fraction(1, 10**400), 1, 5),) * 2 + (None, None)},
+          r"dimension 0 grid step 0\.0 as a float is too small for its box"),
+         ({"grids": (DiscreteGrid(1e-320, 1, 10**400),) * 2 + (None, None)},
+          r"dimension 0 grid step 1e-320 as a float is too small for its box"),
+         ({"grids": (_PV_GRID, DiscreteGrid(0.0625, 100, 300), None, None)},
+          r"dimension 1 has no point of its grid in its box \[0\.0625, 6\.1875\]"),
+         ({"g_upper": [0, 0, np.nan, 0]}, r"constraint 2 has no real g in its interval \[-inf, nan\]"),
+         ({"g_lower": [1, -np.inf, -np.inf, -np.inf]}, r"constraint 0 has no real g in its interval \[1\.0, 0\.0\]"),
+         ({"g_upper": [0, -np.inf, 0, 0]}, r"constraint 1 has no real g in its interval \[-inf, -inf\]")],
+        ids=["step-zero-as-float", "quotient-past-floats", "no-point-in-box", "nan-bound", "empty", "upper-at-minus-inf"],
+    )
+    def test_bad_grid_or_interval_raises_at_construction(self, changes, message):
+        # the first two used to raise a bare ZeroDivisionError and OverflowError; none may wait for the first batch
+        calls, misses = [], _layout.cache_info().misses
+        with pytest.raises(ValueError, match=f"^PV: {message}$"):
+            replace(PRESSURE_VESSEL, raw_batch=lambda X: calls.append(X), constraint_batch=lambda X: calls.append(X),
+                    **changes)
+        assert calls == [] and _layout.cache_info().misses == misses
+
+
 class TestPlainData:
     def test_evaluation_leaves_only_the_dataclass_fields(self):
         # the per-batch-size arrays live in a module-level cache, not on the problem or the penalty config
@@ -503,9 +602,11 @@ class TestPenalty:
         viol = cp.violations_many(X)
         expected = [[0.0, 0.0], [inf, inf], [nan, nan], [2.0, 3.0], [0.0, 0.0], [0.0, 0.0]]
         assert np.array_equal(viol, expected, equal_nan=True)
-        # a constraint bounded on neither side is never violated, and a NaN g still reads NaN
+        # a constraint bounded on neither side is never violated, also at a g of +inf or -inf (which used to warn of
+        # inf - inf), and a NaN g still reads NaN
         free = replace(cp, g_lower=np.array([-inf, -inf]), g_upper=np.array([inf, inf]))
-        assert np.array_equal(free.violations_many(X[2:]), [[nan, nan]] + [[0.0, 0.0]] * 3, equal_nan=True)
+        expected = [[0.0, 0.0]] * 2 + [[nan, nan]] + [[0.0, 0.0]] * 3
+        assert np.array_equal(free.violations_many(X), expected, equal_nan=True)
 
     def test_penalty_config_validation(self):
         with pytest.raises(ValueError):

@@ -511,6 +511,17 @@ class TestCompareReport:
                 key = {"ave": "ave", "std": "std", "time": "ave_time_s"}[field.split("_")[0]]
                 assert float(raw) == doc["cells"][pid][algo][key]
 
+    def test_configs_follow_the_other_keys(self, tmp_path):
+        # report.json held no config: not the iteration budget, the population or any tunable its cells ran with
+        summaries = [_summary("F1", "bso"), _summary("F1", "pso")]
+        configs = {"bso": BsoConfig(max_iters=7, seed=3), "pso": PsoConfig(n=9, seed=3)}
+        bare_json, bare_text = compare_report(summaries, tmp_path / "bare")
+        json_path, text_path = compare_report(summaries, tmp_path / "full", configs)
+        assert text_path.read_bytes() == bare_text.read_bytes()
+        doc = json.loads(json_path.read_text())
+        assert doc.pop("configs") == {algo: config.to_dict() for algo, config in configs.items()}
+        assert strict_json(doc) + "\n" == bare_json.read_text()
+
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             compare_report([], tmp_path)
