@@ -13,7 +13,7 @@ draw from the caller's stream on top of the weighted quartic sum.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -197,19 +197,28 @@ def _kowalik(X: Array, rng=None) -> Array:
     return ((KOWALIK_A - X[:, 0:1] * numer / denom) ** 2).sum(axis=1)
 
 
-# F16-F18 coefficients are ``core.constants``. Each expression keeps its textbook op order; ops stay out of place,
-# faster on BAS's 1- and 2-row batches.
+# F16-F18 coefficients are ``core.constants``, F18's rows tiled per batch size. Each keeps its textbook op order; F16
+# squares both columns at once, F18 stacks its two factors, and both sum in place, sparing BSO's 150-row temporaries.
 _CAMEL = constants(4.0, 2.1, 3.0)
 _BRANIN = constants(5.1 / (4 * np.pi**2), 5.0 / np.pi, 6.0, 10.0 * (1.0 - 1.0 / (8.0 * np.pi)), 10.0)
-_GOLDSTEIN = constants(1.0, 19.0, 14.0, 3.0, 6.0, 30.0, 2.0, 18.0, 32.0, 12.0, 48.0, 36.0, 27.0)
+# Goldstein-Price, a row per factor: A + u^2 * (k0 + k1*x1 + k2*x1^2 + k3*x2 + (k4*x1)*x2 + k5*x2^2), u = ka*x1 +
+# kb*x2 + kc. A subtracted term has a negated k (x - y is x + -y in IEEE), 1*x is x, and u + 0 only drops -0's sign.
+_GOLDSTEIN = frozen(np.array([[1.0, 19.0, -14.0, 3.0, -14.0, 6.0, 3.0, 1.0, 1.0, 1.0],
+                              [30.0, 18.0, -32.0, 12.0, 48.0, -36.0, 27.0, 2.0, -3.0, 0.0]]))
 
 
 def _six_hump_camel(X: Array, rng=None) -> Array:
     four, c2_1, three = _CAMEL
-    x1, x2 = X[:, 0], X[:, 1]
-    x1_sq, x2_sq = x1 * x1, x2 * x2
-    x1_4 = x1_sq * x1_sq
-    return four * x1_sq - c2_1 * x1_4 + x1_4 * x1_sq / three + x1 * x2 - four * x2_sq + four * (x2_sq * x2_sq)
+    W = X.T.copy()  # the columns as contiguous rows
+    S = W * W
+    Q = S * S
+    S4 = four * S
+    f = S4[0] - c2_1 * Q[0]
+    f += Q[0] * S[0] / three
+    f += W[0] * W[1]
+    f -= S4[1]
+    f += four * Q[1]
+    return f
 
 
 def _branin(X: Array, rng=None) -> Array:
@@ -219,15 +228,26 @@ def _branin(X: Array, rng=None) -> Array:
     return a * a + s_one_minus_t * np.cos(x1) + s
 
 
+# ``_GOLDSTEIN``'s columns as read-only (2, m) rows, so no ufunc broadcasts, kept for up to 8 batch sizes m <= 4096
+@lru_cache(maxsize=8)  # (at most 5 MiB); a larger batch broadcasts (2, 1) columns, which gives the same bits
+def _goldstein_rows(m: int) -> tuple[Array, ...]:
+    return tuple(frozen(np.repeat(k[:, None], m, axis=1)) for k in _GOLDSTEIN.T)
+
+
 def _goldstein_price(X: Array, rng=None) -> Array:
-    one, c19, c14, three, six, c30, two, c18, c32, c12, c48, c36, c27 = _GOLDSTEIN
-    x1, x2 = X[:, 0], X[:, 1]
-    x1_sq, x2_sq = x1 * x1, x2 * x2
-    s = x1 + x2 + one
-    t = two * x1 - three * x2
-    t1 = one + s * s * (c19 - c14 * x1 + three * x1_sq - c14 * x2 + six * x1 * x2 + three * x2_sq)
-    t2 = c30 + t * t * (c18 - c32 * x1 + c12 * x1_sq + c48 * x2 - c36 * x1 * x2 + c27 * x2_sq)
-    return t1 * t2
+    A, k0, k1, k2, k3, k4, k5, ka, kb, kc = _goldstein_rows(len(X)) if len(X) <= 4096 else _GOLDSTEIN.T[:, :, None]
+    x1, x2 = W = np.empty((2, 2, len(X)))
+    W[...] = X.T[:, None, :]  # x1 twice, then x2 twice: one copy
+    p = k0 + k1 * x1
+    p += k2 * (x1 * x1)
+    p += k3 * x2
+    p += k4 * x1 * x2
+    p += k5 * (x2 * x2)
+    u = ka * x1 + kb * x2 + kc
+    u *= u
+    u *= p
+    u += A
+    return np.multiply(u[0], u[1])
 
 
 # The table-parameterized families are bound with functools.partial, not

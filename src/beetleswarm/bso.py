@@ -118,7 +118,7 @@ class SwarmState:
     V: Array  # (n, dim) velocities, read-only
     P: Array  # (n, dim) personal-best positions
     Pf: Array  # (n,) personal-best fitnesses
-    G: Array  # (dim,) global-best position
+    G: Array  # (dim,) global-best position, read-only
     Gf: float  # global-best fitness
     delta: float  # antenna step multiplier; antenna spacing is delta / c2_ratio
     k: int  # completed iterations
@@ -144,12 +144,13 @@ class BsoEngine:
     the probe values (or None) that came with the last settle serve only while
     ``state.X`` and ``state.V`` are the same objects, ``state.delta`` is equal
     and ``rng`` is the same stream; only a state replaced by hand fails that,
-    and its step evaluates its own probes in one (2n, dim) call. ``state.X`` and
-    ``state.V`` are read-only (``core.frozen``): assign an edited copy. The box
-    is stored at the probes' (2, n, dim) shape (its [0] half bounds the swarm)
-    and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds,
-    which can return the bound on a tie of signed zeros (see ``clip_in_place``).
-    Constant coefficients are ``core.constants``; per-step values stay floats.
+    and its step evaluates its own probes in one (2n, dim) call. ``state.X``, ``state.V`` and ``state.G`` are
+    read-only (``core.frozen``): assign an edited copy. On a deterministic problem the engine's own stream draws
+    r1/r2 up to 256 KiB ahead, so mid-run it is ahead of per-step draws (it ends where they end); a stream assigned
+    by hand is drawn per step, the own block kept where it stopped. The box is stored at the probes' (2, n, dim)
+    shape (its [0] half bounds the swarm) and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds,
+    which can return the bound on a tie of signed zeros (see ``clip_in_place``); G is tiled to (n, dim) when it
+    changes, so no pull broadcasts it. Constant coefficients are ``core.constants``; per-step values stay floats.
     """
 
     def __init__(
@@ -169,7 +170,9 @@ class BsoEngine:
         self.upper = np.tile(self.space.upper, (2, config.n, 1))
         self.v_hi = np.tile(config.v_frac * self.space.widths, (config.n, 1))
         self.v_lo = -self.v_hi
-        self._coef = constants(config.a1, config.a2, config.lam, 1.0 - config.lam)
+        self._coef = constants(config.lam, 1.0 - config.lam)
+        self._scale = frozen(np.tile(np.array([config.a1, config.a2])[:, None, None], (1, config.n, self.space.dim)))
+        self._own, self._pulls, self._i = self.rng, np.empty((0,)), 0
 
         B = np.empty((3, config.n, self.space.dim))  # block 0 of its settle's batch, as a BSO step's moved swarm is
         B[0] = uniform_population(self.rng, self.space, config.n)
@@ -177,6 +180,7 @@ class BsoEngine:
         V = frozen(self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo))
         # bests no swarm improves on: the first settle folds the initial swarm in as it folds each moved one
         self.state = SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0)
+        self._G, self._tiled = np.empty_like(X), None  # G tiled to (n, dim), and the G it is tiled from
         self.curve = []
         self._settle(B)
 
@@ -184,7 +188,7 @@ class BsoEngine:
         """One full swarm iteration: probes, velocity, position and the schedule, then evaluation and bests."""
         st, cfg, rng = self.state, self.config, self.rng
         omega = inertia_weight(st.k, cfg.max_iters, cfg.omega_min, cfg.omega_max)
-        a1, a2, lam, rest = self._coef
+        lam, rest = self._coef
 
         # 1. Antenna increment xi = -delta * V * sign(f(right) - f(left)) from probes at X +/- V*d/2 (pre-update V),
         # their values (or None) kept by the last settle while X, V, delta and the stream are those they came from;
@@ -196,21 +200,28 @@ class BsoEngine:
             probes = self._probes(st.X, st.V, st.delta)
             f = None if probes is None else self.problem.evaluate_many(probes.reshape(-1, st.X.shape[1]), rng)
         if f is not None:
-            f_right, f_left = f.reshape(2, -1)
+            f_right, f_left = f[: cfg.n], f[cfg.n :]
             # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
             # sign (-1, 0 or 1) by -delta first is exact, so V meets a single multiply.
             sign = np.subtract(f_right > f_left, f_right < f_left, dtype=float)
             sign *= -st.delta
             xi = np.multiply(st.V, sign[:, None])
 
-        # 2. Velocity clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)), r1 then r2 from one (2, n, dim) draw.
-        r = rng.uniform((2,) + st.V.shape)
-        pull_p, pull_g = r[0], r[1]
-        pull_p *= a1
-        pull_g *= a2
+        # 2. Velocity clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)); a1*r1, a2*r2 are a step of a scaled block.
+        own = rng is self._own  # a stream assigned by hand gives one step and leaves the own block where it stopped
+        if own and self._i == len(self._pulls):
+            b = 1 if self.problem.stochastic else 32768 // (2 * st.V.size)
+            self._pulls = None  # freed before the next block is drawn, which then takes its memory, not fresh pages
+            self._pulls, self._i = rng.uniform((max(1, min(b, cfg.max_iters - st.k)), 2) + st.V.shape), 0
+            self._pulls *= self._scale
+        pull_p, pull_g = self._pulls[self._i] if own else rng.uniform((2,) + st.V.shape) * self._scale
+        self._i += own
+        if st.G is not self._tiled:  # tiled once per G that a settle (or a hand) sets, so no pull broadcasts G
+            np.copyto(self._G, st.G)
+            self._tiled = st.G
         V = np.subtract(st.P, st.X)
         pull_p *= V
-        np.subtract(st.G, st.X, out=V)
+        np.subtract(self._G, st.X, out=V)
         pull_g *= V
         np.multiply(st.V, omega, out=V)
         V += pull_p
@@ -258,8 +269,7 @@ class BsoEngine:
             np.copyto(st.P, X, where=improved[:, None])
             np.copyto(st.Pf, F, where=improved)
             gi = int(st.Pf.argmin())
-            st.G = st.P[gi].copy()
-            st.Gf = float(st.Pf[gi])
+            st.G, st.Gf = frozen(st.P[gi].copy()), float(st.Pf[gi])
         self.curve.append(st.Gf)
 
     def run(self) -> tuple[list[float], Array, float]:

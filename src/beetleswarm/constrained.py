@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _ZERO, Problem, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, real, shown
-from .core import returned
+from .core import _ZERO, Problem, Rebuilt, SearchSpace, check_fields, clip_in_place, constants, frozen, lookup, real
+from .core import returned, shown
 
 Array = np.ndarray
 
@@ -73,7 +73,7 @@ class DiscreteGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstrainedProblem:
+class ConstrainedProblem(Rebuilt):
     """Raw objective, interval constraints and per-dimension variable kinds.
 
     ``g_lower``/``g_upper`` give the feasible interval per constraint, 1-D and of one length (a scalar is one

@@ -80,6 +80,11 @@ class RandomStream:
         return self._gen.random(size)
 
 
+class Rebuilt:  # a frozen dataclass that unpickles through its constructor, so its frozen arrays come back read-only
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 class ConfigDict:
     """Plain-dict round trip for the frozen optimizer config dataclasses."""
 
@@ -134,7 +139,7 @@ def check_fields(config) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SearchSpace:
+class SearchSpace(Rebuilt):
     """Axis-aligned box of feasible positions. A box, like a Problem, equals only itself and hashes by identity."""
 
     lower: Array
@@ -243,7 +248,7 @@ def checked_config(problem: Problem, algorithm: str, config_type: type, config):
 
 
 @dataclass(frozen=True, eq=False)
-class RunRecord:
+class RunRecord(Rebuilt):
     """Everything one optimizer run produced. A record, like a Problem, equals only itself and hashes by identity.
 
     ``curve`` holds the best fitness seen so far at each iteration,

@@ -15,7 +15,7 @@ import pytest
 
 import beetleswarm
 from beetleswarm import RandomStream, constrained_problem, evaluate, get_problem, list_problems, problem_ids, spec
-from beetleswarm.benchmarks import BENCHMARK_IDS, quartic_without_noise
+from beetleswarm.benchmarks import BENCHMARK_IDS, _goldstein_rows, quartic_without_noise
 
 # id -> (dim, lower, upper, fmin) as catalogued
 EXPECTED_SPECS = {
@@ -400,6 +400,35 @@ def test_2d_kernels_match_textbook_bit_for_bit(fid, m):
     X[0] = [-0.0, 0.0]
     got = get_problem(fid).batch(X)
     assert got.tobytes() == _textbook_2d(fid, X[:, 0], X[:, 1]).tobytes()
+
+
+_HOSTILE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e154, -1e154, 1e300, -1e300, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("fid", ["F16", "F18"])
+@pytest.mark.parametrize("m", [1, 2, 3, 50, 150, 1500, 5000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_2d_kernels_match_textbook_on_hostile_input(fid, m, order):
+    # F16 shares its squares over both columns and F18 takes both factors as rows of one stack, a subtracted term as
+    # a negated coefficient (tiled rows up to 4096, broadcast columns past it): each op must still give the
+    # textbook's bits, overflow, inf - inf and NaN included
+    rng = np.random.default_rng(100 + m)
+    X = rng.uniform(-3.0, 3.0, size=(m, 2))
+    hostile = rng.uniform(size=(m, 2)) < 0.5
+    X[hostile] = rng.choice(_HOSTILE, size=np.count_nonzero(hostile))
+    X[0] = rng.choice(_HOSTILE, size=2)
+    with np.errstate(all="ignore"):
+        got = get_problem(fid).batch(np.asarray(X, order=order))
+        expected = _textbook_2d(fid, X[:, 0], X[:, 1])
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.signbit(got), np.signbit(expected))
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_a_large_f18_batch_keeps_no_tiled_rows():
+    before = _goldstein_rows.cache_info()
+    get_problem("F18").batch(np.zeros((5000, 2)))
+    assert _goldstein_rows.cache_info() == before  # no 5000-row coefficients cached for the rest of the process
 
 
 class TestProperties:

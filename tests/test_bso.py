@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -373,12 +374,13 @@ class TestProbeBatches:
         self.counted(rows, max_iters=0).run()
         assert rows == [4]
 
-    @pytest.mark.parametrize("name", ["X", "V"])
+    @pytest.mark.parametrize("name", ["X", "V", "G"])
     def test_swarm_is_read_only(self, name):
         engine = self.counted([])
         for _ in range(2):  # the initial swarm, then the moved one
+            a = getattr(engine.state, name)
             with pytest.raises(ValueError, match="read-only"):
-                getattr(engine.state, name)[0, 0] = 0.0
+                a[(0,) * a.ndim] = 0.0
             engine.step()
 
     @pytest.mark.parametrize(
@@ -428,6 +430,70 @@ class TestProbeBatches:
         assert kept.curve == fresh.curve
         for name in ("X", "V", "P", "Pf", "G"):
             assert np.array_equal(getattr(kept.state, name), getattr(fresh.state, name))
+
+
+def stream_state(engine) -> dict:
+    return engine.rng._gen.bit_generator.state
+
+
+class TestBlockDraw:
+    """On a deterministic problem the engine's own stream gives r1/r2 for up to 256 KiB of steps at once."""
+
+    CONFIG = dict(n=20, max_iters=500, seed=3)  # a block holds 32768 // (2 * 20 * 2) = 409 steps of F16
+
+    @pytest.mark.parametrize("pid", ["F16", "F7"])
+    def test_run_and_hand_steps_agree(self, pid):
+        # F7 draws its noise between steps, so its r1/r2 come one step at a time
+        config = BsoConfig(**self.CONFIG)
+        assert config.max_iters > 32768 // (2 * config.n * get_problem(pid).space.dim)
+        ran, stepped = BsoEngine(get_problem(pid), config), BsoEngine(get_problem(pid), config)
+        curve, best_x, best_f = ran.run()
+        for _ in range(config.max_iters):
+            stepped.step()
+        assert stepped.curve == curve and best_f == stepped.state.Gf
+        assert np.array_equal(best_x, stepped.state.G)
+        assert stream_state(stepped) == stream_state(ran)
+
+    def test_block_draws_are_per_step_draws(self):
+        # a copy of the stream assigned by hand is drawn one step at a time: same run, same final stream
+        config, problem = BsoConfig(**self.CONFIG), get_problem("F16")
+        block, per_step = BsoEngine(problem, config), BsoEngine(problem, config)
+        per_step.rng = copy.deepcopy(per_step.rng)
+        block.step()
+        per_step.step()
+        assert stream_state(block) != stream_state(per_step)  # the block is ahead while the run goes on
+        block.run()
+        per_step.run()
+        assert block.curve == per_step.curve and np.array_equal(block.state.G, per_step.state.G)
+        assert stream_state(block) == stream_state(per_step)
+
+    def test_the_own_block_goes_on_after_a_stream_assigned_by_hand(self):
+        # steps drawn from a hand-set stream leave the own block where it stopped: back on the own stream, the run
+        # is the one per-step drawing gives, and the stream ends where per-step drawing ends it
+        config, problem = BsoConfig(**self.CONFIG), get_problem("F16")
+        block, per_step = BsoEngine(problem, config), BsoEngine(problem, config)
+        per_step.rng = copy.deepcopy(per_step.rng)
+        for engine in (block, per_step):
+            own = engine.rng
+            for rng, steps in ((own, 5), (RandomStream(9), 3), (own, config.max_iters - 8)):
+                engine.rng = rng
+                for _ in range(steps):
+                    engine.step()
+        assert block.curve == per_step.curve and np.array_equal(block.state.G, per_step.state.G)
+        assert stream_state(block) == stream_state(per_step)
+
+    def test_a_stream_assigned_mid_run_is_drawn_from(self):
+        engine = BsoEngine(get_problem("F16"), BsoConfig(**self.CONFIG))
+        for _ in range(5):
+            engine.step()
+        own, before = engine.rng, stream_state(engine)
+        engine.rng = RandomStream(9)
+        for _ in range(3):
+            engine.step()
+        reference = RandomStream(9)
+        reference.uniform(3 * 2 * engine.state.V.size)  # F16 draws nothing else: r1 and r2 of each step
+        assert stream_state(engine) == reference._gen.bit_generator.state
+        assert own._gen.bit_generator.state == before  # the engine's own stream is not drawn from
 
 
 class TestPsoEquivalence:

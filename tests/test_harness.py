@@ -32,7 +32,7 @@ from beetleswarm import (
     problem_ids,
 )
 from beetleswarm.bas import BasConfig
-from beetleswarm.constrained import PRESSURE_VESSEL
+from beetleswarm.constrained import HIMMELBLAU, PRESSURE_VESSEL
 from beetleswarm.harness import (
     _run_jobs, run_matrix, run_one, run_trial_records, run_trials, strict_json, summarize, worker_count,
 )
@@ -436,6 +436,36 @@ def test_catalog_problem_pickles(pid):
     )
     X = problem.space.lower + RandomStream(4).uniform((20, problem.space.dim)) * problem.space.widths
     assert np.array_equal(clone.evaluate_many(X, RandomStream(1)), problem.evaluate_many(X, RandomStream(1)))
+
+
+def _read_only(a) -> bool:
+    try:
+        a[...] = a
+    except ValueError as e:
+        return "read-only" in str(e)
+    return False
+
+
+def test_pickled_arrays_stay_read_only():
+    # the default pickle rebuilt every array writable: bounds, constraint intervals, _table rows, curves and points
+    for cp in (PRESSURE_VESSEL, HIMMELBLAU):
+        clone = pickle.loads(pickle.dumps(cp))
+        arrays = [clone.space.lower, clone.space.upper, clone.g_lower, clone.g_upper]
+        arrays += [a for a in clone._table if isinstance(a, np.ndarray)]
+        assert arrays and all(_read_only(a) for a in arrays)
+        assert repr(clone._table) == repr(cp._table)
+    space = pickle.loads(pickle.dumps(get_problem("F16").space))
+    assert _read_only(space.lower) and _read_only(space.upper)
+    record = run_one("bso", get_problem("F16"), BsoConfig(n=4, max_iters=5), 0)
+    clone = pickle.loads(pickle.dumps(record))
+    assert _read_only(clone.curve) and _read_only(clone.best_x)
+    assert clone.to_dict() == record.to_dict()
+
+
+def test_pooled_records_are_read_only(monkeypatch, two_cpus):
+    monkeypatch.setenv("BSO_THREADS", "2")
+    records = run_trial_records("pso", get_problem("F16"), PsoConfig(n=4, max_iters=5), n_trials=2, base_seed=0)
+    assert all(_read_only(r.curve) and _read_only(r.best_x) for r in records)
 
 
 class TestExportConvergence:
