@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, clip_in_place, constants, frozen,
-    uniform_population,
+    ConfigDict, Problem, RandomStream, RunRecord, antennae, check_fields, checked_config, clip_in_place, constants,
+    frozen, uniform_population,
 )
 
 Array = np.ndarray
@@ -112,7 +112,7 @@ class BsoConfig(ConfigDict):
 
 @dataclass
 class SwarmState:
-    """Mutable swarm snapshot: positions, velocities, bests and schedules."""
+    """The engine's swarm, read between steps: positions, velocities, bests and schedules (see ``BsoEngine._start``)."""
 
     X: Array  # (n, dim) positions, read-only
     V: Array  # (n, dim) velocities, read-only
@@ -136,32 +136,28 @@ def inertia_weight(k: int, K: int, omega_min: float = 0.4, omega_max: float = 0.
 class BsoEngine:
     """Stateful, vectorized swarm stepper; one call of ``step`` is one whole iteration.
 
-    ``run_bso`` drives it to completion; tests can step it manually and
-    inspect the swarm between iterations. ``debug_checks`` re-validates the
-    core invariants (bounds containment, best-fitness bookkeeping) after
-    every step. One method, ``_settle``, evaluates every swarm, the initial one
-    and each moved one, and folds it into the bests. Stepping by hand is exact:
-    the probe values (or None) that came with the last settle serve only while
-    ``state.X`` and ``state.V`` are the same objects, ``state.delta`` is equal
-    and ``rng`` is the same stream; only a state replaced by hand fails that,
-    and its step evaluates its own probes in one (2n, dim) call. ``state.X``, ``state.V`` and ``state.G`` are
-    read-only (``core.frozen``): assign an edited copy. On a deterministic problem the engine's own stream draws
-    r1/r2 up to 256 KiB ahead, so mid-run it is ahead of per-step draws (it ends where they end); a stream assigned
-    by hand is drawn per step, the own block kept where it stopped. The box is stored at the probes' (2, n, dim)
-    shape (its [0] half bounds the swarm) and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds,
-    which can return the bound on a tie of signed zeros (see ``clip_in_place``); G is tiled to (n, dim) when it
-    changes, so no pull broadcasts it. Constant coefficients are ``core.constants``; per-step values stay floats.
+    ``run_bso`` drives it to completion; tests can step it manually and read ``state`` and ``rng`` between
+    iterations. The config is checked as ``run_bso`` checks it (``core.checked_config``: None gives the defaults).
+    ``debug_checks`` re-validates the core invariants (bounds containment, best-fitness bookkeeping) after every
+    step. The engine owns its swarm: the seeded one, or one of a test's own handed to a fresh engine, enters through
+    ``_start``, and one method, ``_settle``, evaluates every swarm, the initial one and each moved one, with the next
+    step's probes, and folds it into the bests. ``state.X``, ``state.V`` and ``state.G`` are read-only
+    (``core.frozen``). On a deterministic problem ``rng`` draws r1/r2 up to 256 KiB ahead, so mid-run it is ahead of
+    per-step draws (it ends where they end). The box is stored at the probes' (2, n, dim) shape (its [0] half bounds
+    the swarm) and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds, which can return the bound
+    on a tie of signed zeros (see ``clip_in_place``); G is tiled to (n, dim) where a settle sets it, so no pull
+    broadcasts it. Constant coefficients are ``core.constants``; per-step values stay floats.
     """
 
     def __init__(
         self,
         problem: Problem,
-        config: BsoConfig,
+        config: BsoConfig | None,
         seed: int | None = None,
         debug_checks: bool = False,
     ):
         self.problem = problem
-        self.config = config
+        self.config = config = checked_config(problem, "bso", BsoConfig, config)
         self.space = problem.space
         self.rng = RandomStream(config.seed if seed is None else seed)
         self.debug_checks = debug_checks
@@ -172,16 +168,22 @@ class BsoEngine:
         self.v_lo = -self.v_hi
         self._coef = constants(config.lam, 1.0 - config.lam)
         self._scale = frozen(np.tile(np.array([config.a1, config.a2])[:, None, None], (1, config.n, self.space.dim)))
-        self._own, self._pulls, self._i = self.rng, np.empty((0,)), 0
+        self._G = np.empty((config.n, self.space.dim))  # G tiled to (n, dim)
 
-        B = np.empty((3, config.n, self.space.dim))  # block 0 of its settle's batch, as a BSO step's moved swarm is
-        B[0] = uniform_population(self.rng, self.space, config.n)
-        X = frozen(B[0])
-        V = frozen(self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo))
+        X = uniform_population(self.rng, self.space, config.n)
+        V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
         # bests no swarm improves on: the first settle folds the initial swarm in as it folds each moved one
-        self.state = SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0)
-        self._G, self._tiled = np.empty_like(X), None  # G tiled to (n, dim), and the G it is tiled from
-        self.curve = []
+        self._start(SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0))
+
+    def _start(self, state: SwarmState) -> None:
+        """Take ``state`` as the swarm, the one way a swarm enters the engine: X is written into block 0 of a fresh
+        (3, n, dim) batch, as a step's moved swarm is; X, V and G are frozen and G tiled; the swarm is settled with the
+        first step's probes. Every draw after this comes from ``rng``: a test replaying its own stream sets it first."""
+        B = np.empty((3,) + state.X.shape)
+        B[0] = state.X
+        state.X, state.V, state.G = frozen(B[0]), frozen(state.V), frozen(state.G)
+        np.copyto(self._G, state.G)
+        self.state, self.curve, self._pulls, self._i = state, [], np.empty((0,)), 0
         self._settle(B)
 
     def step(self) -> None:
@@ -191,14 +193,10 @@ class BsoEngine:
         lam, rest = self._coef
 
         # 1. Antenna increment xi = -delta * V * sign(f(right) - f(left)) from probes at X +/- V*d/2 (pre-update V),
-        # their values (or None) kept by the last settle while X, V, delta and the stream are those they came from;
-        # only a state replaced by hand gets one (2n, dim) call, right rows first. Where they cannot influence the move
+        # their values (or None) those the last settle evaluated with X. Where they cannot influence the move
         # (lam == 1, or a zero or underflowed spacing: coincident probes) no probe is evaluated and no noise drawn:
         # lam=1/delta0=0 is PSO.
-        xi, (kept_X, kept_V, kept_delta, kept_rng, f) = None, self._kept
-        if not (kept_X is st.X and kept_V is st.V and kept_delta == st.delta and kept_rng is rng):
-            probes = self._probes(st.X, st.V, st.delta)
-            f = None if probes is None else self.problem.evaluate_many(probes.reshape(-1, st.X.shape[1]), rng)
+        xi, f = None, self._f
         if f is not None:
             f_right, f_left = f[: cfg.n], f[cfg.n :]
             # Sign by comparison, so +inf against +inf gives 0 (no move), not NaN. Scaling the
@@ -208,17 +206,13 @@ class BsoEngine:
             xi = np.multiply(st.V, sign[:, None])
 
         # 2. Velocity clip((omega*V + (a1*r1)*(P - X)) + (a2*r2)*(G - X)); a1*r1, a2*r2 are a step of a scaled block.
-        own = rng is self._own  # a stream assigned by hand gives one step and leaves the own block where it stopped
-        if own and self._i == len(self._pulls):
+        if self._i == len(self._pulls):
             b = 1 if self.problem.stochastic else 32768 // (2 * st.V.size)
             self._pulls = None  # freed before the next block is drawn, which then takes its memory, not fresh pages
             self._pulls, self._i = rng.uniform((max(1, min(b, cfg.max_iters - st.k)), 2) + st.V.shape), 0
             self._pulls *= self._scale
-        pull_p, pull_g = self._pulls[self._i] if own else rng.uniform((2,) + st.V.shape) * self._scale
-        self._i += own
-        if st.G is not self._tiled:  # tiled once per G that a settle (or a hand) sets, so no pull broadcasts G
-            np.copyto(self._G, st.G)
-            self._tiled = st.G
+        pull_p, pull_g = self._pulls[self._i]
+        self._i += 1
         V = np.subtract(st.P, st.X)
         pull_p *= V
         np.subtract(self._G, st.X, out=V)
@@ -245,31 +239,26 @@ class BsoEngine:
         if self.debug_checks:
             self._check_invariants()
 
-    def _probes(self, X: Array, V: Array, delta: float, B: Array | None = None) -> Array | None:
-        """The (2, n, dim) probes at spacing d = delta / c2_ratio (blocks 1 and 2 of B if given), clamped if asked;
-        None if lam == 1 or d is 0."""
-        d = delta / self.config.c2_ratio
-        probes = antennae(X, V, d, None if B is None else B[1:]) if self.config.lam < 1.0 and d > 0.0 else None
-        if probes is not None and self.problem.clamp_probes:
-            clip_in_place(probes, self.lower, self.upper)
-        return probes
-
     def _settle(self, B: Array | None) -> None:
         """Evaluate the swarm ``state.X`` after ``state.k`` iterations, block 0 of the fresh (3, n, dim) array B (a
-        step with lam == 1 makes none), and fold it into the bests and the curve. If step k + 1 probes, its probes
-        from X, V and delta fill blocks 1 and 2 and go with the swarm as one (3n, dim) batch, and their values are
-        kept with what they came from (None if it does not probe)."""
-        st, X = self.state, self.state.X
-        probes = self._probes(X, st.V, st.delta, B) if st.k < self.config.max_iters else None
-        F = self.problem.evaluate_many(X if probes is None else B.reshape(-1, X.shape[1]), self.rng)
-        F, f = F[: len(X)], None if probes is None else F[len(X):]
-        self._kept = (X, st.V, st.delta, self.rng, f)
+        step with lam == 1 makes none), and fold it into the bests and the curve. If step k + 1 probes (lam < 1, spacing
+        d = delta / c2_ratio > 0), its probes from X, V and d, clamped if the problem asks, fill blocks 1 and 2 and go
+        with the swarm as one (3n, dim) batch; their values are kept for that step (None if it does not probe)."""
+        st, X, d = self.state, self.state.X, self.state.delta / self.config.c2_ratio
+        probing = st.k < self.config.max_iters and self.config.lam < 1.0 and d > 0.0
+        if probing:
+            antennae(X, st.V, d, B[1:])
+            if self.problem.clamp_probes:
+                clip_in_place(B[1:], self.lower, self.upper)
+        F = self.problem.evaluate_many(B.reshape(-1, X.shape[1]) if probing else X, self.rng)
+        F, self._f = F[: len(X)], F[len(X) :] if probing else None
         improved = F < st.Pf
         if np.count_nonzero(improved):  # no personal best improved: the bests stay as they are
             np.copyto(st.P, X, where=improved[:, None])
             np.copyto(st.Pf, F, where=improved)
             gi = int(st.Pf.argmin())
             st.G, st.Gf = frozen(st.P[gi].copy()), float(st.Pf[gi])
+            np.copyto(self._G, st.G)
         self.curve.append(st.Gf)
 
     def run(self) -> tuple[list[float], Array, float]:

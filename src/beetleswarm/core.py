@@ -267,9 +267,9 @@ class RunRecord(Rebuilt):
     best_f: float
     wall_time_s: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "curve", frozen(real(self.curve, f"{self.problem_id} curve")))
-        object.__setattr__(self, "best_x", frozen(real(self.best_x, f"{self.problem_id} best_x")))
+    def __post_init__(self):  # frozen copies, so the caller's own arrays stay writable
+        object.__setattr__(self, "curve", frozen(np.array(real(self.curve, f"{self.problem_id} curve"))))
+        object.__setattr__(self, "best_x", frozen(np.array(real(self.best_x, f"{self.problem_id} best_x"))))
 
     @classmethod
     def from_run(cls, problem: Problem, algorithm: str, config_type: type, config, seed, optimize) -> RunRecord:

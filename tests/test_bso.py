@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +15,7 @@ from beetleswarm import (
     PsoConfig,
     RandomStream,
     SearchSpace,
+    SwarmState,
     get_problem,
     inertia_weight,
     run_bso,
@@ -53,16 +54,16 @@ class TestInertiaWeight:
 
 
 def step_once(problem, X, V, stream, P=None, G=None, omega=0.9, **config):
-    """A small engine stepped once from positions X and velocities V, with personal bests P (X if None), global
-    best G (P's first row if None) and inertia weight omega, its draws taken from ``stream``."""
+    """A small engine started through ``_start`` at positions X and velocities V, with personal bests P (X if None),
+    global best G (P's first row if None) and inertia weight omega, then stepped once, its draws taken from
+    ``stream``. The start's settle folds X into the bests where it improves on P, as every settle does."""
     X = np.array(X, dtype=float)
+    P = X.copy() if P is None else np.array(P, dtype=float)
+    G = P[0].copy() if G is None else np.array(G, dtype=float)
     engine = BsoEngine(problem, BsoConfig(n=len(X), max_iters=1, omega_max=omega, omega_min=omega, **config))
-    st = engine.state
-    st.X, st.V = X, np.array(V, dtype=float)
-    st.P = X.copy() if P is None else np.array(P, dtype=float)
-    st.G = st.P[0].copy() if G is None else np.array(G, dtype=float)
-    st.Pf = problem.evaluate_many(st.P)
     engine.rng = stream
+    Pf, Gf = problem.evaluate_many(P), problem.evaluate(G)
+    engine._start(SwarmState(X, np.array(V, dtype=float), P, Pf, G, Gf, engine.config.delta0, 0))
     engine.step()
     return engine
 
@@ -92,13 +93,14 @@ class TestUpdateVelocity:
         assert np.allclose(engine.state.V, 0.7 * np.array(v))
 
     def test_unit_draw_arithmetic(self):
-        zeros = np.zeros((2, 2))
+        # on a constant objective the zero swarm improves on no personal best, so P and G stay as given
+        zeros, flat = np.zeros((2, 2)), constant_problem(2)
         p, g = [[1.0, 0.0]] * 2, [0.0, 1.0]
-        engine = step_once(sphere_problem(2), zeros, zeros, FixedStream(*[1.0] * 8), p, g, 0.4, a1=1.0, a2=1.0, **SWARM)
+        engine = step_once(flat, zeros, zeros, FixedStream(*[1.0] * 8), p, g, 0.4, a1=1.0, a2=1.0, **SWARM)
         assert np.array_equal(engine.state.V, [[1.0, 1.0]] * 2)
         # r1 fills the whole (n, dim) block first, then r2
         ones, stream = np.ones((2, 2)), FixedStream(0.25, 0.5, 1.0, 1.0, 0.125, 0.75, 1.0, 1.0)
-        engine = step_once(sphere_problem(2), zeros, zeros, stream, ones, ones[0], 0.4, a1=1.0, a2=10.0, **SWARM)
+        engine = step_once(flat, zeros, zeros, stream, ones, ones[0], 0.4, a1=1.0, a2=10.0, **SWARM)
         assert np.array_equal(engine.state.V, [[0.25 + 1.25, 0.5 + 7.5], [1.0 + 10.0, 1.0 + 10.0]])
 
     def test_clamp_contract(self):
@@ -151,19 +153,16 @@ class TestBeetleIncrement:
         assert calls == [4] * 4  # initial population plus one move per step
 
     def test_underflowed_spacing_skips_the_probes(self):
-        # at delta = 1e-323 the spacing delta / c2_ratio rounds to 0, so the probes would coincide;
-        # the step used to test delta and still evaluated them, three calls instead of one
-        calls = []
-        base = sphere_problem(2)
-        counting = Problem(base.id, base.space, lambda X, rng=None: calls.append(X.shape) or base.batch(X))
-        engine = BsoEngine(counting, BsoConfig(n=4, max_iters=3, lam=0.5, seed=1))
-        engine.state.delta = 1e-323
-        calls.clear()
-        engine.step()
-        assert calls == [(4, 2)]
-        engine.state.delta = 1e-322  # spacing 2e-323, still positive: the probes are evaluated in a call of their
-        engine.step()  # own, then the move with the next step's probes
-        assert calls == [(4, 2), (8, 2), (12, 2)]
+        # at delta = 1e-323 the spacing delta / c2_ratio rounds to 0, so the probes would coincide and the start and
+        # the step each send the swarm alone (the step used to test delta and still evaluate them); at 1e-322 the
+        # spacing is 2e-323, still positive, and each sends the swarm with the next step's probes
+        for delta, rows in ((1e-323, 4), (1e-322, 12)):
+            calls = []
+            engine = BsoEngine(counting(sphere_problem(2), calls), BsoConfig(n=4, max_iters=3, lam=0.5, seed=1))
+            calls.clear()
+            engine._start(dataclasses.replace(engine.state, delta=delta))
+            engine.step()
+            assert calls == [rows, rows]
 
 
 class TestUpdatePosition:
@@ -278,15 +277,23 @@ class TestEngine:
         with pytest.raises(AssertionError, match=f"^debug check failed at iteration 1: {name}$"):
             engine._check_invariants()
 
-    @pytest.mark.parametrize("cfg", [BsoConfig(n=6, max_iters=3, v_frac=1e306),
-                                     PsoConfig(n=6, max_iters=3, v_frac=1e306).to_bso()], ids=["bso", "pso"])
+    @pytest.mark.parametrize("cfg", [BsoConfig(n=6, max_iters=3), PsoConfig(n=6, max_iters=3).to_bso()],
+                             ids=["bso", "pso"])
     def test_debug_checks_name_a_non_finite_velocity(self, cfg):
-        # v_frac * width overflows to inf, so V starts as NaN; the box check used to be the first to fail.
-        # run_bso and run_pso reject this config on F1's box, so the engine is driven directly
-        with np.errstate(over="ignore", invalid="ignore"):
-            engine = BsoEngine(get_problem("F1"), cfg, debug_checks=True)
-            with pytest.raises(AssertionError, match="^debug check failed at iteration 1: every velocity is finite$"):
-                engine.step()
+        # a swarm started with a NaN velocity moves to a NaN position too; the box check used to be the first to fail
+        engine = BsoEngine(get_problem("F1"), cfg, debug_checks=True)
+        engine._start(dataclasses.replace(engine.state, V=poked(engine.state.V, np.nan)))
+        with pytest.raises(AssertionError, match="^debug check failed at iteration 1: every velocity is finite$"):
+            engine.step()
+
+    def test_config_is_checked_as_run_bso_checks_it(self):
+        # the engine used to take a PsoConfig (and fail on its missing lam), fail on None (no seed), and run a
+        # v_frac whose velocity bound overflows on the box, which run_bso rejects
+        with pytest.raises(ValueError, match="^bso needs a BsoConfig, got a PsoConfig$"):
+            BsoEngine(get_problem("F16"), PsoConfig())
+        assert BsoEngine(get_problem("F16"), None).config == BsoConfig()
+        with pytest.raises(ValueError, match="^F1: 2 \\* v_frac \\* w is inf, not finite"):
+            BsoEngine(get_problem("F1"), BsoConfig(v_frac=1e306))
 
     def test_debug_checks_survive_python_O(self):
         # the checks were asserts, which -O strips: a coordinate at 1e9, outside the box, passed them
@@ -361,8 +368,7 @@ engine._check_invariants()
 
 
 class TestProbeBatches:
-    """Each evaluation of the swarm carries the next step's antenna probes; a step whose state was replaced by hand
-    evaluates its own."""
+    """Each evaluation of the swarm carries the next step's antenna probes."""
 
     @staticmethod
     def counted(rows, pid="F16", **config):
@@ -384,52 +390,21 @@ class TestProbeBatches:
             engine.step()
 
     @pytest.mark.parametrize(
-        "replace",
+        "run,built",
         [
-            lambda eng: setattr(eng.state, "X", eng.state.X.copy()),
-            lambda eng: setattr(eng.state, "V", eng.state.V.copy()),
-            lambda eng: setattr(eng.state, "delta", eng.state.delta / 2),
-            lambda eng: setattr(eng, "rng", RandomStream(1)),
-        ],
-        ids=["X", "V", "delta", "rng"],
-    )
-    def test_a_replaced_state_evaluates_fresh_probes(self, replace):
-        rows = []
-        engine = self.counted(rows)
-        engine.step()
-        replace(engine)
-        rows.clear()
-        engine.step()
-        assert rows == [8, 12]  # its own (2n, dim) probes, then the move with the next step's probes
-
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda p: run_pso(p, PsoConfig(n=4, max_iters=5)),
-            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, lam=1.0)),
-            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, delta0=1e-323)),  # the spacing underflows to 0
-            lambda p: run_bso(p, BsoConfig(n=4, max_iters=5)),
+            (lambda p: run_pso(p, PsoConfig(n=4, max_iters=5)), 0),
+            (lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, lam=1.0)), 0),
+            (lambda p: run_bso(p, BsoConfig(n=4, max_iters=5, delta0=1e-323)), 0),  # the spacing underflows to 0
+            (lambda p: run_bso(p, BsoConfig(n=4, max_iters=5)), 5),  # the initial swarm and the first four moves
         ],
         ids=["pso", "lam-1", "underflowed", "bso"],
     )
-    def test_each_settle_builds_the_probes_once(self, run, monkeypatch):
-        # a record of no probes used to match no state, so each step of the first three rebuilt them: 10 calls
-        calls, probes = [], BsoEngine._probes
-        monkeypatch.setattr(BsoEngine, "_probes", lambda self, *args: calls.append(1) or probes(self, *args))
+    def test_each_settle_builds_the_probes_once(self, run, built, monkeypatch):
+        # once per settle that a step follows, and never where no step probes
+        calls, antennae = [], beetleswarm.bso.antennae
+        monkeypatch.setattr(beetleswarm.bso, "antennae", lambda *args: calls.append(1) or antennae(*args))
         run(get_problem("F16"))
-        assert len(calls) == 5  # one per settle that a step follows: the initial swarm and the first four moves
-
-    @pytest.mark.parametrize("pid", ["F16", "PV"])
-    def test_fresh_probes_give_the_kept_bits(self, pid):
-        # a copy of X before every step forces fresh probes; a deterministic objective then gives the same run
-        kept, fresh = self.counted([], pid, max_iters=20), self.counted([], pid, max_iters=20)
-        for _ in range(20):
-            kept.step()
-            fresh.state.X = fresh.state.X.copy()
-            fresh.step()
-        assert kept.curve == fresh.curve
-        for name in ("X", "V", "P", "Pf", "G"):
-            assert np.array_equal(getattr(kept.state, name), getattr(fresh.state, name))
+        assert len(calls) == built
 
 
 def stream_state(engine) -> dict:
@@ -455,10 +430,10 @@ class TestBlockDraw:
         assert stream_state(stepped) == stream_state(ran)
 
     def test_block_draws_are_per_step_draws(self):
-        # a copy of the stream assigned by hand is drawn one step at a time: same run, same final stream
+        # F16 marked stochastic is the same objective, its r1/r2 drawn one step at a time by the engine's own rule:
+        # same run, same final stream
         config, problem = BsoConfig(**self.CONFIG), get_problem("F16")
-        block, per_step = BsoEngine(problem, config), BsoEngine(problem, config)
-        per_step.rng = copy.deepcopy(per_step.rng)
+        block, per_step = BsoEngine(problem, config), BsoEngine(dataclasses.replace(problem, stochastic=True), config)
         block.step()
         per_step.step()
         assert stream_state(block) != stream_state(per_step)  # the block is ahead while the run goes on
@@ -466,34 +441,6 @@ class TestBlockDraw:
         per_step.run()
         assert block.curve == per_step.curve and np.array_equal(block.state.G, per_step.state.G)
         assert stream_state(block) == stream_state(per_step)
-
-    def test_the_own_block_goes_on_after_a_stream_assigned_by_hand(self):
-        # steps drawn from a hand-set stream leave the own block where it stopped: back on the own stream, the run
-        # is the one per-step drawing gives, and the stream ends where per-step drawing ends it
-        config, problem = BsoConfig(**self.CONFIG), get_problem("F16")
-        block, per_step = BsoEngine(problem, config), BsoEngine(problem, config)
-        per_step.rng = copy.deepcopy(per_step.rng)
-        for engine in (block, per_step):
-            own = engine.rng
-            for rng, steps in ((own, 5), (RandomStream(9), 3), (own, config.max_iters - 8)):
-                engine.rng = rng
-                for _ in range(steps):
-                    engine.step()
-        assert block.curve == per_step.curve and np.array_equal(block.state.G, per_step.state.G)
-        assert stream_state(block) == stream_state(per_step)
-
-    def test_a_stream_assigned_mid_run_is_drawn_from(self):
-        engine = BsoEngine(get_problem("F16"), BsoConfig(**self.CONFIG))
-        for _ in range(5):
-            engine.step()
-        own, before = engine.rng, stream_state(engine)
-        engine.rng = RandomStream(9)
-        for _ in range(3):
-            engine.step()
-        reference = RandomStream(9)
-        reference.uniform(3 * 2 * engine.state.V.size)  # F16 draws nothing else: r1 and r2 of each step
-        assert stream_state(engine) == reference._gen.bit_generator.state
-        assert own._gen.bit_generator.state == before  # the engine's own stream is not drawn from
 
 
 class TestPsoEquivalence:

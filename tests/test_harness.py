@@ -468,6 +468,15 @@ def test_pooled_records_are_read_only(monkeypatch, two_cpus):
     assert all(_read_only(r.curve) and _read_only(r.best_x) for r in records)
 
 
+def test_a_record_copies_the_arrays_it_is_given():
+    # the record used to freeze the caller's own float64 curve and point in place
+    curve, best_x = np.array([2.0, 1.0]), np.zeros(2)
+    record = RunRecord("P", "bso", 0, {}, curve, best_x, 1.0, 0.1)
+    curve[0], best_x[0] = 5.0, 3.0
+    assert list(record.curve) == [2.0, 1.0] and list(record.best_x) == [0.0, 0.0]
+    assert _read_only(record.curve) and _read_only(record.best_x)
+
+
 class TestExportConvergence:
     def test_length_contract_and_roundtrip(self, tmp_path):
         rec = _record(1.0, curve=[3.0, 2.0, 1.0])  # a 2-iteration run
