@@ -98,15 +98,17 @@ def sample_directions(rng: RandomStream, dim: int, m: int) -> Array:
     return B
 
 
-def _clamped(probes: Array, problem: Problem) -> Array:
-    """``probes``, clamped into the box in place if the problem asks (``ndarray.clip`` against the (dim,) bounds)."""
-    return probes.clip(problem.space.lower, problem.space.upper, out=probes) if problem.clamp_probes else probes
+def _probe_box(problem: Problem) -> tuple[Array, Array] | None:
+    """The box tiled to a probe pair's (2, dim) shape if the problem clamps its probes, else None. Every clamp of
+    either optimizer is ``clip_in_place`` against bounds of the clamped array's shape, so it keeps clip's bits."""
+    lo, hi = problem.space.lower, problem.space.upper
+    return (np.tile(lo, (2, 1)), np.tile(hi, (2, 1))) if problem.clamp_probes else None
 
 
-def _probes(x, d, problem: Problem, rng: RandomStream) -> tuple[Array, Array]:
-    """A fresh direction b and the (2, dim) ``antennae`` probes along it, clamped into the box if the problem asks."""
+def _probes(x, d, problem: Problem, rng: RandomStream, box: tuple[Array, Array] | None) -> tuple[Array, Array]:
+    """A fresh direction b and the (2, dim) ``antennae`` probes along it, clamped into ``box`` unless it is None."""
     [b] = sample_directions(rng, problem.space.dim, 1)
-    return b, _clamped(antennae(x, b, d), problem)
+    return b, antennae(x, b, d) if box is None else clip_in_place(antennae(x, b, d), *box)
 
 
 def _move(x, delta, b, probes, f_right, f_left, best_x, best_f, space) -> tuple[Array, Array, float]:
@@ -133,7 +135,7 @@ def bas_step(state: BasState, problem: Problem, rng: RandomStream) -> BasState:
     The step by hand keeps these two calls; ``run_bas`` merges the new
     position into the next iteration's probe call, on the same bits.
     """
-    b, probes = _probes(state.x, state.d, problem, rng)
+    b, probes = _probes(state.x, state.d, problem, rng, _probe_box(problem))
     f = problem.evaluate_many(probes, rng).tolist()
     x_new, best_x, best_f = _move(state.x, state.delta, b, probes, *f, state.best_x, state.best_f, problem.space)
     [f_new] = problem.evaluate_many(x_new[None, :], rng).tolist()
@@ -162,7 +164,7 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
         rng = RandomStream(seed)
         delta = config.start_step(problem)
         d = delta / config.c2_ratio
-        x = uniform_in_space(rng, problem.space)
+        x, box = uniform_in_space(rng, problem.space), _probe_box(problem)
         best_x, best_f, curve = x, math.inf, []
         for t in range(config.max_iters + 1):  # x is the position after t iterations
             if (i := t % _BLOCK) == 0 and t < config.max_iters:  # the block's steps and spacings: K updates in all
@@ -176,7 +178,7 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
                     o = B * np.divide([s for _, s in schedule[:-1]], 2.0)[:, None]  # antennae's b * (d / 2)
                     O = np.stack((np.full_like(o, -0.0), o, -o), axis=1)  # x + -0.0 is x, and x + -o is x - o
                 rows = np.add(x, O[i])  # one fresh (3, dim) batch: x, then the right and left probes
-                b, probes = B[i], _clamped(rows[1:], problem)
+                b, probes = B[i], rows[1:] if box is None else clip_in_place(rows[1:], *box)
             f_x, *f = problem.evaluate_many(rows, rng).tolist()
             if f_x < best_f:  # best_f starts at inf, where best_x already is x
                 best_x, best_f = x, f_x
@@ -184,7 +186,7 @@ def run_bas(problem: Problem, config: BasConfig | None = None, seed: int | None 
             if t == config.max_iters:
                 break
             if not f:  # noise is drawn in call order, so a noisy objective sees the next direction after the move
-                b, probes = _probes(x, d, problem, rng)
+                b, probes = _probes(x, d, problem, rng, box)
                 f = problem.evaluate_many(probes, rng).tolist()
             x, best_x, best_f = _move(x, delta, b, probes, *f, best_x, best_f, problem.space)
             delta, d = schedule[i + 1]

@@ -323,7 +323,7 @@ def clip_in_place(x: Array, lo: Array, hi: Array) -> Array:
     """``x.clip(lo, hi, out=x)`` bit for bit, without ndarray.clip's Python layer, only if lo and hi have x's shape.
 
     Scalar or (dim,) bounds, or ``np.maximum(lo, x)``, can return the bound on a tie of signed zeros
-    (x = +0.0 against lo = -0.0 gives -0.0, where clip keeps +0.0); the BSO engine passes tiled copies."""
+    (x = +0.0 against lo = -0.0 gives -0.0, where clip keeps +0.0); both optimizers pass bounds of x's shape."""
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 

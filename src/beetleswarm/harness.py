@@ -1,14 +1,15 @@
 """Statistical experiment runner and report/export formats.
 
-A "trial" is one full optimizer run; ``run_trials`` repeats a run
-``n_trials`` times with seeds ``base_seed + i`` and reduces the final best
-fitnesses to mean / sample standard deviation / best, plus the mean
-wall-clock time. Trials are independent, so with ``BSO_THREADS`` set above
-1 they execute in a process pool that receives the caller's own problem
-and config objects (so both must pickle); because every trial owns its
-seed, the parallel and serial paths produce identical records (timings
-aside). A trial that raises ends the run at once on either path, with a
-note naming the trial on its exception; the pool drops the trials not begun.
+A "trial" is one full optimizer run; ``run_trials`` repeats a run ``n_trials``
+times with seeds ``base_seed + i`` and reduces the final best fitnesses to
+mean / sample standard deviation / best, plus the mean wall-clock time. Trials
+are independent, so with ``BSO_THREADS`` set above 1 they execute in a process
+pool that receives the caller's own problem and config objects (so both must
+pickle); because every trial owns its seed, the parallel and serial paths
+produce identical records (timings aside). A trial that raises ends the run at
+once on either path, with a note naming the trial on its exception; the pool
+cancels the trials not yet queued for a worker, but up to 2 x workers + 1
+running or queued ones run on, and the interpreter waits for them at exit.
 
 Exports: per-run convergence curves as two-column CSV at full double
 precision, and cross-algorithm comparison reports as JSON plus an aligned
@@ -124,10 +125,10 @@ def _seeds(n_trials: int, base_seed: int) -> list[int]:
 def _run_jobs(jobs: list[tuple[str, Problem, object, int]]) -> list[RunRecord]:
     """Run (algorithm, problem, config, seed) jobs, in a pool if BSO_THREADS > 1.
 
-    Every job's algorithm, config type and box are checked first, so a plan that cannot run raises before any
-    job runs or is pooled. Records come back in job order either way, and the error raised is the earliest
-    failing job's, as soon as the jobs before it are done. In the pool, ``Executor.map`` then cancels the jobs
-    no worker has taken; the ones already taken finish in the background, and the caller does not wait for them.
+    Every job's algorithm, config type and box are checked first, so a plan that cannot run raises before any job runs
+    or is pooled. Records come back in job order either way, and the error raised is the earliest failing job's, as
+    soon as the jobs before it are done. In the pool, ``Executor.map`` then cancels the jobs not yet queued; up to 2 x
+    workers + 1 running or queued run on, and the interpreter, not the caller, waits for them at exit.
     """
     workers = worker_count()
     for algorithm, problem, config, _ in jobs:

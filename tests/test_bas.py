@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from beetleswarm import BasConfig, BasState, Problem, RandomStream, SearchSpace, get_problem, run_bas, uniform_in_space
+from beetleswarm import (
+    BasConfig, BasState, BsoConfig, BsoEngine, Problem, RandomStream, SearchSpace, SwarmState, get_problem, run_bas,
+    uniform_in_space,
+)
 import beetleswarm.bas
 from beetleswarm.bas import _BLOCK, antennae, bas_step, sample_directions, update_schedules
+from beetleswarm.core import clip_in_place
 
 from .conftest import FixedStream, constant_problem, sphere_problem
 
@@ -161,16 +165,24 @@ class TestBasStep:
         new = bas_step(state, problem, FixedStream(0.9))
         assert -1.0 <= new.x[0] <= 1.0
 
-    def test_probe_clamp_keeps_the_probe_on_a_signed_zero_tie(self):
-        # the right probe -0.5 + 0.5 = +0.0 ties the box's upper bound -0.0; ndarray.clip against (dim,) bounds
-        # keeps the probe's +0.0 there, where bounds tiled to the probes' shape would give -0.0
+    def test_probe_clamp_reads_the_bounds_zero_on_a_signed_zero_tie_as_bso_does(self):
+        # the right probe -0.5 + 0.5 = +0.0 ties the box's upper bound -0.0: clip_in_place against the box tiled to the
+        # probes' shape, the one clamp rule of both optimizers, reads the bound's -0.0 there
         rows = []
         space = SearchSpace(np.array([-1.0]), np.array([-0.0]))
         problem = Problem("tie", space, lambda X, rng=None: rows.append(X.copy()) or X[:, 0], clamp_probes=True)
         bas_step(_state_at([-0.5], d=1.0), problem, FixedStream(0.75))  # raw 0.5 -> b = +1
         probes = rows[0]
-        assert probes.tobytes() == np.array([[0.0], [-1.0]]).tobytes()
-        assert not np.signbit(probes[0, 0])
+        expected = clip_in_place(
+            antennae(np.array([-0.5]), np.array([1.0]), 1.0), np.tile(space.lower, (2, 1)), np.tile(space.upper, (2, 1))
+        )
+        assert probes.tobytes() == expected.tobytes() == np.array([[-0.0], [-1.0]]).tobytes()
+        # BSO's probes from two beetles at X = -0.5 with V = 1 and spacing 1 land on the same +0.0 and clamp alike
+        engine = BsoEngine(problem, BsoConfig(n=2, max_iters=1, delta0=1.0, c2_ratio=1.0, v_frac=1.0))
+        X, V = np.full((2, 1), -0.5), np.ones((2, 1))
+        rows.clear()
+        engine._start(SwarmState(X, V, X.copy(), np.full(2, np.inf), X[0], np.inf, 1.0, 0))
+        assert rows[0][2:].tobytes() == np.repeat(expected, 2, axis=0).tobytes()  # right, right, left, left
 
     def test_schedules_untouched_by_step(self):
         problem = sphere_problem(2)
