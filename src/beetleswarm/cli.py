@@ -6,9 +6,10 @@ Three subcommands bind the catalog, optimizers and harness together:
 * ``bench``        a problems x algorithms trial matrix -> report.json/.txt
 * ``constrained``  the engineering problems -> best feasible solution found
 
-Every invocation writes back the fully resolved configuration (defaults
-applied, flags merged over any ``--config`` file), so each output is
-self-describing and exactly reproducible. Exit codes: 0 success, 2 usage
+Each JSON output (constrained.json only with ``--out``) is the document
+``harness.document`` builds. It carries the fully resolved configuration
+(defaults applied, flags merged over any ``--config`` file), so each output
+is self-describing and exactly reproducible. Exit codes: 0 success, 2 usage
 error, 3 no feasible solution found, 1 internal error.
 
 Each flag that sets a config key is one row of ``FLAGS``, which builds the
@@ -30,6 +31,7 @@ from .harness import (
     ALGORITHMS,
     REPORT_FILES,
     compare_report,
+    document,
     export_convergence,
     run_matrix,
     run_one,
@@ -38,9 +40,6 @@ from .harness import (
     summarize,
     worker_count,
 )
-
-RUN_SCHEMA = "beetleswarm-run-v1"
-CONSTRAINED_SCHEMA = "beetleswarm-constrained-v1"
 
 # A flag, the config key it sets and the commands that take it. ``kind`` is the key's JSON type (list: a comma
 # string or a list of strings, read as its stripped items); a ``default`` of None makes the key required.
@@ -208,7 +207,7 @@ def cmd_run(args) -> int:
     record = run_one(algo, problem, config, config.seed)
 
     export_convergence(record, curve_path)
-    doc = {"schema": RUN_SCHEMA, **record.to_dict()}
+    doc = document("run", [summarize([record])], {algo: config}, record=record.to_dict())
     run_path.write_text(strict_json(doc) + "\n")
 
     print(
@@ -254,23 +253,13 @@ def cmd_constrained(args) -> int:
     json_path = None if out is None else _make_out_dir(out, "constrained.json")[1]
 
     records = run_trial_records(algo, problem, config, n_trials, base_seed)
-    summary = summarize(records)
 
     evaluations = [{**cp.report(r.best_x), "penalized": r.best_f, "seed": r.seed} for r in records]
     feasible = [e for e in evaluations if e["feasible"]]
     best = min(feasible or evaluations, key=lambda e: e["raw_objective" if feasible else "penalized"])
 
-    doc = {
-        "schema": CONSTRAINED_SCHEMA,
-        "problem": cp.id,
-        "algorithm": algo,
-        "n_trials": n_trials,
-        "feasible_trials": len(feasible),
-        "best": best,
-        "summary": summary.to_dict(),
-        "config": {**config.to_dict(), "base_seed": base_seed},
-    }
     if json_path is not None:
+        doc = document("constrained", [summarize(records)], {algo: config}, feasible_trials=len(feasible), best=best)
         json_path.write_text(strict_json(doc) + "\n")
 
     xs = "  ".join(f"x{i + 1}={v:.6f}" for i, v in enumerate(best["x"]))

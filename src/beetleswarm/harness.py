@@ -12,8 +12,9 @@ cancels the trials not yet queued for a worker, but up to 2 x workers + 1
 running or queued ones run on, and the interpreter waits for them at exit.
 
 Exports: per-run convergence curves as two-column CSV at full double
-precision, and cross-algorithm comparison reports as JSON plus an aligned
-plain-text table carrying the same numbers.
+precision, and ``document``, the one JSON document (schema beetleswarm-v2)
+that ``run``, ``bench`` and ``constrained`` write; ``compare_report`` writes
+a matrix's document plus an aligned plain-text table carrying the same numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .core import Problem, RunRecord, check_int, checked_config, shown
 # name -> (config type, runner(problem, config, seed=...))
 ALGORITHMS = {"bso": (BsoConfig, run_bso), "bas": (BasConfig, run_bas), "pso": (PsoConfig, run_pso)}
 
-REPORT_SCHEMA = "beetleswarm-compare-v1"
+SCHEMA = "beetleswarm-v2"  # of every JSON document a command writes, built by document
 REPORT_FILES = ("report.json", "report.txt")  # what compare_report writes into its destination
 
 
@@ -258,44 +259,44 @@ def _format_table(problems: list[str], algorithms: list[str], cells: dict) -> st
     return "\n".join(out) + "\n"
 
 
-def compare_report(summaries: list[TrialSummary], destination, configs: dict | None = None) -> tuple[Path, Path]:
-    """Write report.json and report.txt for a problems x algorithms matrix.
+def document(command: str, summaries: list[TrialSummary], configs: dict | None, **extra) -> dict:
+    """The JSON document every command writes: ``schema``, ``command``, ``algorithms``, ``problems``, the summaries'
+    ``to_dict()`` as ``cells[problem][algorithm]`` and, given, each algorithm's config ``to_dict()`` as ``configs``;
+    then ``extra``'s keys in order (``record`` for ``run``, ``feasible_trials`` and ``best`` for ``constrained``).
 
     Every algorithm must cover the same problem set; anything missing or
-    extra is an error that names the offending cells. ``configs`` maps an
-    algorithm to the config its cells ran with; given, report.json ends with
-    their ``to_dict()`` under ``"configs"``, and the other keys keep their bytes.
+    extra is an error that names the offending cells.
     """
     if not summaries:
         raise ValueError("no summaries to report")
-    algorithms: list[str] = []
-    problems: list[str] = []
     cells: dict[str, dict[str, dict]] = {}
     for s in summaries:
-        if s.algorithm not in algorithms:
-            algorithms.append(s.algorithm)
-        if s.problem_id not in problems:
-            problems.append(s.problem_id)
-        cells.setdefault(s.problem_id, {})
-        if s.algorithm in cells[s.problem_id]:
+        if s.algorithm in cells.setdefault(s.problem_id, {}):
             raise ValueError(f"duplicate cell ({s.problem_id}, {s.algorithm})")
         cells[s.problem_id][s.algorithm] = s.to_dict()
+    algorithms, problems = list(dict.fromkeys(s.algorithm for s in summaries)), list(cells)
 
     missing = [f"({pid}, {algo})" for pid in problems for algo in algorithms if algo not in cells[pid]]
     if missing:
         raise ValueError(f"algorithms cover different problem sets; missing cells: {missing}")
 
-    dest = Path(destination)
-    dest.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "algorithms": algorithms,
-        "problems": problems,
-        "cells": cells,
-    }
+    doc = {"schema": SCHEMA, "command": command, "algorithms": algorithms, "problems": problems, "cells": cells}
     if configs is not None:
         doc["configs"] = {algo: config.to_dict() for algo, config in configs.items()}
+    return {**doc, **extra}
+
+
+def compare_report(summaries: list[TrialSummary], destination, configs: dict | None = None) -> tuple[Path, Path]:
+    """Write report.json, the ``bench`` document of ``summaries`` and ``configs``, and report.txt, an aligned
+    table of the same numbers, for a problems x algorithms matrix.
+
+    ``configs`` maps an algorithm to the config its cells ran with; without
+    it, report.json has no ``"configs"`` key, and the other keys keep their bytes.
+    """
+    doc = document("bench", summaries, configs)
+    dest = Path(destination)
+    dest.mkdir(parents=True, exist_ok=True)
     json_path, text_path = (dest / name for name in REPORT_FILES)
     json_path.write_text(strict_json(doc) + "\n")
-    text_path.write_text(_format_table(problems, algorithms, cells))
+    text_path.write_text(_format_table(doc["problems"], doc["algorithms"], doc["cells"]))
     return json_path, text_path

@@ -21,16 +21,18 @@ class TestRun:
         )
         assert code == 0
         doc = json.loads((out / "run.json").read_text())
-        assert doc["schema"] == "beetleswarm-run-v1"
-        assert doc["problem"] == "F1"
-        assert doc["algorithm"] == "bso"
-        assert doc["seed"] == 7
-        assert doc["config"]["n"] == 10
-        assert doc["config"]["max_iters"] == 50
-        assert doc["config"]["lam"] == 0.35  # defaults echoed back
+        assert (doc["schema"], doc["command"]) == ("beetleswarm-v2", "run")
+        record = doc["record"]
+        assert record["problem"] == "F1"
+        assert record["algorithm"] == "bso"
+        assert record["seed"] == 7
+        assert record["config"]["n"] == 10
+        assert record["config"]["max_iters"] == 50
+        assert record["config"]["lam"] == 0.35  # defaults echoed back
         curve = (out / "curve.csv").read_text().strip().splitlines()
         assert len(curve) == 52  # header + iters + 1
-        assert "best_f" in capsys.readouterr().out or True
+        printed = capsys.readouterr().out
+        assert printed.startswith("bso on F1: best_f=") and printed.endswith(f" -> {out}\n")
 
     def test_repeat_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -69,9 +71,9 @@ class TestRun:
             "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 0
-        doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["algorithm"] == "bas"
-        assert doc["config"]["max_iters"] == 60
+        record = json.loads((tmp_path / "run.json").read_text())["record"]
+        assert record["algorithm"] == "bas"
+        assert record["config"]["max_iters"] == 60
 
 
 class TestConfigFile:
@@ -82,21 +84,21 @@ class TestConfigFile:
             "seed": 11, "out": str(tmp_path / "from-file"),
         }))
         assert run_cli("run", "--config", str(cfg)) == 0
-        doc = json.loads((tmp_path / "from-file" / "run.json").read_text())
-        assert doc["algorithm"] == "pso"
-        assert doc["config"]["max_iters"] == 30
-        assert doc["config"]["n"] == 6
-        assert doc["seed"] == doc["config"]["seed"] == 11
-        assert "lam" not in doc["config"]  # PSO's own config, with no BSO key
+        record = json.loads((tmp_path / "from-file" / "run.json").read_text())["record"]
+        assert record["algorithm"] == "pso"
+        assert record["config"]["max_iters"] == 30
+        assert record["config"]["n"] == 6
+        assert record["seed"] == record["config"]["seed"] == 11
+        assert "lam" not in record["config"]  # PSO's own config, with no BSO key
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algorithm": "bso", "problem": "F16", "max_iters": 30, "seed": 1}))
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--iters", "12", "--seed", "5", "--out", str(out)) == 0
-        doc = json.loads((out / "run.json").read_text())
-        assert doc["config"]["max_iters"] == 12
-        assert doc["seed"] == 5
+        record = json.loads((out / "run.json").read_text())["record"]
+        assert record["config"]["max_iters"] == 12
+        assert record["seed"] == 5
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -422,8 +424,8 @@ class TestConstrained:
         )
         assert code in (0, 3)
         doc = json.loads((tmp_path / "constrained.json").read_text())
-        assert doc["schema"] == "beetleswarm-constrained-v1"
-        assert doc["problem"] == "PV"
+        assert (doc["schema"], doc["command"]) == ("beetleswarm-v2", "constrained")
+        assert doc["problems"] == ["PV"]
         assert len(doc["best"]["x"]) == 4
         assert len(doc["best"]["g"]) == 4
         out = capsys.readouterr().out
@@ -558,3 +560,31 @@ class TestReadme:
         for (flag, key, _, value), row in zip(rows, cli.FLAGS):
             if row.default not in (None, ""):
                 assert f"default `{row.default}`" in value, (flag, key, value)
+
+    def test_v1_to_v2_table_paths_resolve_in_each_commands_document(self, tmp_path):
+        # each row names a v1 key and its path in the v2 document of the command that wrote that file
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paths = {}
+        for line in readme.splitlines():
+            if line.startswith("| `") and ".json` |" in line:
+                name, _, path = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+                paths.setdefault(name, []).append(path)
+        argvs = {
+            "run.json": ("run", "--problem", "F16", "--iters", "3"),
+            "report.json": ("bench", "--algos", "bso,pso", "--problems", "F16,F18", "--iters", "3", "--pop", "4",
+                            "--trials", "2"),
+            "constrained.json": ("constrained", "--problem", "pv", "--iters", "3", "--pop", "4", "--trials", "2"),
+        }
+        assert sorted(paths) == sorted(argvs)
+        heads = []
+        for name, argv in argvs.items():
+            assert run_cli(*argv, "--out", str(tmp_path)) in (0, 3)
+            doc = json.loads((tmp_path / name).read_text())
+            assert (doc["schema"], doc["command"]) == ("beetleswarm-v2", argv[0])
+            heads.append(list(doc)[:6])
+            for path in paths[name]:
+                node = doc
+                for part in path.replace("<P>", doc["problems"][0]).replace("<algo>", doc["algorithms"][0]).split("."):
+                    key, _, index = part.partition("[")
+                    node = node[key] if not index else node[key][int(index.rstrip("]"))]
+        assert heads == [["schema", "command", "algorithms", "problems", "cells", "configs"]] * 3

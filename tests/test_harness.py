@@ -524,7 +524,7 @@ class TestCompareReport:
     def test_single_summary(self, tmp_path):
         json_path, text_path = compare_report([_summary("F1", "bso")], tmp_path)
         doc = json.loads(json_path.read_text())
-        assert doc["schema"] == "beetleswarm-compare-v1"
+        assert (doc["schema"], doc["command"]) == ("beetleswarm-v2", "bench")
         assert doc["problems"] == ["F1"]
         assert doc["algorithms"] == ["bso"]
         table = text_path.read_text().splitlines()
@@ -602,7 +602,7 @@ class TestCompareReport:
         monkeypatch.setattr(cli, "run_one", lambda *job: records[0])
         assert cli.main(["run", "--problem", "F16", "--iters", "2", "--out", str(tmp_path / "run")]) == 0
         doc = json.loads((tmp_path / "run" / "run.json").read_text(), parse_constant=strict)
-        assert doc["best_f"] is None and doc["best_x"] == [0.0, 0.0]
+        assert doc["record"]["best_f"] is None and doc["record"]["best_x"] == [0.0, 0.0]
 
     def test_literature_rows_join_report(self, tmp_path):
         summaries = [
