@@ -37,9 +37,9 @@ _BLOCK = 256  # iterations whose directions and offsets run_bas draws at once on
 class BasConfig(ConfigDict):
     """Tunables for a BAS run.
 
-    ``delta0`` of None means 30% of the widest box side, a scale that grows with the problem like the antenna
-    metaphor suggests. The step is multiplied by ``eta`` each iteration, and the antenna spacing is always
-    ``delta / c2_ratio``; the first spacing must be positive and finite (``check_box`` checks a derived one).
+    ``delta0`` of None, ``"delta0": null`` in an output, is ``start_step``: 30% of the widest box side, a scale that
+    grows with the problem, derived again by a re-run. The step is multiplied by ``eta`` each iteration and the
+    antenna spacing is ``delta / c2_ratio``; the first spacing must be positive and finite (``check_box`` checks it).
     """
 
     delta0: float | None = None

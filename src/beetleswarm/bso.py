@@ -31,7 +31,7 @@ underflowed) spacing send the swarm alone. Noise is drawn in row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class SwarmState:
 
     X: Array  # (n, dim) positions, read-only
     V: Array  # (n, dim) velocities, read-only
-    P: Array  # (n, dim) personal-best positions
+    P: Array  # (n, dim) personal-best positions, in the engine the first half of its attractor block
     Pf: Array  # (n,) personal-best fitnesses
     G: Array  # (dim,) global-best position, read-only
     Gf: float  # global-best fitness
@@ -139,14 +139,14 @@ class BsoEngine:
     ``run_bso`` drives it to completion; tests can step it manually and read ``state`` and ``rng`` between
     iterations. The config is checked as ``run_bso`` checks it (``core.checked_config``: None gives the defaults).
     ``debug_checks`` re-validates the core invariants (bounds containment, best-fitness bookkeeping) after every
-    step. The engine owns its swarm: the seeded one, or one of a test's own handed to a fresh engine, enters through
+    step. The engine owns its swarm: the seeded one, or one of a test's own handed to a fresh engine, is copied in by
     ``_start``, and one method, ``_settle``, evaluates every swarm, the initial one and each moved one, with the next
     step's probes, and folds it into the bests. ``state.X``, ``state.V`` and ``state.G`` are read-only
     (``core.frozen``). On a deterministic problem ``rng`` draws r1/r2 up to 256 KiB ahead, so mid-run it is ahead of
     per-step draws (it ends where they end). The box is stored at the probes' (2, n, dim) shape (its [0] half bounds
     the swarm) and the velocity bounds at (n, dim), so no clamp broadcasts (dim,) bounds, which can return the bound
-    on a tie of signed zeros (see ``clip_in_place``); G is tiled to (n, dim) where a settle sets it, so no pull
-    broadcasts it. Constant coefficients are ``core.constants``; per-step values stay floats.
+    on a tie of signed zeros (see ``clip_in_place``); the pull's attractors are one (2, n, dim) block, P (``state.P``
+    views it) and G tiled where a settle sets it. Coefficients are ``core.constants``; per-step values stay floats.
     """
 
     def __init__(
@@ -168,7 +168,7 @@ class BsoEngine:
         self.v_lo = -self.v_hi
         self._coef = constants(config.lam, 1.0 - config.lam)
         self._scale = frozen(np.tile(np.array([config.a1, config.a2])[:, None, None], (1, config.n, self.space.dim)))
-        self._G = np.empty((config.n, self.space.dim))  # G tiled to (n, dim)
+        self._A = np.empty((2, config.n, self.space.dim))  # the attractors: P, then G tiled to (n, dim)
 
         X = uniform_population(self.rng, self.space, config.n)
         V = self.v_lo + self.rng.uniform((config.n, self.space.dim)) * (self.v_hi - self.v_lo)
@@ -176,14 +176,14 @@ class BsoEngine:
         self._start(SwarmState(X, V, X.copy(), np.full(config.n, np.inf), X[0], np.inf, float(config.delta0), 0))
 
     def _start(self, state: SwarmState) -> None:
-        """Take ``state`` as the swarm, the one way a swarm enters the engine: X is written into block 0 of a fresh
-        (3, n, dim) batch, as a step's moved swarm is; X, V and G are frozen and G tiled; the swarm is settled with the
-        first step's probes. Every draw after this comes from ``rng``: a test replaying its own stream sets it first."""
+        """Take a copy of ``state`` as the swarm, the one way a swarm enters the engine: X goes into block 0 of a fresh
+        (3, n, dim) batch as a step's moved swarm does, P and G (tiled) into the attractor block, and copies of V and G
+        are frozen, as X is; the swarm is settled with the first step's probes. Every later draw comes from ``rng``."""
         B = np.empty((3,) + state.X.shape)
-        B[0] = state.X
-        state.X, state.V, state.G = frozen(B[0]), frozen(state.V), frozen(state.G)
-        np.copyto(self._G, state.G)
-        self.state, self.curve, self._pulls, self._i = state, [], np.empty((0,)), 0
+        B[0], self._A[0], self._A[1] = state.X, state.P, state.G
+        self.state = replace(state, X=frozen(B[0]), V=frozen(state.V.copy()), P=self._A[0], Pf=state.Pf.copy(),
+                             G=frozen(state.G.copy()))
+        self.curve, self._pulls, self._i = [], np.empty((0,)), 0
         self._settle(B)
 
     def step(self) -> None:
@@ -211,15 +211,12 @@ class BsoEngine:
             self._pulls = None  # freed before the next block is drawn, which then takes its memory, not fresh pages
             self._pulls, self._i = rng.uniform((max(1, min(b, cfg.max_iters - st.k)), 2) + st.V.shape), 0
             self._pulls *= self._scale
-        pull_p, pull_g = self._pulls[self._i]
+        pulls = self._pulls[self._i]
         self._i += 1
-        V = np.subtract(st.P, st.X)
-        pull_p *= V
-        np.subtract(self._G, st.X, out=V)
-        pull_g *= V
-        np.multiply(st.V, omega, out=V)
-        V += pull_p
-        V += pull_g
+        pulls *= np.subtract(self._A, st.X)
+        V = np.multiply(st.V, omega)
+        V += pulls[0]
+        V += pulls[1]
         st.V = frozen(clip_in_place(V, self.v_lo, self.v_hi))
 
         # 3. Position clip((X + lam*V) + (1 - lam)*xi), the swarm move blended with the antenna move; where lam < 1,
@@ -258,7 +255,7 @@ class BsoEngine:
             np.copyto(st.Pf, F, where=improved)
             gi = int(st.Pf.argmin())
             st.G, st.Gf = frozen(st.P[gi].copy()), float(st.Pf[gi])
-            np.copyto(self._G, st.G)
+            np.copyto(self._A[1], st.G)
         self.curve.append(st.Gf)
 
     def run(self) -> tuple[list[float], Array, float]:

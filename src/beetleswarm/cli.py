@@ -9,8 +9,10 @@ Three subcommands bind the catalog, optimizers and harness together:
 Each JSON output (constrained.json only with ``--out``) is the document
 ``harness.document`` builds. It carries the fully resolved configuration
 (defaults applied, flags merged over any ``--config`` file), so each output
-is self-describing and exactly reproducible. Exit codes: 0 success, 2 usage
-error, 3 no feasible solution found, 1 internal error.
+is self-describing and exactly reproducible; BAS's ``"delta0": null`` is the
+first step derived from the box (``BasConfig.start_step``), which a re-run
+derives again. Exit codes: 0 success, 2 usage error, 3 no feasible solution
+found, 1 internal error.
 
 Each flag that sets a config key is one row of ``FLAGS``, which builds the
 parser and gives each key its commands, JSON type and default.

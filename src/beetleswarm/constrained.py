@@ -274,11 +274,12 @@ PRESSURE_VESSEL = ConstrainedProblem(
 
 
 _HB_OBJ = constants(5.3578547, 0.8356891, 37.29329, 40792.141)
-# Each constraint is k + (c*a)*b + (c*a)*b + (c*a)*b; a subtracted term has a negated c, and c*x3**2 is (c*x3**2)*1.
+# Each constraint is k + (c*a)*b + (c*a)*b + (c*a)*b (a subtracted term has a negated c; c*x3**2 is (c*x3**2)*1), its
+# terms stored by position: the first terms of g1, g2 and g3, then the second, then the third, so a sum reads 3 rows.
 _HB_K = frozen(np.array([[85.334407], [80.51249], [9.300961]]))
-_HB_C = frozen(np.array([[0.0056858, 0.00026, -0.0022053, 0.0071317, 0.0029955, 0.0021813, 0.0047026, 0.0012547,
+_HB_C = frozen(np.array([[0.0056858, 0.0071317, 0.0047026, 0.00026, 0.0029955, 0.0012547, -0.0022053, 0.0021813,
                           0.0019085]]).T)
-_HB_A, _HB_B = frozen(np.array([1, 0, 2, 1, 0, 5, 2, 0, 2])), frozen(np.array([4, 3, 4, 4, 1, 6, 4, 2, 3]))
+_HB_A, _HB_B = frozen(np.array([1, 1, 2, 0, 0, 0, 2, 5, 2])), frozen(np.array([4, 4, 4, 3, 1, 2, 4, 6, 3]))
 
 
 def _hb_objective(X: Array) -> Array:
@@ -290,7 +291,7 @@ def _hb_objective(X: Array) -> Array:
 def _hb_constraints(X: Array) -> Array:
     """g1 = 85.334407 + 0.0056858*x2*x5 + 0.00026*x1*x4 - 0.0022053*x3*x5, g2 = 80.51249 + 0.0071317*x2*x5
     + 0.0029955*x1*x2 + 0.0021813*x3**2, g3 = 9.300961 + 0.0047026*x3*x5 + 0.0012547*x1*x3 + 0.0019085*x3*x4,
-    each added left to right; the nine products come from one pass over the rows x1..x5, x3**2 and 1."""
+    each added left to right, a term position (3 contiguous rows) at a time; the terms are one pass over the rows."""
     rows = np.empty((7, X.shape[0]))
     rows[:5] = X.T
     np.multiply(rows[2], rows[2], out=rows[5])
@@ -298,9 +299,9 @@ def _hb_constraints(X: Array) -> Array:
     terms = rows.take(_HB_A, axis=0)
     terms *= _HB_C
     terms *= rows.take(_HB_B, axis=0)
-    G = np.add(_HB_K, terms[0::3])
-    G += terms[1::3]
-    G += terms[2::3]
+    G = np.add(_HB_K, terms[0:3])
+    G += terms[3:6]
+    G += terms[6:9]
     return G.T
 
 

@@ -286,12 +286,11 @@ class RunRecord(Rebuilt):
         return cls(problem.id, algorithm, seed, {**config.to_dict(), "seed": seed}, curve, best_x, best_f, elapsed)
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (arrays become lists)."""
+        """JSON-ready representation (arrays become lists), without ``config``: a document carries it in ``configs``."""
         return {
             "problem": self.problem_id,
             "algorithm": self.algorithm,
             "seed": self.seed,
-            "config": dict(self.config),
             "best_f": self.best_f,
             "best_x": [float(v) for v in self.best_x],
             "iterations": int(self.curve.size - 1),

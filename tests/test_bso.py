@@ -243,6 +243,23 @@ class TestEngine:
         X = p.space.lower + rng.uniform((8, 3)) * p.space.widths
         assert rec.best_f == p.evaluate_many(X).min()
 
+    def test_start_copies_the_swarm_it_is_handed(self):
+        # each array handed to _start keeps its values and stays writable through a start and a step, though the
+        # start's settle improves every personal best and the engine freezes its X, V and G
+        problem = sphere_problem(2)
+        X, V = np.array([[0.5, -0.5], [1.0, 1.0], [-2.0, 0.25]]), np.full((3, 2), 0.5)
+        P = np.array([[3.0, 3.0], [-4.0, 2.0], [1.0, -6.0]])  # each row is farther from 0 than X's: all improve
+        Pf, G = problem.evaluate_many(P), P[0].copy()
+        handed = dict(X=X, V=V, P=P, Pf=Pf, G=G)
+        kept = {name: a.copy() for name, a in handed.items()}
+        engine = BsoEngine(problem, BsoConfig(n=3, max_iters=2, seed=5))
+        engine._start(SwarmState(X, V, P, Pf, G, float(Pf[0]), engine.config.delta0, 0))
+        assert np.array_equal(engine.state.P, X)  # the settle improved every personal best, in the engine's copy
+        engine.step()
+        for name, a in handed.items():
+            assert np.array_equal(a, kept[name]), name
+            assert a.flags.writeable, name
+
     def test_step_schedules_and_invariants(self):
         cfg = BsoConfig(n=6, max_iters=40, eta=0.93, delta0=2.5, seed=4)
         engine = BsoEngine(sphere_problem(3), cfg, debug_checks=True)

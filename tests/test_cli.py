@@ -26,9 +26,12 @@ class TestRun:
         assert record["problem"] == "F1"
         assert record["algorithm"] == "bso"
         assert record["seed"] == 7
-        assert record["config"]["n"] == 10
-        assert record["config"]["max_iters"] == 50
-        assert record["config"]["lam"] == 0.35  # defaults echoed back
+        config = doc["configs"]["bso"]  # the run's one config; the record does not repeat it
+        assert "config" not in record
+        assert config["n"] == 10
+        assert config["max_iters"] == 50
+        assert config["lam"] == 0.35  # defaults echoed back
+        assert config["seed"] == 7
         curve = (out / "curve.csv").read_text().strip().splitlines()
         assert len(curve) == 52  # header + iters + 1
         printed = capsys.readouterr().out
@@ -71,9 +74,9 @@ class TestRun:
             "--seed", "1", "--out", str(tmp_path),
         )
         assert code == 0
-        record = json.loads((tmp_path / "run.json").read_text())["record"]
-        assert record["algorithm"] == "bas"
-        assert record["config"]["max_iters"] == 60
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["record"]["algorithm"] == "bas"
+        assert doc["configs"]["bas"]["max_iters"] == 60
 
 
 class TestConfigFile:
@@ -84,21 +87,22 @@ class TestConfigFile:
             "seed": 11, "out": str(tmp_path / "from-file"),
         }))
         assert run_cli("run", "--config", str(cfg)) == 0
-        record = json.loads((tmp_path / "from-file" / "run.json").read_text())["record"]
+        doc = json.loads((tmp_path / "from-file" / "run.json").read_text())
+        record, config = doc["record"], doc["configs"]["pso"]
         assert record["algorithm"] == "pso"
-        assert record["config"]["max_iters"] == 30
-        assert record["config"]["n"] == 6
-        assert record["seed"] == record["config"]["seed"] == 11
-        assert "lam" not in record["config"]  # PSO's own config, with no BSO key
+        assert config["max_iters"] == 30
+        assert config["n"] == 6
+        assert record["seed"] == config["seed"] == 11
+        assert "lam" not in config  # PSO's own config, with no BSO key
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algorithm": "bso", "problem": "F16", "max_iters": 30, "seed": 1}))
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--iters", "12", "--seed", "5", "--out", str(out)) == 0
-        record = json.loads((out / "run.json").read_text())["record"]
-        assert record["config"]["max_iters"] == 12
-        assert record["seed"] == 5
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["configs"]["bso"]["max_iters"] == 12
+        assert doc["record"]["seed"] == doc["configs"]["bso"]["seed"] == 5
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -26,7 +26,7 @@ from beetleswarm import (
 from beetleswarm import benchmarks, catalog, constrained, core
 from beetleswarm.bas import BasConfig, run_bas
 from beetleswarm.core import clip_in_place, constants, frozen, uniform_population
-from beetleswarm.harness import ALGORITHMS, run_trial_records
+from beetleswarm.harness import ALGORITHMS, document, run_trial_records, summarize
 
 from .conftest import FixedStream, sphere_problem
 
@@ -428,7 +428,8 @@ class TestConfigFields:
         cfg = BsoConfig(**{"n": 4, "max_iters": 3, key: value})
         assert getattr(cfg, key) == plain and type(getattr(cfg, key)) is type(plain)
         rec = run_bso(sphere_problem(2), cfg)
-        assert json.loads(json.dumps(rec.to_dict()))["config"][key] == plain
+        doc = document("run", [summarize([rec])], {"bso": cfg}, record=rec.to_dict())  # as run.json is built
+        assert json.loads(json.dumps(doc))["configs"]["bso"][key] == plain
 
     def test_int_for_a_float_field_kept_as_written(self):
         # a guard: a config read from JSON keeps its bytes, so an integer given for a float field stays an int

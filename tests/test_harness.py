@@ -459,7 +459,7 @@ def test_pickled_arrays_stay_read_only():
     record = run_one("bso", get_problem("F16"), BsoConfig(n=4, max_iters=5), 0)
     clone = pickle.loads(pickle.dumps(record))
     assert _read_only(clone.curve) and _read_only(clone.best_x)
-    assert clone.to_dict() == record.to_dict()
+    assert (clone.to_dict(), clone.config) == (record.to_dict(), record.config)
 
 
 def test_pooled_records_are_read_only(monkeypatch, two_cpus):
